@@ -13,7 +13,6 @@ from .analytic import (
     af_path_cdf_quadrature,
     asymptotic_outage_dfaf,
     coding_gain_dfaf,
-    diversity_order_af,
     diversity_order_dfaf,
     outage_af_sc,
     outage_df_sc,
@@ -48,11 +47,8 @@ from .montecarlo import (
     CoupledEstimates,
     OutageEstimate,
     Scheme,
-    TrialOutcome,
-    estimate_curve,
     estimate_outage,
     estimate_outage_coupled,
-    run_trial,
     wilson_interval,
 )
 

@@ -8,9 +8,11 @@ All outage expressions are driven by the per-link gamma rate parameters
 asymptotic expressions are derived for equal transmit power and refuse
 to run otherwise.
 
-Maximal ratio combining has no closed form here: the selection event and
-the direct link are not independent under MRC, so those curves come from
-the Monte Carlo engine.
+Maximal ratio combining has no closed form here yet, so those curves come
+from the Monte Carlo engine.  Relay selection ignores the direct link, so
+the selected path stays independent of it under MRC as well; the MRC
+outage is a one-dimensional integral over the direct-link SNR that is
+not implemented yet.
 """
 
 from __future__ import annotations
@@ -18,16 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy import integrate
+from scipy.special import gammainc, gammaincc, kve
 
 from .channel import LinkSnr, NetworkSpec, PowerSpec, network_link_snrs
-from .specfun import (
-    ln_bessel_k_int,
-    ln_gamma,
-    reg_lower_gamma,
-    reg_lower_gamma_small_x,
-    reg_upper_gamma,
-)
 
 
 class ClosedFormUnavailableError(ValueError):
@@ -97,26 +94,28 @@ class AfBounds:
 
 def _power_law(m: float, x: float) -> float:
     # x**m / (m * Gamma(m)), the small-argument limit of P(m, x).
-    return reg_lower_gamma_small_x(m, x)
+    return math.exp(m * math.log(x) - math.log(m) - math.lgamma(m))
 
 
 def outage_dfaf_sc(
     net: NetworkSpec, power: PowerSpec, rs: RateSpec, snr: float
 ) -> float:
     """Exact outage probability of adaptive decode-or-amplify relaying with
-    best-relay selection and selection combining.
+    best-relay selection and selection combining, for gamma_th >= delta.
 
     Product of the direct-link outage and, per relay, the probability that
     the relay path fails: either the relay decodes (first hop clears the
     decode threshold) but the second hop falls below gamma_th, or the
     relay fails to decode, in which case the amplified path is capped by
-    the first hop and cannot clear the threshold either.
+    the first hop and cannot clear the threshold either.  That last step
+    needs gamma_th >= delta; below it an amplified path can still clear
+    gamma_th, and this expression is the DF outage, an upper bound.
     """
     direct, relays = network_link_snrs(net, power, snr)
-    p = reg_lower_gamma(direct.m, direct.rate * rs.gamma_th)
+    p = float(gammainc(direct.m, direct.rate * rs.gamma_th))
     for first, second in relays:
-        q_decode = reg_upper_gamma(first.m, first.rate * rs.delta)
-        second_fail = reg_lower_gamma(second.m, second.rate * rs.gamma_th)
+        q_decode = float(gammaincc(first.m, first.rate * rs.delta))
+        second_fail = float(gammainc(second.m, second.rate * rs.gamma_th))
         p *= q_decode * second_fail + (1.0 - q_decode)
     return p
 
@@ -125,10 +124,10 @@ def outage_df_sc(
     net: NetworkSpec, power: PowerSpec, rs: RateSpec, snr: float
 ) -> float:
     """Exact outage of opportunistic decode-and-forward under selection
-    combining.  Identical to the adaptive scheme's expression (a relay that
-    cannot decode fails to clear the threshold either way once the decode
-    and outage thresholds bind); kept as its own named operation so scheme
-    comparison tables stay explicit."""
+    combining, for any gamma_th.  For gamma_th >= delta it equals the
+    adaptive scheme's outage (a relay that cannot decode fails to clear
+    the threshold either way), so it shares that expression; kept as its
+    own named operation so scheme comparison tables stay explicit."""
     return outage_dfaf_sc(net, power, rs, snr)
 
 
@@ -159,32 +158,34 @@ def af_path_cdf_closed(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     a2 = hop2.rate
 
     z = 2.0 * math.sqrt(a1 * a2 * y * (y + 1.0))
+    # log K_n(z) for every order the sum uses; K is even in its order, and
+    # the exponentially scaled kve keeps large z from underflowing.
+    ln_k = (np.log(kve(np.arange(max(m1, m2) + 1), z)) - z).tolist()
     ln_a1 = math.log(a1)
     ln_a2 = math.log(a2)
     ln_y = math.log(y)
     ln_1py = math.log1p(y)
     # (m1-1)! cancels one Gamma(m1); the remaining prefactor is
     # 2 a2^m2 exp(-(a1+a2) y) / Gamma(m2).
-    ln_pref = math.log(2.0) + m2 * ln_a2 - (a1 + a2) * y - ln_gamma(m2)
+    ln_pref = math.log(2.0) + m2 * ln_a2 - (a1 + a2) * y - math.lgamma(m2)
 
     def ln_choose(n: int, k: int) -> float:
-        return ln_gamma(n + 1.0) - ln_gamma(k + 1.0) - ln_gamma(n - k + 1.0)
+        return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
 
     total = 0.0
     for n in range(m1):
         for j in range(n + 1):
             for k in range(m2):
-                order = j - k - 1
                 ln_term = (
                     ln_pref
-                    - ln_gamma(n + 1.0)
+                    - math.lgamma(n + 1.0)
                     + ln_choose(n, j)
                     + ln_choose(m2 - 1, k)
                     + 0.5 * (2 * n - j + k + 1) * ln_a1
                     + 0.5 * (j - k - 1) * ln_a2
                     + 0.5 * (j + k + 1) * ln_1py
                     + 0.5 * (2 * n + 2 * m2 - j - k - 1) * ln_y
-                    + ln_bessel_k_int(order, z)
+                    + ln_k[abs(j - k - 1)]
                 )
                 total += math.exp(ln_term)
     return min(1.0, max(0.0, 1.0 - total))
@@ -206,7 +207,7 @@ def af_path_cdf_quadrature(
         return 0.0
     m1, a1 = hop1.m, hop1.rate
     m2, a2 = hop2.m, hop2.rate
-    ln_norm1 = m1 * math.log(a1) - ln_gamma(m1)
+    ln_norm1 = m1 * math.log(a1) - math.lgamma(m1)
 
     def integrand(t: float) -> float:
         # t = g1 - y > 0
@@ -214,7 +215,7 @@ def af_path_cdf_quadrature(
         ln_f1 = ln_norm1 + (m1 - 1.0) * math.log(x) - a1 * x
         if ln_f1 < -745.0:
             return 0.0
-        return math.exp(ln_f1) * reg_lower_gamma(m2, a2 * y * (x + 1.0) / t)
+        return math.exp(ln_f1) * gammainc(m2, a2 * y * (x + 1.0) / t)
 
     tail, tail_err = integrate.quad(
         integrand, 0.0, math.inf, epsabs=tol * 1e-3, epsrel=1e-11, limit=500
@@ -223,7 +224,7 @@ def af_path_cdf_quadrature(
         raise QuadratureError(
             f"AF path CDF quadrature error estimate {tail_err:.3e} exceeds {tol:.3e}"
         )
-    head = reg_lower_gamma(m1, a1 * y)
+    head = float(gammainc(m1, a1 * y))
     return min(1.0, max(0.0, head + tail))
 
 
@@ -241,7 +242,7 @@ def outage_af_sc(
     combining: direct-link outage times the product of the per-relay AF
     path CDFs at gamma_th (the per-path failures are independent)."""
     direct, relays = network_link_snrs(net, power, snr)
-    p = reg_lower_gamma(direct.m, direct.rate * rs.gamma_th)
+    p = float(gammainc(direct.m, direct.rate * rs.gamma_th))
     for first, second in relays:
         p *= af_path_cdf(first, second, rs.gamma_th)
     return p
@@ -317,12 +318,6 @@ def diversity_order_dfaf(net: NetworkSpec) -> float:
     """Diversity order: direct shape plus the weaker shape of every relay
     path."""
     return net.direct.m + sum(min(a.m, b.m) for a, b in net.relays)
-
-
-def diversity_order_af(net: NetworkSpec) -> float:
-    """Opportunistic AF achieves the same diversity order as the adaptive
-    scheme; only the coding gain differs."""
-    return diversity_order_dfaf(net)
 
 
 def af_bounds(hop1: LinkSnr, hop2: LinkSnr, rs: RateSpec) -> AfBounds:

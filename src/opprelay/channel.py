@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-from .specfun import reg_lower_gamma
+from scipy.special import gammainc
 
 
 @dataclass(frozen=True)
@@ -203,6 +202,4 @@ def snr_cdf(link: LinkSnr, y: float) -> float:
     """CDF of the instantaneous SNR: P(m, m y / mean)."""
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")
-    if y == 0.0:
-        return 0.0
-    return reg_lower_gamma(link.m, link.rate * y)
+    return float(gammainc(link.m, link.rate * y))

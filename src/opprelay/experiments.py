@@ -3,9 +3,9 @@ fitting, power-allocation sweeps, and CSV emission.
 
 A scenario is a parameter bundle, not code: network shapes, rate, powers,
 SNR grid, schemes, and which outputs to produce.  Presets reproduce the
-comparative experiments at desk scale; scenario files hold the same
-bundles in YAML form (see the scenarios/ directory for annotated
-examples).
+comparative experiments at desk scale; each is an annotated YAML file in
+the package's scenarios/ directory, in the same schema user scenario
+files follow.
 
 Curve tables use a fixed column set so emitted CSV files are stable:
 snr_db, scheme, combiner, outage_analytic, outage_asymptotic, outage_mc,
@@ -19,10 +19,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import warnings
 from dataclasses import dataclass, fields
+from importlib import resources
 from itertools import product
-from typing import Callable, Iterable, Sequence, TextIO
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 import yaml
@@ -39,6 +42,9 @@ from .montecarlo import (
     estimate_outage_coupled,
     scale_power,
 )
+
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
 
 
 class ScenarioError(ValueError):
@@ -149,6 +155,7 @@ class DiversityFit:
     theoretical_d: float
     snr_window_db: tuple[float, float]
     residual: float
+    n_points: int
 
 
 def fit_diversity(
@@ -177,6 +184,7 @@ def fit_diversity(
         theoretical_d=theoretical_d,
         snr_window_db=(lo, hi),
         residual=resid,
+        n_points=len(pts),
     )
 
 
@@ -348,8 +356,9 @@ def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
 
 
 def _surface_fit_grid(window: tuple[float, float]) -> list[float]:
+    # 1 dB steps from lo, none beyond hi
     lo, hi = window
-    return [lo + i for i in range(int(round(hi - lo)) + 1)]
+    return [lo + i for i in range(math.floor(hi - lo) + 1)]
 
 
 def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
@@ -410,7 +419,7 @@ def fit_scenario_curves(
                 fitted_slope=fit.fitted_slope,
                 theoretical_d=fit.theoretical_d,
                 residual=fit.residual,
-                n_points=len(grid_db),
+                n_points=fit.n_points,
             )
         )
     return rows
@@ -479,124 +488,32 @@ def read_curve_csv(text: str) -> list[CurveRow]:
 
 
 # ---------------------------------------------------------------------------
-# Presets: the comparative experiment configurations at desk scale.
+# Presets: the comparative experiment configurations at desk scale, one
+# YAML file each in the package's scenarios/ directory.
 
-_R = RateSpec(rate=1.0)
-_GRID_FULL = tuple(float(x) for x in range(0, 51, 5))
-_GRID_MC = tuple(float(x) for x in range(0, 26, 5))
-_NAKAGAMI_3RELAY = NetworkSpec.from_shapes(0.5, [1.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+_PRESET_GROUPS = {"fig4_varyK": ("fig4_K1", "fig4_K2", "fig4_K3")}
 
 
-def _rayleigh_curve(name: str, num_relays: int) -> Scenario:
-    return Scenario(
-        name=name,
-        network=NetworkSpec.rayleigh(num_relays),
-        rate=_R,
-        power=PowerSpec.equal(),
-        schemes=(Scheme.DFAF, Scheme.DF, Scheme.AF),
-        combiner=Combiner.SC,
-        outputs=frozenset({"analytic", "asymptotic", "montecarlo"}),
-        snr_grid_db=_GRID_FULL,
-    )
-
-
-def _nakagami_curve() -> Scenario:
-    return Scenario(
-        name="fig3_nakagami_3relay",
-        network=_NAKAGAMI_3RELAY,
-        rate=_R,
-        power=PowerSpec.equal(),
-        schemes=(Scheme.DFAF, Scheme.DF, Scheme.AF),
-        combiner=Combiner.SC,
-        outputs=frozenset({"analytic", "asymptotic", "montecarlo"}),
-        snr_grid_db=_GRID_FULL,
-    )
-
-
-def _vary_k(num_relays: int) -> Scenario:
-    return Scenario(
-        name=f"fig4_K{num_relays}",
-        network=NetworkSpec.from_shapes(0.8, [1.0] * num_relays, [1.0] * num_relays),
-        rate=_R,
-        power=PowerSpec.equal(),
-        schemes=(Scheme.DFAF,),
-        combiner=Combiner.SC,
-        outputs=frozenset({"analytic", "asymptotic"}),
-        snr_grid_db=_GRID_FULL,
-    )
-
-
-def _diversity_surface() -> Scenario:
-    return Scenario(
-        name="fig6_diversity_surface",
-        network=NetworkSpec(direct=ChannelSpec(m=0.5)),
-        rate=_R,
-        power=PowerSpec.equal(),
-        schemes=(Scheme.DFAF,),
-        combiner=Combiner.SC,
-        outputs=frozenset({"analytic"}),
-        kind="diversity_surface",
-        surface_shapes=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-    )
-
-
-def _mrc_compare() -> Scenario:
-    return Scenario(
-        name="fig7_mrc_compare",
-        network=_NAKAGAMI_3RELAY,
-        rate=_R,
-        power=PowerSpec.equal(),
-        schemes=(Scheme.DFAF, Scheme.DF, Scheme.AF),
-        combiner=Combiner.MRC,
-        outputs=frozenset({"montecarlo"}),
-        snr_grid_db=_GRID_MC,
-        coupled=True,
-    )
-
-
-def _alpha_sweep() -> Scenario:
-    return Scenario(
-        name="fig8_alpha_sweep",
-        network=_NAKAGAMI_3RELAY,
-        rate=_R,
-        power=PowerSpec.equal(),
-        schemes=(Scheme.DFAF, Scheme.DF, Scheme.AF),
-        combiner=Combiner.MRC,
-        outputs=frozenset({"montecarlo"}),
-        kind="alpha_sweep",
-        alphas=tuple(round(0.1 * i, 1) for i in range(1, 10)),
-        total_power=10.0,  # 10 dB above unit noise
-        coupled=True,
-    )
-
-
-_PRESET_FACTORIES: dict[str, Callable[[], tuple[Scenario, ...]]] = {
-    "fig2_rayleigh_K1": lambda: (_rayleigh_curve("fig2_rayleigh_K1", 1),),
-    "fig2_rayleigh_K2": lambda: (_rayleigh_curve("fig2_rayleigh_K2", 2),),
-    "fig2_rayleigh_K3": lambda: (_rayleigh_curve("fig2_rayleigh_K3", 3),),
-    "fig3_nakagami_3relay": lambda: (_nakagami_curve(),),
-    "fig4_K1": lambda: (_vary_k(1),),
-    "fig4_K2": lambda: (_vary_k(2),),
-    "fig4_K3": lambda: (_vary_k(3),),
-    "fig4_varyK": lambda: (_vary_k(1), _vary_k(2), _vary_k(3)),
-    "fig6_diversity_surface": lambda: (_diversity_surface(),),
-    "fig7_mrc_compare": lambda: (_mrc_compare(),),
-    "fig8_alpha_sweep": lambda: (_alpha_sweep(),),
-}
+def _preset_files() -> dict[str, Traversable]:
+    scenarios = resources.files(__package__) / "scenarios"
+    return {
+        f.name.removesuffix(".yaml"): f
+        for f in scenarios.iterdir()
+        if f.name.endswith(".yaml")
+    }
 
 
 def preset_names() -> list[str]:
-    return sorted(_PRESET_FACTORIES)
+    return sorted([*_preset_files(), *_PRESET_GROUPS])
 
 
 def preset(name: str) -> tuple[Scenario, ...]:
-    try:
-        factory = _PRESET_FACTORIES[name]
-    except KeyError:
+    files = _preset_files()
+    if name not in files and name not in _PRESET_GROUPS:
         raise ScenarioError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        ) from None
-    return factory()
+        )
+    return tuple(load_scenario(files[n]) for n in _PRESET_GROUPS.get(name, (name,)))
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +599,11 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         raise ScenarioError(f"malformed scenario config: {exc}") from exc
 
 
-def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh)
+def load_scenario(path: str | os.PathLike | Traversable) -> Scenario:
+    """Read one scenario from a YAML file path or a packaged resource."""
+    if isinstance(path, (str, os.PathLike)):
+        path = Path(path)
+    cfg = yaml.safe_load(path.read_text(encoding="utf-8"))
     if not isinstance(cfg, dict):
         raise ScenarioError(f"{path} does not contain a scenario mapping")
     return scenario_from_dict(cfg)
@@ -692,10 +611,8 @@ def load_scenario(path: str) -> Scenario:
 
 def resolve_scenarios(ref: str) -> tuple[Scenario, ...]:
     """Accept a preset name or a path to a YAML scenario file."""
-    if ref in _PRESET_FACTORIES:
+    if ref in preset_names():
         return preset(ref)
-    import os
-
     if os.path.exists(ref):
         return (load_scenario(ref),)
     raise ScenarioError(

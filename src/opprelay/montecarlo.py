@@ -15,7 +15,6 @@ observable.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -45,20 +44,6 @@ class Scheme(Enum):
 class Combiner(Enum):
     SC = "sc"
     MRC = "mrc"
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Everything one protocol round produced, kept for invariant checks."""
-
-    gamma0: float
-    gamma1: tuple[float, ...]
-    gamma2: tuple[float, ...]
-    decoded: tuple[bool, ...]
-    equivalent_snr: tuple[float, ...]  # adaptive per-relay equivalents
-    selected_index: int | None
-    combined_snr: float
-    outage: bool
 
 
 @dataclass(frozen=True)
@@ -103,72 +88,6 @@ def _af_equivalent(g1, g2):
     return g1 * g2 / (g1 + g2 + 1.0)
 
 
-def resolve_trial(
-    gamma0: float,
-    gamma1: tuple[float, ...],
-    gamma2: tuple[float, ...],
-    rs: RateSpec,
-    scheme: Scheme,
-    combiner: Combiner = Combiner.SC,
-) -> TrialOutcome:
-    """Pure selection and combining logic for one set of channel draws.
-
-    The selected relay maximizes the scheme's own path metric; ties go to
-    the lowest index (a zero-probability event under continuous fading,
-    fixed only for determinism).  With no decoding relay the DF path
-    contributes zero and the destination falls back on the direct link.
-    """
-    decoded = tuple(g >= rs.delta for g in gamma1)
-    equivalent = tuple(
-        g2 if xi else _af_equivalent(g1, g2)
-        for g1, g2, xi in zip(gamma1, gamma2, decoded)
-    )
-    if scheme is Scheme.DFAF:
-        metric = equivalent
-    elif scheme is Scheme.DF:
-        metric = tuple(g2 if xi else 0.0 for g2, xi in zip(gamma2, decoded))
-    else:
-        metric = tuple(_af_equivalent(g1, g2) for g1, g2 in zip(gamma1, gamma2))
-
-    if metric:
-        selected = max(range(len(metric)), key=lambda i: (metric[i], -i))
-        relay_snr = metric[selected]
-    else:
-        selected = None
-        relay_snr = 0.0
-
-    if combiner is Combiner.SC:
-        combined = max(gamma0, relay_snr)
-    else:
-        combined = gamma0 + relay_snr
-    return TrialOutcome(
-        gamma0=gamma0,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        decoded=decoded,
-        equivalent_snr=equivalent,
-        selected_index=selected,
-        combined_snr=combined,
-        outage=combined < rs.gamma_th,
-    )
-
-
-def run_trial(
-    net: NetworkSpec,
-    power: PowerSpec,
-    rs: RateSpec,
-    scheme: Scheme,
-    rng_stream: np.random.Generator,
-    combiner: Combiner = Combiner.SC,
-) -> TrialOutcome:
-    """Draw all 2K+1 link SNRs from the given stream and run one round."""
-    direct, relays = network_link_snrs(net, power)
-    gamma0 = float(sample_snr(direct, rng_stream))
-    gamma1 = tuple(float(sample_snr(first, rng_stream)) for first, _ in relays)
-    gamma2 = tuple(float(sample_snr(second, rng_stream)) for _, second in relays)
-    return resolve_trial(gamma0, gamma1, gamma2, rs, scheme, combiner)
-
-
 def _draw_block(
     direct: LinkSnr,
     relays: tuple[tuple[LinkSnr, LinkSnr], ...],
@@ -189,7 +108,14 @@ def _draw_block(
 
 
 def _combined_snr_block(g0, g1, g2, rs: RateSpec, scheme: Scheme, combiner: Combiner):
-    """Vectorized counterpart of resolve_trial over a block of draws."""
+    """Combined destination SNR of each trial in a block of draws: g0 has
+    shape (n,), g1 and g2 shape (K, n).
+
+    The selected relay maximizes the scheme's own path metric.  A relay
+    that decodes forwards its second hop; one that does not contributes
+    the amplified SNR under the adaptive scheme and zero under DF, so with
+    no decoding relay DF falls back on the direct link.
+    """
     if g1.shape[0] == 0:
         relay = np.zeros_like(g0)
     else:
@@ -356,44 +282,3 @@ def scale_power(power: PowerSpec, snr: float) -> PowerSpec:
 
 
 MIN_RELIABLE_FAILURES = 30
-
-
-def estimate_curve(
-    net: NetworkSpec,
-    power: PowerSpec,
-    rs: RateSpec,
-    scheme: Scheme,
-    snr_grid_db: list[float],
-    trials: int,
-    seed: int,
-    confidence: float = 0.99,
-    combiner: Combiner = Combiner.SC,
-    workers: int = 1,
-) -> list[tuple[float, OutageEstimate]]:
-    """One outage estimate per grid point, each from disjoint streams."""
-    if not snr_grid_db:
-        raise ValueError("snr grid must be nonempty")
-    if any(b <= a for a, b in zip(snr_grid_db, snr_grid_db[1:])):
-        raise ValueError("snr grid must be strictly increasing")
-    curve = []
-    for idx, snr_db in enumerate(snr_grid_db):
-        est = estimate_outage(
-            net,
-            scale_power(power, 10.0 ** (snr_db / 10.0)),
-            rs,
-            scheme,
-            trials,
-            seed,
-            confidence,
-            combiner,
-            workers,
-            stream_tag=(idx,),
-        )
-        if est.failures < MIN_RELIABLE_FAILURES:
-            warnings.warn(
-                f"only {est.failures} failures at {snr_db} dB "
-                f"({trials} trials); estimate unreliable",
-                stacklevel=2,
-            )
-        curve.append((snr_db, est))
-    return curve

@@ -7,20 +7,22 @@ the all-Rayleigh case.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from opprelay.analytic import (
     ClosedFormUnavailableError,
     RateSpec,
+    _power_law,
     af_bounds,
     af_path_cdf,
     af_path_cdf_closed,
     af_path_cdf_quadrature,
     asymptotic_outage_dfaf,
     coding_gain_dfaf,
-    diversity_order_af,
     diversity_order_dfaf,
     outage_af_sc,
     outage_df_sc,
@@ -124,6 +126,17 @@ class TestAfPathCdf:
     def test_large_y_saturates(self):
         h = LinkSnr(mean_snr=10.0, m=1.0)
         assert af_path_cdf_closed(h, h, 1e4) == pytest.approx(1.0, abs=1e-6)
+
+    def test_bessel_argument_where_k_underflows(self):
+        # rate 1000/sqrt(12) per hop at y = 3 puts the Bessel argument
+        # z = 2 sqrt(a1 a2 y (y + 1)) at 2000, where K_n(z) itself underflows
+        # to zero; the scaled log form keeps every term finite
+        h = LinkSnr(mean_snr=2.0 * math.sqrt(12.0) / 1000.0, m=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed = af_path_cdf_closed(h, h, 3.0)
+        assert math.isfinite(closed)
+        assert abs(closed - af_path_cdf_quadrature(h, h, 3.0)) <= 1e-8
 
     def test_non_integer_shape_rejected(self):
         good = LinkSnr(mean_snr=10.0, m=2.0)
@@ -230,6 +243,21 @@ class TestAfOutage:
         assert all(b >= a for a, b in zip(by_th, by_th[1:]))
 
 
+class TestPowerLaw:
+    def test_definition(self):
+        for m in (0.5, 0.8, 2.0, 3.5):
+            for x in (1e-8, 1e-3, 0.3):
+                expected = x**m / (m * math.gamma(m))
+                assert _power_law(m, x) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [0.5, 0.8, 1.0, 2.0, 3.0, 5.0])
+    def test_small_argument_limit_of_lower_gamma(self, m):
+        # P(m, x) -> x**m / (m Gamma(m)) as x -> 0; this limit is what
+        # turns the exact outage into the high-SNR power law
+        x = 1e-6
+        assert gammainc(m, x) / _power_law(m, x) == pytest.approx(1.0, abs=1e-3)
+
+
 class TestAsymptotics:
     def test_ratio_approaches_one_fig3_config(self):
         net = NetworkSpec.from_shapes(0.5, [1, 1, 2], [1, 1, 1])
@@ -305,7 +333,7 @@ class TestCodingGainAndDiversity:
         assert result.coding_gain == pytest.approx(expected, rel=1e-12)
         assert result.per_relay_factors == ()
 
-    def test_af_diversity_equals_adaptive(self):
+    def test_diversity_order_matches_coding_gain(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             k = int(rng.integers(0, 4))
@@ -314,8 +342,7 @@ class TestCodingGainAndDiversity:
                 list(rng.uniform(0.5, 3.0, k)),
                 list(rng.uniform(0.5, 3.0, k)),
             )
-            assert diversity_order_af(net) == diversity_order_dfaf(net)
-            assert diversity_order_af(net) == pytest.approx(
+            assert diversity_order_dfaf(net) == pytest.approx(
                 coding_gain_dfaf(net, RS).diversity_order
             )
 

@@ -1,9 +1,14 @@
 """Command-line behaviour: CSV emission, overrides, exit codes, and
 byte-identical reruns."""
 
+from pathlib import Path
+
 import pytest
 
+import opprelay
 from opprelay.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+
+SCENARIO_DIR = Path(opprelay.__file__).parent / "scenarios"
 
 CURVE_HEADER = (
     "snr_db,scheme,combiner,outage_analytic,outage_asymptotic,"
@@ -33,7 +38,7 @@ class TestBasics:
 
     def test_scenario_file_input(self, capsys):
         code, out, _ = run_cli(
-            capsys, "analytic", "--scenario", "scenarios/fig4_K2.yaml"
+            capsys, "analytic", "--scenario", str(SCENARIO_DIR / "fig4_K2.yaml")
         )
         assert code == EXIT_OK
         assert out.startswith(CURVE_HEADER)
@@ -114,7 +119,7 @@ class TestFiles:
     def test_bounds_companion_file(self, capsys, tmp_path):
         import yaml
 
-        cfg = yaml.safe_load(open("scenarios/fig2_rayleigh_K2.yaml"))
+        cfg = yaml.safe_load((SCENARIO_DIR / "fig2_rayleigh_K2.yaml").read_text())
         cfg["outputs"] = ["analytic", "bounds"]
         cfg["schemes"] = ["af"]
         path = tmp_path / "bounds_scenario.yaml"

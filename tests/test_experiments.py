@@ -1,11 +1,12 @@
 """Scenario machinery: preset pinning, table schemas, CSV round trips,
 slope fitting, the alpha sweep, and scenario file parsing."""
 
-import glob
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import opprelay
 from opprelay.channel import PowerSpec
 from opprelay.experiments import (
     CurveRow,
@@ -14,6 +15,7 @@ from opprelay.experiments import (
     ZeroOutageError,
     af_bounds_rows,
     csv_text,
+    _surface_fit_grid,
     fit_diversity,
     fit_scenario_curves,
     load_scenario,
@@ -27,6 +29,8 @@ from opprelay.experiments import (
     sweep_alpha,
 )
 from opprelay.montecarlo import Combiner
+
+SCENARIO_DIR = Path(opprelay.__file__).parent / "scenarios"
 
 SPEC_PRESETS = [
     "fig2_rayleigh_K1",
@@ -209,6 +213,13 @@ class TestFitDiversity:
         assert fit.snr_window_db == (35.0, 45.0)
         assert fit.fitted_slope == pytest.approx(1.0, abs=1e-12)
 
+    def test_fractional_window_stays_inside(self):
+        assert _surface_fit_grid((35.0, 45.0)) == [35.0 + i for i in range(11)]
+        assert _surface_fit_grid((35.5, 45.0)) == [35.5 + i for i in range(10)]
+        (s,) = preset("fig4_K1")
+        (row,) = fit_scenario_curves(s, (35.5, 45.0))
+        assert row.n_points == 10
+
     def test_scenario_curves_hit_theory(self):
         (s,) = preset("fig3_nakagami_3relay")
         for row in fit_scenario_curves(s):
@@ -301,10 +312,12 @@ class TestBoundsTable:
 
 
 class TestScenarioFiles:
-    @pytest.mark.parametrize("path", sorted(glob.glob("scenarios/*.yaml")))
-    def test_examples_match_presets(self, path):
-        name = path.split("/")[-1].removesuffix(".yaml")
-        assert load_scenario(path) == preset(name)[0]
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))
+    def test_files_load_by_path(self, name):
+        # each preset file is named after the scenario it holds
+        s = load_scenario(str(SCENARIO_DIR / f"{name}.yaml"))
+        assert s.name == name
+        assert preset(name) == (s,)
 
     def test_grid_shorthand(self):
         s = scenario_from_dict(
@@ -327,7 +340,8 @@ class TestScenarioFiles:
 
     def test_resolver(self):
         assert resolve_scenarios("fig2_rayleigh_K1")[0].name == "fig2_rayleigh_K1"
-        assert resolve_scenarios("scenarios/fig3_nakagami_3relay.yaml")[0].rate.delta == 3.0
+        path = str(SCENARIO_DIR / "fig3_nakagami_3relay.yaml")
+        assert resolve_scenarios(path)[0].rate.delta == 3.0
         with pytest.raises(ScenarioError, match="neither a preset"):
             resolve_scenarios("no_such_thing")
 

@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 
 from opprelay.analytic import RateSpec, outage_dfaf_sc
-from opprelay.channel import NetworkSpec, PowerSpec, make_stream, network_link_snrs
+from opprelay.channel import NetworkSpec, PowerSpec, network_link_snrs
+from opprelay.experiments import Scenario, run_scenario
 from opprelay.montecarlo import (
     Combiner,
     Scheme,
     _combined_snr_block,
     _draw_block,
-    estimate_curve,
     estimate_outage,
     estimate_outage_coupled,
-    resolve_trial,
-    run_trial,
     scale_power,
     wilson_interval,
 )
@@ -24,6 +22,33 @@ RS = RateSpec(rate=1.0)
 PW = PowerSpec.equal()
 NET1 = NetworkSpec.rayleigh(1)
 NET3 = NetworkSpec.from_shapes(0.5, [1, 1, 2], [1, 1, 1])
+
+
+def scalar_combined_snr(gamma0, gamma1, gamma2, rs, scheme, combiner=Combiner.SC):
+    """Reference per-trial selection and combining for one set of draws,
+    written independently of the block kernel."""
+    decoded = [g >= rs.delta for g in gamma1]
+    metric = []
+    for g1, g2, xi in zip(gamma1, gamma2, decoded):
+        af = g1 * g2 / (g1 + g2 + 1.0)
+        if scheme is Scheme.DFAF:
+            metric.append(g2 if xi else af)
+        elif scheme is Scheme.DF:
+            metric.append(g2 if xi else 0.0)
+        else:
+            metric.append(af)
+    relay_snr = max(metric, default=0.0)
+    if combiner is Combiner.SC:
+        return max(gamma0, relay_snr)
+    return gamma0 + relay_snr
+
+
+def kernel(gamma0, gamma1, gamma2, scheme, combiner=Combiner.SC):
+    """Block kernel on hand-written draws: gamma1/gamma2 rows are relays."""
+    g0 = np.array(gamma0, dtype=float)
+    g1 = np.array(gamma1, dtype=float).reshape(len(gamma1), len(g0))
+    g2 = np.array(gamma2, dtype=float).reshape(len(gamma2), len(g0))
+    return _combined_snr_block(g0, g1, g2, RS, scheme, combiner)
 
 
 class TestWilson:
@@ -50,109 +75,100 @@ class TestWilson:
             wilson_interval(1, 10, confidence=1.0)
 
 
-class TestResolveTrial:
+class TestBlockKernel:
     def test_all_zero_gains_is_outage(self):
-        out = resolve_trial(0.0, (0.0, 0.0), (0.0, 0.0), RS, Scheme.DFAF)
-        assert out.outage
-        assert out.combined_snr == 0.0
+        combined = kernel([0.0], [[0.0], [0.0]], [[0.0], [0.0]], Scheme.DFAF)
+        assert combined[0] == 0.0
+        assert combined[0] < RS.gamma_th
 
     def test_deterministic_decode_path(self):
-        out = resolve_trial(
-            0.0, (10 * RS.delta,), (5 * RS.gamma_th,), RS, Scheme.DFAF, Combiner.SC
-        )
-        assert out.decoded == (True,)
-        assert out.selected_index == 0
-        assert out.combined_snr == 5 * RS.gamma_th
-        assert not out.outage
+        combined = kernel([0.0], [[10 * RS.delta]], [[5 * RS.gamma_th]], Scheme.DFAF)
+        assert combined[0] == 5 * RS.gamma_th
 
     def test_all_decoded_reduces_to_df(self):
         rng = np.random.default_rng(17)
-        for _ in range(200):
-            k = 3
-            g1 = tuple(RS.delta + float(x) for x in rng.uniform(0, 20, k))
-            g2 = tuple(float(x) for x in rng.uniform(0, 20, k))
-            g0 = float(rng.uniform(0, 5))
-            adaptive = resolve_trial(g0, g1, g2, RS, Scheme.DFAF)
-            df = resolve_trial(g0, g1, g2, RS, Scheme.DF)
-            assert adaptive.selected_index == df.selected_index
-            assert adaptive.combined_snr == df.combined_snr
+        g1 = RS.delta + rng.uniform(0, 20, (3, 200))
+        g2 = rng.uniform(0, 20, (3, 200))
+        g0 = rng.uniform(0, 5, 200)
+        for combiner in Combiner:
+            adaptive = _combined_snr_block(g0, g1, g2, RS, Scheme.DFAF, combiner)
+            df = _combined_snr_block(g0, g1, g2, RS, Scheme.DF, combiner)
+            assert np.array_equal(adaptive, df)
 
     def test_no_decode_falls_back_to_direct(self):
-        g1 = (RS.delta * 0.5, RS.delta * 0.1)
-        g2 = (100.0, 200.0)
-        out = resolve_trial(7.0, g1, g2, RS, Scheme.DF, Combiner.SC)
-        assert out.combined_snr == 7.0
-        out = resolve_trial(7.0, g1, g2, RS, Scheme.DF, Combiner.MRC)
-        assert out.combined_snr == 7.0
+        g1 = [[RS.delta * 0.5], [RS.delta * 0.1]]
+        g2 = [[100.0], [200.0]]
+        assert kernel([7.0], g1, g2, Scheme.DF, Combiner.SC)[0] == 7.0
+        assert kernel([7.0], g1, g2, Scheme.DF, Combiner.MRC)[0] == 7.0
 
     def test_no_relays_degenerates_to_direct(self):
-        out = resolve_trial(2.0, (), (), RS, Scheme.DFAF, Combiner.SC)
-        assert out.selected_index is None
-        assert out.combined_snr == 2.0
-        out = resolve_trial(2.0, (), (), RS, Scheme.AF, Combiner.MRC)
-        assert out.combined_snr == 2.0
-
-    def test_tie_breaks_to_lowest_index(self):
-        out = resolve_trial(0.0, (10.0, 10.0), (5.0, 5.0), RS, Scheme.DFAF)
-        assert out.selected_index == 0
+        assert kernel([2.0], [], [], Scheme.DFAF, Combiner.SC)[0] == 2.0
+        assert kernel([2.0], [], [], Scheme.AF, Combiner.MRC)[0] == 2.0
 
 
 @pytest.fixture(scope="module")
-def outcomes():
-    rng = make_stream(77, 0)
-    power = scale_power(PW, 10.0)
-    return [run_trial(NET3, power, RS, Scheme.DFAF, rng) for _ in range(2000)]
+def block():
+    direct, relays = network_link_snrs(NET3, scale_power(PW, 10.0))
+    return _draw_block(direct, relays, seed=77, tag=(), block=0, n=2000)
 
 
-class TestRunTrialInvariants:
+class TestBlockInvariants:
+    def test_selection_maximizes_equivalent_snr(self, block):
+        g0, g1, g2 = block
+        equivalent = np.where(g1 >= RS.delta, g2, g1 * g2 / (g1 + g2 + 1.0))
+        relay = _combined_snr_block(np.zeros_like(g0), g1, g2, RS, Scheme.DFAF, Combiner.MRC)
+        assert np.all(relay[None, :] >= equivalent)
+        assert np.all(np.any(relay[None, :] == equivalent, axis=0))
 
-    def test_selection_maximizes_equivalent_snr(self, outcomes):
-        for out in outcomes:
-            best = out.equivalent_snr[out.selected_index]
-            assert all(best >= v for v in out.equivalent_snr)
+    def test_equivalent_snr_definition(self, block):
+        # one relay at a time, no direct link: MRC returns the path metric
+        g0, g1, g2 = block
+        zero = np.zeros_like(g0)
+        for i in range(g1.shape[0]):
+            eq = _combined_snr_block(
+                zero, g1[i : i + 1], g2[i : i + 1], RS, Scheme.DFAF, Combiner.MRC
+            )
+            decoded = g1[i] >= RS.delta
+            af = g1[i] * g2[i] / (g1[i] + g2[i] + 1.0)
+            assert np.array_equal(eq, np.where(decoded, g2[i], af))
 
-    def test_equivalent_snr_definition(self, outcomes):
-        for out in outcomes:
-            for g1, g2, xi, eq in zip(
-                out.gamma1, out.gamma2, out.decoded, out.equivalent_snr
-            ):
-                expected = g2 if xi else g1 * g2 / (g1 + g2 + 1.0)
-                assert eq == expected
-                assert xi == (g1 >= RS.delta)
-
-    def test_af_path_sandwich(self, outcomes):
+    def test_af_path_sandwich(self, block):
         # af < min(g1, g2) always.  The half-min lower bound is asymptotic;
         # per trial it holds exactly when max >= min + 1 (algebra:
         # g1 g2 / (g1 + g2 + 1) >= min/2  <=>  max >= min + 1), so that is
         # the condition gated on here; positivity holds otherwise.
-        for out in outcomes:
-            for g1, g2 in zip(out.gamma1, out.gamma2):
-                af = g1 * g2 / (g1 + g2 + 1.0)
-                smaller, larger = min(g1, g2), max(g1, g2)
-                assert af < smaller
-                if larger >= smaller + 1.0:
-                    assert af >= 0.5 * smaller
-                else:
-                    assert af > 0.0
+        g0, g1, g2 = block
+        zero = np.zeros_like(g0)
+        for i in range(g1.shape[0]):
+            af = _combined_snr_block(
+                zero, g1[i : i + 1], g2[i : i + 1], RS, Scheme.AF, Combiner.MRC
+            )
+            smaller, larger = np.minimum(g1[i], g2[i]), np.maximum(g1[i], g2[i])
+            assert np.all(af < smaller)
+            gated = larger >= smaller + 1.0
+            assert np.all(af[gated] >= 0.5 * smaller[gated])
+            assert np.all(af > 0.0)
 
-    def test_outage_flag_consistent(self, outcomes):
-        for out in outcomes:
-            assert out.outage == (out.combined_snr < RS.gamma_th)
+    def test_failure_count_is_kernel_outages(self, block):
+        # the estimator's first block is this block's draws
+        g0, g1, g2 = block
+        combined = _combined_snr_block(g0, g1, g2, RS, Scheme.DFAF, Combiner.SC)
+        est = estimate_outage(NET3, scale_power(PW, 10.0), RS, Scheme.DFAF, 2000, seed=77)
+        assert est.failures == np.count_nonzero(combined < RS.gamma_th)
 
 
 class TestSchemeDominancePerTrial:
     @pytest.mark.parametrize("combiner", [Combiner.SC, Combiner.MRC])
     def test_adaptive_dominates_on_shared_draws(self, combiner):
-        rng = make_stream(78, 0)
-        for _ in range(1000):
-            g0 = float(rng.gamma(0.5, 20.0))
-            g1 = tuple(float(x) for x in rng.gamma(1.0, 10.0, 3))
-            g2 = tuple(float(x) for x in rng.gamma(1.0, 10.0, 3))
-            adaptive = resolve_trial(g0, g1, g2, RS, Scheme.DFAF, combiner)
-            df = resolve_trial(g0, g1, g2, RS, Scheme.DF, combiner)
-            af = resolve_trial(g0, g1, g2, RS, Scheme.AF, combiner)
-            assert adaptive.combined_snr >= df.combined_snr
-            assert adaptive.combined_snr >= af.combined_snr
+        rng = np.random.default_rng(78)
+        g0 = rng.gamma(0.5, 20.0, 1000)
+        g1 = rng.gamma(1.0, 10.0, (3, 1000))
+        g2 = rng.gamma(1.0, 10.0, (3, 1000))
+        adaptive = _combined_snr_block(g0, g1, g2, RS, Scheme.DFAF, combiner)
+        df = _combined_snr_block(g0, g1, g2, RS, Scheme.DF, combiner)
+        af = _combined_snr_block(g0, g1, g2, RS, Scheme.AF, combiner)
+        assert np.all(adaptive >= df)
+        assert np.all(adaptive >= af)
 
 
 class TestBlockEngineAgainstScalarLogic:
@@ -163,7 +179,7 @@ class TestBlockEngineAgainstScalarLogic:
         g0, g1, g2 = _draw_block(direct, relays, seed=5, tag=(), block=0, n=400)
         combined = _combined_snr_block(g0, g1, g2, RS, scheme, combiner)
         for t in range(400):
-            out = resolve_trial(
+            expected = scalar_combined_snr(
                 float(g0[t]),
                 tuple(float(x) for x in g1[:, t]),
                 tuple(float(x) for x in g2[:, t]),
@@ -171,7 +187,7 @@ class TestBlockEngineAgainstScalarLogic:
                 scheme,
                 combiner,
             )
-            assert combined[t] == out.combined_snr
+            assert combined[t] == expected
 
 
 class TestEstimators:
@@ -242,19 +258,35 @@ class TestEstimators:
             estimate_outage_coupled(NET1, PW, RS, (), 10**4, seed=1)
 
 
+def curve_scenario(net, grid, trials, seed, outputs=("montecarlo",)):
+    # one scheme, coupled: grid point idx draws from the streams tagged (idx,)
+    return Scenario(
+        name="curve",
+        network=net,
+        rate=RS,
+        power=PW,
+        schemes=(Scheme.DFAF,),
+        combiner=Combiner.SC,
+        outputs=frozenset(outputs),
+        snr_grid_db=tuple(grid),
+        trials=trials,
+        seed=seed,
+        coupled=True,
+        mc_max_snr_db=None,
+    )
+
+
 class TestCurve:
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            estimate_curve(NET1, PW, RS, Scheme.DFAF, [], 10**4, seed=1)
-        with pytest.raises(ValueError):
-            estimate_curve(NET1, PW, RS, Scheme.DFAF, [5.0, 5.0], 10**4, seed=1)
+        with pytest.raises(ValueError, match="no SNR grid"):
+            run_scenario(curve_scenario(NET1, [], 10**4, seed=1))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            run_scenario(curve_scenario(NET1, [5.0, 5.0], 10**4, seed=1))
 
     def test_nonincreasing_within_ci(self):
-        curve = estimate_curve(
-            NET1, PW, RS, Scheme.DFAF, [0.0, 5.0, 10.0, 15.0], 10**5, seed=3
-        )
-        for (_, a), (_, b) in zip(curve, curve[1:]):
-            assert b.ci_low <= a.ci_high  # allows CI noise only
+        rows = run_scenario(curve_scenario(NET1, [0.0, 5.0, 10.0, 15.0], 10**5, seed=3))
+        for a, b in zip(rows, rows[1:]):
+            assert b.mc_ci_low <= a.mc_ci_high  # allows CI noise only
 
     def test_relay_count_ordering_at_15db(self):
         estimates = {}
@@ -269,11 +301,13 @@ class TestCurve:
 
     def test_matches_analytic_pointwise(self):
         grid = [0.0, 5.0, 10.0, 15.0]
-        curve = estimate_curve(NET3, PW, RS, Scheme.DFAF, grid, 10**6, seed=2026)
-        for snr_db, est in curve:
-            exact = outage_dfaf_sc(NET3, PW, RS, 10.0 ** (snr_db / 10.0))
-            assert est.ci_low <= exact <= est.ci_high
+        rows = run_scenario(
+            curve_scenario(NET3, grid, 10**6, seed=2026, outputs=("analytic", "montecarlo"))
+        )
+        for r in rows:
+            assert r.outage_analytic == outage_dfaf_sc(NET3, PW, RS, 10.0 ** (r.snr_db / 10.0))
+            assert r.mc_ci_low <= r.outage_analytic <= r.mc_ci_high
 
     def test_warns_on_few_failures(self):
         with pytest.warns(UserWarning, match="unreliable"):
-            estimate_curve(NET1, PW, RS, Scheme.DFAF, [25.0], 2000, seed=4)
+            run_scenario(curve_scenario(NET1, [25.0], 2000, seed=4))
