@@ -157,6 +157,17 @@ class TestAfPathCdf:
             quad = af_path_cdf_quadrature(h1, h2, y)
             assert abs(closed - quad) <= 1e-8
 
+    @pytest.mark.parametrize("m1,m2", [(1, 10), (10, 1), (5, 5), (4, 7), (10, 10)])
+    def test_high_orders_match_quadrature(self, m1, m2):
+        # the Bessel orders in the sum reach max(m1, m2); y spans small and
+        # large Bessel arguments z = 2 sqrt(a1 a2 y (y + 1))
+        h1 = LinkSnr(mean_snr=20.0, m=float(m1))
+        h2 = LinkSnr(mean_snr=20.0, m=float(m2))
+        for y in (0.01, 0.5, 3.0, 10.0, 40.0):
+            closed = af_path_cdf_closed(h1, h2, y)
+            quad = af_path_cdf_quadrature(h1, h2, y)
+            assert abs(closed - quad) <= 1e-8
+
     def test_asymmetric_means(self):
         h1 = LinkSnr(mean_snr=5.0, m=2.0)
         h2 = LinkSnr(mean_snr=30.0, m=1.0)

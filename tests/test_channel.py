@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from opprelay.channel import (
     ChannelSpec,
@@ -18,6 +18,18 @@ from opprelay.channel import (
     sample_snr,
     snr_cdf,
 )
+
+
+def upper_gamma_quadrature(a: float, x: float) -> float:
+    """Independent oracle: Q(a, x) by adaptive quadrature of the scaled
+    integrand exp((a-1) ln t - t - ln Gamma(a)) over [x, inf)."""
+    val, _ = integrate.quad(
+        lambda t: math.exp((a - 1.0) * math.log(t) - t - math.lgamma(a)),
+        x,
+        np.inf,
+        limit=300,
+    )
+    return val
 
 
 class TestSpecs:
@@ -144,6 +156,27 @@ class TestSnrCdf:
     def test_domain(self):
         with pytest.raises(ValueError):
             snr_cdf(LinkSnr(mean_snr=10.0, m=1.0), -1.0)
+
+    @pytest.mark.parametrize("m", [0.5, 0.8, 1.0, 2.0, 7.5, 20.0, 50.0])
+    def test_against_density_quadrature(self, m):
+        # points x = rate * y straddle the shape, where the series and
+        # continued-fraction regimes of the incomplete gamma meet, and reach
+        # deep into the tail
+        link = LinkSnr(mean_snr=10.0, m=m)
+        for x in [1e-3, 0.1, 0.5, 1.0, m * 0.5, m, m + 1.0, m * 2.0, 150.0, 200.0]:
+            y = x / link.rate
+            oracle = 1.0 - upper_gamma_quadrature(m, link.rate * y)
+            assert snr_cdf(link, y) == pytest.approx(oracle, abs=1e-10)
+
+    def test_monotone_in_y(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            link = LinkSnr(
+                mean_snr=float(rng.uniform(0.1, 100.0)), m=float(rng.uniform(0.5, 50.0))
+            )
+            ys = np.sort(rng.uniform(0.0, 200.0 / link.rate, size=20))
+            p = [snr_cdf(link, float(y)) for y in ys]
+            assert all(b >= a - 1e-15 for a, b in zip(p, p[1:]))
 
 
 class TestStreams:
