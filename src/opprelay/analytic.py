@@ -24,7 +24,10 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammainc, gammaincc, kve
 
-from .channel import LinkSnr, NetworkSpec, PowerSpec, network_link_snrs
+from .channel import LinkSnr, NetworkSpec, PowerSpec, network_link_snrs, scale_power
+
+# Absolute error the AF path CDF quadrature must certify.
+AF_QUAD_TOL = 1e-9
 
 
 class ClosedFormUnavailableError(ValueError):
@@ -191,9 +194,7 @@ def af_path_cdf_closed(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     return min(1.0, max(0.0, 1.0 - total))
 
 
-def af_path_cdf_quadrature(
-    hop1: LinkSnr, hop2: LinkSnr, y: float, tol: float = 1e-9
-) -> float:
+def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     """CDF of g1*g2/(g1+g2+1) from first principles, for any shapes.
 
     The event splits on the first hop: g1 <= y always fails, and for
@@ -218,11 +219,12 @@ def af_path_cdf_quadrature(
         return math.exp(ln_f1) * gammainc(m2, a2 * y * (x + 1.0) / t)
 
     tail, tail_err = integrate.quad(
-        integrand, 0.0, math.inf, epsabs=tol * 1e-3, epsrel=1e-11, limit=500
+        integrand, 0.0, math.inf, epsabs=AF_QUAD_TOL * 1e-3, epsrel=1e-11, limit=500
     )
-    if tail_err > tol:
+    if tail_err > AF_QUAD_TOL:
         raise QuadratureError(
-            f"AF path CDF quadrature error estimate {tail_err:.3e} exceeds {tol:.3e}"
+            f"AF path CDF quadrature error estimate {tail_err:.3e} exceeds "
+            f"{AF_QUAD_TOL:.3e}"
         )
     head = float(gammainc(m1, a1 * y))
     return min(1.0, max(0.0, head + tail))
@@ -259,7 +261,8 @@ def _require_equal_power(power: PowerSpec, what: str) -> None:
 
 def _relay_asymptote(first: LinkSnr, second: LinkSnr, rs: RateSpec) -> RelayAsymptote:
     # The weaker hop (smaller shape) sets the slope.  With equal shapes
-    # both hops contribute at the same order, hence the factor 2.
+    # both failure events (first hop below delta, second hop below
+    # gamma_th) are of the same order, so both leading terms add.
     if first.m > second.m:
         branch = "second_hop_limited"
         m = second.m
@@ -271,7 +274,9 @@ def _relay_asymptote(first: LinkSnr, second: LinkSnr, rs: RateSpec) -> RelayAsym
     else:
         branch = "balanced"
         m = first.m
-        coeff = 2.0 * _power_law(m, first.rate * rs.delta)
+        coeff = _power_law(m, first.rate * rs.delta) + _power_law(
+            m, second.rate * rs.gamma_th
+        )
     return RelayAsymptote(branch=branch, exponent=m, coefficient=coeff)
 
 
@@ -280,13 +285,12 @@ def asymptotic_outage_dfaf(
 ) -> float:
     """High-SNR power law for the adaptive scheme: each CDF factor of the
     exact expression is replaced by its leading small-argument term, so the
-    whole product decays like snr**(-d) with the network diversity order."""
+    whole product decays like g * (snr P / N0)**(-d) with the coding gain g
+    and the network diversity order d of coding_gain_dfaf."""
     _require_equal_power(power, "the high-SNR outage expansion")
-    direct, relays = network_link_snrs(net, power, snr)
-    p = _power_law(direct.m, direct.rate * rs.gamma_th)
-    for first, second in relays:
-        p *= _relay_asymptote(first, second, rs).coefficient
-    return p
+    law = coding_gain_dfaf(net, rs)
+    tx_snr = scale_power(power, snr).source_power / power.noise_variance
+    return law.coding_gain * tx_snr ** -law.diversity_order
 
 
 def coding_gain_dfaf(net: NetworkSpec, rs: RateSpec) -> AsymptoticResult:
@@ -294,23 +298,22 @@ def coding_gain_dfaf(net: NetworkSpec, rs: RateSpec) -> AsymptoticResult:
     outage ~ g * snr**(-d), where snr is the equal transmit SNR and each
     link's mean SNR is its spread times snr.
 
-    The balanced branch (equal hop shapes) keeps its factor 2 so that g is
-    exactly the snr-free part of the asymptotic outage expression.
+    The balanced branch (equal hop shapes) sums the leading small-argument
+    terms of both hops' failure probabilities, P(m, a1 delta) and
+    P(m, a2 gamma_th); at the default binding a1 delta = a2 gamma_th that
+    is twice either one.
     """
-    factors = []
-    g = _power_law(net.direct.m, net.direct.m * rs.gamma_th / net.direct.omega)
-    d = net.direct.m
-    for first_ch, second_ch in net.relays:
-        # Unit-SNR link descriptors make rate = m / omega, which is exactly
-        # the snr-free coefficient the coding gain needs.
-        first = LinkSnr(mean_snr=first_ch.omega, m=first_ch.m)
-        second = LinkSnr(mean_snr=second_ch.omega, m=second_ch.m)
-        fac = _relay_asymptote(first, second, rs)
-        factors.append(fac)
+    # Unit-SNR link descriptors make rate = m / omega, which is exactly
+    # the snr-free coefficient the coding gain needs.
+    direct, relays = network_link_snrs(net, PowerSpec.equal())
+    factors = tuple(_relay_asymptote(first, second, rs) for first, second in relays)
+    g = _power_law(direct.m, direct.rate * rs.gamma_th)
+    for fac in factors:
         g *= fac.coefficient
-        d += fac.exponent
     return AsymptoticResult(
-        coding_gain=g, diversity_order=d, per_relay_factors=tuple(factors)
+        coding_gain=g,
+        diversity_order=diversity_order_dfaf(net),
+        per_relay_factors=factors,
     )
 
 

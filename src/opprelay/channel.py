@@ -157,20 +157,31 @@ def link_snr(ch: ChannelSpec, tx_power: float, n0: float) -> LinkSnr:
     return LinkSnr(mean_snr=ch.omega * tx_power / n0, m=ch.m)
 
 
+def scale_power(power: PowerSpec, snr: float) -> PowerSpec:
+    """Scale all transmit powers by the linear sweep variable snr."""
+    if not snr > 0.0:
+        raise ValueError(f"snr must be positive, got {snr}")
+    return PowerSpec(
+        source_power=power.source_power * snr,
+        relay_power=power.relay_power * snr,
+        noise_variance=power.noise_variance,
+        direct_power=None if power.direct_power is None else power.direct_power * snr,
+    )
+
+
 def network_link_snrs(
     net: NetworkSpec, power: PowerSpec, snr: float = 1.0
 ) -> tuple[LinkSnr, tuple[tuple[LinkSnr, LinkSnr], ...]]:
     """Per-link SNR descriptors with the sweep variable snr scaling every
     transmit power.  With the unit equal-power default, snr is exactly the
     transmit SNR."""
-    if not snr > 0.0:
-        raise ValueError(f"snr must be positive, got {snr}")
+    power = scale_power(power, snr)
     n0 = power.noise_variance
-    direct = link_snr(net.direct, power.effective_direct_power * snr, n0)
+    direct = link_snr(net.direct, power.effective_direct_power, n0)
     relays = tuple(
         (
-            link_snr(first, power.source_power * snr, n0),
-            link_snr(second, power.relay_power * snr, n0),
+            link_snr(first, power.source_power, n0),
+            link_snr(second, power.relay_power, n0),
         )
         for first, second in net.relays
     )

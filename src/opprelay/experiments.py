@@ -25,22 +25,20 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import product
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 import yaml
 
 from . import analytic
 from .analytic import RateSpec
-from .channel import ChannelSpec, NetworkSpec, PowerSpec, network_link_snrs
+from .channel import ChannelSpec, NetworkSpec, PowerSpec, network_link_snrs, scale_power
 from .montecarlo import (
     MIN_RELIABLE_FAILURES,
     Combiner,
     OutageEstimate,
     Scheme,
-    estimate_outage,
     estimate_outage_coupled,
-    scale_power,
 )
 
 if TYPE_CHECKING:
@@ -59,15 +57,15 @@ class ZeroOutageError(RuntimeError):
 VALID_OUTPUTS = frozenset({"analytic", "asymptotic", "montecarlo", "bounds"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     name: str
     network: NetworkSpec
-    rate: RateSpec
-    power: PowerSpec
+    rate: RateSpec = RateSpec(rate=1.0)
+    power: PowerSpec = PowerSpec()
     schemes: tuple[Scheme, ...]
-    combiner: Combiner
-    outputs: frozenset[str]
+    combiner: Combiner = Combiner.SC
+    outputs: frozenset[str] = frozenset({"analytic"})
     snr_grid_db: tuple[float, ...] | None = None
     trials: int = 10**6
     seed: int = 12345
@@ -224,45 +222,61 @@ def _validate_curve_scenario(s: Scenario) -> None:
         raise ScenarioError("bounds output applies to the AF scheme only")
 
 
-def _warn_if_unreliable(est: OutageEstimate, where: str) -> None:
-    if est.failures < MIN_RELIABLE_FAILURES:
-        warnings.warn(
-            f"only {est.failures} failures at {where} ({est.trials} trials); "
-            "estimate unreliable",
-            stacklevel=3,
-        )
+def _mc_points(
+    s: Scenario,
+    points: Iterable[tuple[int, str, PowerSpec]],
+    coupled: bool,
+    workers: int,
+) -> dict[tuple[int, Scheme], OutageEstimate]:
+    """Monte Carlo estimate per (point index, scheme) over (point index,
+    label, point power) triples.  Coupled points share one draw per trial
+    across schemes, under stream tag (idx,); otherwise scheme si draws its
+    own trials under tag (idx, si)."""
+    if coupled:
+        runs = [(s.schemes, ())]
+    else:
+        runs = [((scheme,), (si,)) for si, scheme in enumerate(s.schemes)]
+    estimates = {}
+    for idx, label, power in points:
+        for schemes, sub_tag in runs:
+            result = estimate_outage_coupled(
+                s.network, power, s.rate, schemes,
+                s.trials, s.seed, s.confidence, s.combiner, workers,
+                stream_tag=(idx, *sub_tag),
+            )
+            for scheme, est in result.estimates.items():
+                estimates[(idx, scheme)] = est
+                if est.failures < MIN_RELIABLE_FAILURES:
+                    warnings.warn(
+                        f"only {est.failures} failures at {label} ({scheme.value}) "
+                        f"({est.trials} trials); estimate unreliable",
+                        stacklevel=3,
+                    )
+    return estimates
+
+
+def _mc_columns(est: OutageEstimate | None) -> dict:
+    if est is None:
+        return {}
+    return {
+        "outage_mc": est.probability,
+        "mc_ci_low": est.ci_low,
+        "mc_ci_high": est.ci_high,
+        "trials": est.trials,
+        "failures": est.failures,
+    }
 
 
 def run_scenario(s: Scenario, workers: int = 1) -> list[CurveRow]:
     """Produce the curve table: one row per (snr_db, scheme)."""
     _validate_curve_scenario(s)
-    mc_wanted = "montecarlo" in s.outputs
     mc_cut = math.inf if s.mc_max_snr_db is None else s.mc_max_snr_db
-
-    estimates: dict[tuple[int, Scheme], OutageEstimate] = {}
-    if mc_wanted:
-        for idx, snr_db in enumerate(s.snr_grid_db):
-            if snr_db > mc_cut:
-                continue
-            point_power = scale_power(s.power, 10.0 ** (snr_db / 10.0))
-            if s.coupled:
-                coupled = estimate_outage_coupled(
-                    s.network, point_power, s.rate, s.schemes,
-                    s.trials, s.seed, s.confidence, s.combiner, workers,
-                    stream_tag=(idx,),
-                )
-                for scheme, est in coupled.estimates.items():
-                    estimates[(idx, scheme)] = est
-                    _warn_if_unreliable(est, f"{snr_db} dB ({scheme.value})")
-            else:
-                for si, scheme in enumerate(s.schemes):
-                    est = estimate_outage(
-                        s.network, point_power, s.rate, scheme,
-                        s.trials, s.seed, s.confidence, s.combiner, workers,
-                        stream_tag=(idx, si),
-                    )
-                    estimates[(idx, scheme)] = est
-                    _warn_if_unreliable(est, f"{snr_db} dB ({scheme.value})")
+    points = [
+        (idx, f"{snr_db} dB", scale_power(s.power, 10.0 ** (snr_db / 10.0)))
+        for idx, snr_db in enumerate(s.snr_grid_db)
+        if "montecarlo" in s.outputs and snr_db <= mc_cut
+    ]
+    estimates = _mc_points(s, points, s.coupled, workers)
 
     rows = []
     for idx, snr_db in enumerate(s.snr_grid_db):
@@ -273,7 +287,6 @@ def run_scenario(s: Scenario, workers: int = 1) -> list[CurveRow]:
                 exact = analytic_outage(s, scheme, snr)
             if "asymptotic" in s.outputs and scheme is not Scheme.AF:
                 asym = analytic.asymptotic_outage_dfaf(s.network, s.power, s.rate, snr)
-            est = estimates.get((idx, scheme))
             rows.append(
                 CurveRow(
                     snr_db=snr_db,
@@ -281,11 +294,7 @@ def run_scenario(s: Scenario, workers: int = 1) -> list[CurveRow]:
                     combiner=s.combiner.value,
                     outage_analytic=exact,
                     outage_asymptotic=asym,
-                    outage_mc=None if est is None else est.probability,
-                    mc_ci_low=None if est is None else est.ci_low,
-                    mc_ci_high=None if est is None else est.ci_high,
-                    trials=None if est is None else est.trials,
-                    failures=None if est is None else est.failures,
+                    **_mc_columns(estimates.get((idx, scheme))),
                 )
             )
     return rows
@@ -327,38 +336,35 @@ def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
         raise ScenarioError("alpha sweep needs a positive total_power")
     if s.combiner is not Combiner.MRC:
         raise ScenarioError("the power-allocation comparison is defined for MRC")
-    rows = []
-    for idx, alpha in enumerate(s.alphas):
-        point_power = PowerSpec.from_alpha(
-            alpha, s.total_power, s.power.noise_variance
+    n0 = s.power.noise_variance
+    points = [
+        (idx, f"alpha={alpha}", PowerSpec.from_alpha(alpha, s.total_power, n0))
+        for idx, alpha in enumerate(s.alphas)
+    ]
+    estimates = _mc_points(s, points, True, workers)
+    return [
+        AlphaRow(
+            alpha=alpha,
+            scheme=scheme.value,
+            combiner=s.combiner.value,
+            **_mc_columns(estimates[(idx, scheme)]),
         )
-        coupled = estimate_outage_coupled(
-            s.network, point_power, s.rate, s.schemes,
-            s.trials, s.seed, s.confidence, s.combiner, workers,
-            stream_tag=(idx,),
-        )
-        for scheme in s.schemes:
-            est = coupled.estimates[scheme]
-            _warn_if_unreliable(est, f"alpha={alpha} ({scheme.value})")
-            rows.append(
-                AlphaRow(
-                    alpha=alpha,
-                    scheme=scheme.value,
-                    combiner=s.combiner.value,
-                    outage_mc=est.probability,
-                    mc_ci_low=est.ci_low,
-                    mc_ci_high=est.ci_high,
-                    trials=est.trials,
-                    failures=est.failures,
-                )
-            )
-    return rows
+        for idx, alpha in enumerate(s.alphas)
+        for scheme in s.schemes
+    ]
 
 
-def _surface_fit_grid(window: tuple[float, float]) -> list[float]:
-    # 1 dB steps from lo, none beyond hi
+def _fit_closed_form(
+    outage: Callable[[float], float], window: tuple[float, float], theoretical_d: float
+) -> DiversityFit:
+    """Slope fit of a closed-form curve sampled in 1 dB steps from the
+    window's low end, none beyond its high end."""
     lo, hi = window
-    return [lo + i for i in range(math.floor(hi - lo) + 1)]
+    curve = [
+        (db, outage(10.0 ** (db / 10.0)))
+        for db in (lo + i for i in range(math.floor(hi - lo) + 1))
+    ]
+    return fit_diversity(curve, window, theoretical_d)
 
 
 def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
@@ -368,19 +374,16 @@ def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
         raise ScenarioError(f"scenario {s.name!r} is not a diversity surface")
     if not s.surface_shapes:
         raise ScenarioError("diversity surface needs a surface_shapes grid")
-    grid_db = _surface_fit_grid(s.fit_window_db)
     rows = []
     for g1, g2 in product(s.surface_shapes, repeat=2):
         net = NetworkSpec(
             direct=s.network.direct,
             relays=((ChannelSpec(m=g1), ChannelSpec(m=g2)),) * 2,
         )
-        curve = [
-            (db, analytic.outage_dfaf_sc(net, s.power, s.rate, 10.0 ** (db / 10.0)))
-            for db in grid_db
-        ]
-        fit = fit_diversity(
-            curve, s.fit_window_db, theoretical_d=analytic.diversity_order_dfaf(net)
+        fit = _fit_closed_form(
+            lambda snr: analytic.outage_dfaf_sc(net, s.power, s.rate, snr),
+            s.fit_window_db,
+            analytic.diversity_order_dfaf(net),
         )
         rows.append(
             SurfaceRow(
@@ -399,17 +402,19 @@ def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
 def fit_scenario_curves(
     s: Scenario, window_db: tuple[float, float] | None = None
 ) -> list[FitRow]:
-    """Diversity fit of each scheme's exact closed-form curve."""
+    """Diversity fit of each scheme's exact closed-form curve, which is the
+    selection-combining outage whatever the scenario's outputs."""
     _validate_curve_scenario(s)
+    if s.combiner is Combiner.MRC:
+        raise ScenarioError(
+            "fit-diversity fits the selection-combining closed form; MRC "
+            "outage has no closed form here"
+        )
     window = window_db or s.fit_window_db
-    grid_db = _surface_fit_grid(window)
     d = analytic.diversity_order_dfaf(s.network)
     rows = []
     for scheme in s.schemes:
-        curve = [
-            (db, analytic_outage(s, scheme, 10.0 ** (db / 10.0))) for db in grid_db
-        ]
-        fit = fit_diversity(curve, window, theoretical_d=d)
+        fit = _fit_closed_form(lambda snr: analytic_outage(s, scheme, snr), window, d)
         rows.append(
             FitRow(
                 scheme=scheme.value,
@@ -438,53 +443,18 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(rows: Iterable, out: TextIO) -> None:
-    """Write dataclass rows as CSV; all rows must share one type."""
+def csv_text(rows: Iterable) -> str:
+    """Dataclass rows as CSV text; all rows must share one type."""
     rows = list(rows)
     if not rows:
         raise ScenarioError("no rows to write")
     columns = [f.name for f in fields(rows[0])]
-    writer = csv.writer(out, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_cell(getattr(row, name)) for name in columns])
-
-
-def csv_text(rows: Iterable) -> str:
-    buf = io.StringIO()
-    write_csv(rows, buf)
     return buf.getvalue()
-
-
-_CURVE_PARSERS = {
-    "snr_db": float,
-    "scheme": str,
-    "combiner": str,
-    "outage_analytic": float,
-    "outage_asymptotic": float,
-    "outage_mc": float,
-    "mc_ci_low": float,
-    "mc_ci_high": float,
-    "trials": int,
-    "failures": int,
-}
-
-
-def read_curve_csv(text: str) -> list[CurveRow]:
-    """Parse an emitted curve table back into rows (exact round trip)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    expected = list(_CURVE_PARSERS)
-    if header != expected:
-        raise ScenarioError(f"unexpected curve CSV header {header}; want {expected}")
-    rows = []
-    for rec in reader:
-        values = {
-            name: (None if cell == "" else _CURVE_PARSERS[name](cell))
-            for name, cell in zip(header, rec)
-        }
-        rows.append(CurveRow(**values))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +490,14 @@ def preset(name: str) -> tuple[Scenario, ...]:
 # Scenario files (YAML)
 
 
-def _channel_from_dict(d: dict) -> ChannelSpec:
-    return ChannelSpec(m=float(d["m"]), omega=float(d.get("omega", 1.0)))
+def _parsed(cfg: dict, parsers: dict[str, Callable]) -> dict:
+    """Parse the keys present in cfg; absent keys keep the defaults of the
+    class the result is passed to."""
+    return {key: parse(cfg[key]) for key, parse in parsers.items() if key in cfg}
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(x) for x in values)
 
 
 def _grid_from_config(cfg) -> tuple[float, ...]:
@@ -531,68 +507,54 @@ def _grid_from_config(cfg) -> tuple[float, ...]:
             raise ScenarioError("snr grid step must be positive")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return tuple(start + i * step for i in range(n))
-    return tuple(float(x) for x in cfg)
+    return _floats(cfg)
+
+
+def _window(bounds) -> tuple[float, float]:
+    lo, hi = bounds
+    return float(lo), float(hi)
+
+
+def _channel(cfg: dict) -> ChannelSpec:
+    return ChannelSpec(**_parsed(cfg, {"m": float, "omega": float}))
+
+
+def _relays(cfgs) -> tuple[tuple[ChannelSpec, ChannelSpec], ...]:
+    return tuple((_channel(r["first_hop"]), _channel(r["second_hop"])) for r in cfgs)
+
+
+_NETWORK_KEYS = {"direct": _channel, "relays": _relays}
+_RATE_KEYS = {"rate": float, "gamma_th": float}
+_POWER_KEYS = dict.fromkeys(
+    ("source_power", "relay_power", "noise_variance", "direct_power"), float
+)
+_SCENARIO_KEYS = {
+    "name": str,
+    "kind": str,
+    "network": lambda cfg: NetworkSpec(**_parsed(cfg, _NETWORK_KEYS)),
+    "rate": lambda cfg: RateSpec(**_parsed(cfg, _RATE_KEYS)),
+    "power": lambda cfg: PowerSpec(**_parsed(cfg, _POWER_KEYS)),
+    "schemes": lambda names: tuple(Scheme(str(x).lower()) for x in names),
+    "combiner": lambda name: Combiner(str(name).lower()),
+    "outputs": lambda names: frozenset(str(x).lower() for x in names),
+    "snr_grid_db": _grid_from_config,
+    "mc_max_snr_db": lambda v: None if v is None else float(v),
+    "trials": int,
+    "seed": int,
+    "confidence": float,
+    "coupled": bool,
+    "alphas": _floats,
+    "total_power": float,
+    "surface_shapes": _floats,
+    "fit_window_db": _window,
+}
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
+    """Build a scenario from its file schema; absent keys take the
+    defaults of Scenario, RateSpec, PowerSpec and ChannelSpec."""
     try:
-        net_cfg = cfg["network"]
-        network = NetworkSpec(
-            direct=_channel_from_dict(net_cfg["direct"]),
-            relays=tuple(
-                (
-                    _channel_from_dict(r["first_hop"]),
-                    _channel_from_dict(r["second_hop"]),
-                )
-                for r in net_cfg.get("relays", [])
-            ),
-        )
-        rate_cfg = cfg.get("rate", {"rate": 1.0})
-        rate = RateSpec(
-            rate=float(rate_cfg["rate"]),
-            gamma_th=(
-                float(rate_cfg["gamma_th"]) if "gamma_th" in rate_cfg else None
-            ),
-        )
-        pw_cfg = cfg.get("power", {})
-        power = PowerSpec(
-            source_power=float(pw_cfg.get("source_power", 1.0)),
-            relay_power=float(pw_cfg.get("relay_power", 1.0)),
-            noise_variance=float(pw_cfg.get("noise_variance", 1.0)),
-            direct_power=(
-                float(pw_cfg["direct_power"]) if "direct_power" in pw_cfg else None
-            ),
-        )
-        kwargs = {}
-        if "snr_grid_db" in cfg:
-            kwargs["snr_grid_db"] = _grid_from_config(cfg["snr_grid_db"])
-        if "alphas" in cfg:
-            kwargs["alphas"] = tuple(float(a) for a in cfg["alphas"])
-        if "total_power" in cfg:
-            kwargs["total_power"] = float(cfg["total_power"])
-        if "surface_shapes" in cfg:
-            kwargs["surface_shapes"] = tuple(float(g) for g in cfg["surface_shapes"])
-        if "fit_window_db" in cfg:
-            lo, hi = cfg["fit_window_db"]
-            kwargs["fit_window_db"] = (float(lo), float(hi))
-        if "mc_max_snr_db" in cfg:
-            v = cfg["mc_max_snr_db"]
-            kwargs["mc_max_snr_db"] = None if v is None else float(v)
-        return Scenario(
-            name=str(cfg["name"]),
-            network=network,
-            rate=rate,
-            power=power,
-            schemes=tuple(Scheme(str(x).lower()) for x in cfg["schemes"]),
-            combiner=Combiner(str(cfg.get("combiner", "sc")).lower()),
-            outputs=frozenset(str(x).lower() for x in cfg.get("outputs", ["analytic"])),
-            trials=int(cfg.get("trials", 10**6)),
-            seed=int(cfg.get("seed", 12345)),
-            confidence=float(cfg.get("confidence", 0.99)),
-            coupled=bool(cfg.get("coupled", False)),
-            kind=str(cfg.get("kind", "curve")),
-            **kwargs,
-        )
+        return Scenario(**_parsed(cfg, _SCENARIO_KEYS))
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -171,29 +171,25 @@ def _run_counts(
     net, power, rs, schemes, combiner, trials, seed, tag, workers
 ) -> tuple[dict[Scheme, int], dict[Scheme, int]]:
     n_blocks = -(-trials // BLOCK_SIZE)
-    if workers <= 1 or n_blocks == 1:
-        return _block_counts(
-            net, power, rs, schemes, combiner, trials, seed, tag, 0, n_blocks
-        )
-    workers = min(workers, n_blocks)
+    workers = max(1, min(workers, n_blocks))
     bounds = np.linspace(0, n_blocks, workers + 1).astype(int)
+    jobs = [
+        (net, power, rs, schemes, combiner, trials, seed, tag, int(lo), int(hi))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    if workers == 1:
+        parts = [_block_counts(*job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_block_counts, *job) for job in jobs]
+            parts = [f.result() for f in futures]
     failures = {s: 0 for s in schemes}
     violations = {s: 0 for s in schemes if s is not Scheme.DFAF}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(
-                _block_counts,
-                net, power, rs, schemes, combiner, trials, seed, tag,
-                int(lo), int(hi),
-            )
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        for fut in futures:
-            part_fail, part_viol = fut.result()
-            for s, c in part_fail.items():
-                failures[s] += c
-            for s, c in part_viol.items():
-                violations[s] += c
+    for part_fail, part_viol in parts:
+        for s, c in part_fail.items():
+            failures[s] += c
+        for s, c in part_viol.items():
+            violations[s] += c
     return failures, violations
 
 
@@ -266,18 +262,6 @@ def estimate_outage_coupled(
             s: _estimate(failures[s], trials, confidence, seed) for s in schemes
         },
         dominance_violations=violations,
-    )
-
-
-def scale_power(power: PowerSpec, snr: float) -> PowerSpec:
-    """Scale all transmit powers by the linear sweep variable snr."""
-    if not snr > 0.0:
-        raise ValueError(f"snr must be positive, got {snr}")
-    return PowerSpec(
-        source_power=power.source_power * snr,
-        relay_power=power.relay_power * snr,
-        noise_variance=power.noise_variance,
-        direct_power=None if power.direct_power is None else power.direct_power * snr,
     )
 
 

@@ -21,14 +21,13 @@ from opprelay.analytic import (
     outage_df_sc,
     outage_dfaf_sc,
 )
-from opprelay.channel import LinkSnr, NetworkSpec, PowerSpec
+from opprelay.channel import LinkSnr, NetworkSpec, PowerSpec, scale_power
 from opprelay.experiments import csv_text, preset, run_scenario, sweep_alpha
 from opprelay.montecarlo import (
     Combiner,
     Scheme,
     estimate_outage,
     estimate_outage_coupled,
-    scale_power,
 )
 
 RS = RateSpec(rate=1.0)

@@ -303,6 +303,26 @@ class TestAsymptotics:
         assert result.per_relay_factors[0].branch == "balanced"
         assert result.per_relay_factors[0].coefficient == pytest.approx(6.0)
 
+    @pytest.mark.parametrize(
+        "net,rs",
+        [
+            (NetworkSpec.rayleigh(1), RateSpec(rate=1.0, gamma_th=6.0)),
+            (
+                NetworkSpec(
+                    direct=ChannelSpec(m=1.0),
+                    relays=((ChannelSpec(m=2.0), ChannelSpec(m=2.0, omega=10.0)),),
+                ),
+                RS,
+            ),
+        ],
+        ids=["rayleigh-gamma_th-6", "m2-second-spread-10"],
+    )
+    def test_balanced_branch_away_from_default_binding(self, net, rs):
+        # a1 delta != a2 gamma_th: each hop's own leading term counts
+        exact = outage_dfaf_sc(net, PW, rs, db(70.0))
+        asym = asymptotic_outage_dfaf(net, PW, rs, db(70.0))
+        assert abs(asym / exact - 1.0) < 1e-2
+
     def test_first_hop_limited_branch(self):
         net = NetworkSpec.from_shapes(1.0, [1.0], [2.0])
         result = coding_gain_dfaf(net, RS)

@@ -143,6 +143,16 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "selection-combining only" in err
 
+    def test_mrc_fit_diversity_is_config_error(self, capsys):
+        # the fitted curve is the selection-combining closed form, so an
+        # MRC scenario must not get it under an "mrc" label
+        code, out, err = run_cli(
+            capsys, "fit-diversity", "--scenario", "fig7_mrc_compare"
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "MRC" in err
+
     def test_alpha_sweep_via_curve_command_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--scenario", "fig8_alpha_sweep")
         assert code == EXIT_CONFIG

@@ -1,13 +1,17 @@
 """Scenario machinery: preset pinning, table schemas, CSV round trips,
 slope fitting, the alpha sweep, and scenario file parsing."""
 
+import csv
+import io
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import opprelay
-from opprelay.channel import PowerSpec
+from opprelay import experiments
+from opprelay.analytic import RateSpec
+from opprelay.channel import ChannelSpec, PowerSpec
 from opprelay.experiments import (
     CurveRow,
     Scenario,
@@ -15,20 +19,18 @@ from opprelay.experiments import (
     ZeroOutageError,
     af_bounds_rows,
     csv_text,
-    _surface_fit_grid,
     fit_diversity,
     fit_scenario_curves,
     load_scenario,
     preset,
     preset_names,
-    read_curve_csv,
     resolve_scenarios,
     run_diversity_surface,
     run_scenario,
     scenario_from_dict,
     sweep_alpha,
 )
-from opprelay.montecarlo import Combiner
+from opprelay.montecarlo import Combiner, Scheme
 
 SCENARIO_DIR = Path(opprelay.__file__).parent / "scenarios"
 
@@ -170,8 +172,15 @@ class TestCsv:
         (s,) = preset("fig2_rayleigh_K1")
         s = small(s, snr_grid_db=(0.0, 10.0, 30.0))
         rows = run_scenario(s)
-        text = csv_text(rows)
-        assert read_curve_csv(text) == rows
+        parsers = {"scheme": str, "combiner": str, "trials": int, "failures": int}
+        parsed = [
+            CurveRow(**{
+                name: None if cell == "" else parsers.get(name, float)(cell)
+                for name, cell in record.items()
+            })
+            for record in csv.DictReader(io.StringIO(csv_text(rows)))
+        ]
+        assert parsed == rows
 
     def test_header_order_pinned(self):
         header = csv_text([CurveRow(snr_db=0.0, scheme="dfaf", combiner="sc")]).splitlines()[0]
@@ -184,10 +193,6 @@ class TestCsv:
         (s,) = preset("fig2_rayleigh_K1")
         s = small(s, snr_grid_db=(5.0, 10.0))
         assert csv_text(run_scenario(s)) == csv_text(run_scenario(s))
-
-    def test_header_mismatch_rejected(self):
-        with pytest.raises(ScenarioError):
-            read_curve_csv("bogus,header\n1,2\n")
 
 
 class TestFitDiversity:
@@ -213,12 +218,26 @@ class TestFitDiversity:
         assert fit.snr_window_db == (35.0, 45.0)
         assert fit.fitted_slope == pytest.approx(1.0, abs=1e-12)
 
-    def test_fractional_window_stays_inside(self):
-        assert _surface_fit_grid((35.0, 45.0)) == [35.0 + i for i in range(11)]
-        assert _surface_fit_grid((35.5, 45.0)) == [35.5 + i for i in range(10)]
+    def test_fractional_window_stays_inside(self, monkeypatch):
+        # both fit entry points sample 1 dB steps from the low end and
+        # never evaluate the closed form past the high end
+        grids = []
+
+        def recording_fit(curve, window, theoretical_d):
+            grids.append([db for db, _ in curve])
+            return fit_diversity(curve, window, theoretical_d)
+
+        monkeypatch.setattr(experiments, "fit_diversity", recording_fit)
         (s,) = preset("fig4_K1")
         (row,) = fit_scenario_curves(s, (35.5, 45.0))
         assert row.n_points == 10
+        (surface,) = preset("fig6_diversity_surface")
+        run_diversity_surface(
+            replace(surface, surface_shapes=(1.0,), fit_window_db=(35.5, 45.0))
+        )
+        assert grids == [[35.5 + i for i in range(10)]] * 2
+        fit_scenario_curves(s, (35.0, 45.0))
+        assert grids[-1] == [35.0 + i for i in range(11)]
 
     def test_scenario_curves_hit_theory(self):
         (s,) = preset("fig3_nakagami_3relay")
@@ -329,6 +348,24 @@ class TestScenarioFiles:
             }
         )
         assert s.snr_grid_db == (0.0, 5.0, 10.0)
+
+    def test_minimal_config_takes_dataclass_defaults(self):
+        s = scenario_from_dict(
+            {"name": "t", "network": {"direct": {"m": 2.0}}, "schemes": ["DF"]}
+        )
+        assert s.network.direct == ChannelSpec(m=2.0, omega=1.0)
+        assert s.network.relays == ()
+        assert s.rate == RateSpec(rate=1.0)
+        assert s.power == PowerSpec.equal()
+        assert s.schemes == (Scheme.DF,)
+        assert s.combiner is Combiner.SC
+        assert s.outputs == frozenset({"analytic"})
+        assert (s.kind, s.trials, s.seed, s.confidence, s.coupled) == (
+            "curve", 10**6, 12345, 0.99, False,
+        )
+        assert (s.snr_grid_db, s.mc_max_snr_db, s.fit_window_db) == (
+            None, 25.0, (35.0, 45.0),
+        )
 
     def test_malformed_config(self):
         with pytest.raises(ScenarioError):

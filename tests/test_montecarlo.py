@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opprelay.analytic import RateSpec, outage_dfaf_sc
-from opprelay.channel import NetworkSpec, PowerSpec, network_link_snrs
+from opprelay.channel import NetworkSpec, PowerSpec, network_link_snrs, scale_power
 from opprelay.experiments import Scenario, run_scenario
 from opprelay.montecarlo import (
     Combiner,
@@ -14,7 +14,6 @@ from opprelay.montecarlo import (
     _draw_block,
     estimate_outage,
     estimate_outage_coupled,
-    scale_power,
     wilson_interval,
 )
 
