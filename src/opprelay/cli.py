@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--workers", type=int, default=1,
-        help="parallel workers for Monte Carlo blocks (results identical "
+        help="threads that share the Monte Carlo blocks (results identical "
         "for any value)",
     )
 
@@ -131,15 +131,12 @@ def _run_command(args: argparse.Namespace) -> None:
         if args.command == "sweep-alpha":
             rows = sweep_alpha(scenario, workers=args.workers)
         elif args.command == "fit-diversity":
-            window = getattr(args, "window_db", None)
+            if args.window_db:
+                scenario = replace(scenario, fit_window_db=tuple(args.window_db))
             if scenario.kind == "diversity_surface":
-                if window:
-                    scenario = replace(scenario, fit_window_db=tuple(window))
                 rows = run_diversity_surface(scenario)
             else:
-                rows = fit_scenario_curves(
-                    scenario, tuple(window) if window else None
-                )
+                rows = fit_scenario_curves(scenario)
         else:
             if args.command == "analytic":
                 scenario = replace(scenario, outputs=frozenset({"analytic"}))

@@ -278,22 +278,25 @@ def run_scenario(s: Scenario, workers: int = 1) -> list[CurveRow]:
     ]
     estimates = _mc_points(s, points, s.coupled, workers)
 
+    # The high-SNR law is one value per point, shared by the non-AF rows.
+    with_asym = "asymptotic" in s.outputs and any(x is not Scheme.AF for x in s.schemes)
     rows = []
     for idx, snr_db in enumerate(s.snr_grid_db):
         snr = 10.0 ** (snr_db / 10.0)
+        asym = None
+        if with_asym:
+            asym = analytic.asymptotic_outage_dfaf(s.network, s.power, s.rate, snr)
         for scheme in s.schemes:
-            exact = asym = None
+            exact = None
             if "analytic" in s.outputs:
                 exact = analytic_outage(s, scheme, snr)
-            if "asymptotic" in s.outputs and scheme is not Scheme.AF:
-                asym = analytic.asymptotic_outage_dfaf(s.network, s.power, s.rate, snr)
             rows.append(
                 CurveRow(
                     snr_db=snr_db,
                     scheme=scheme.value,
                     combiner=s.combiner.value,
                     outage_analytic=exact,
-                    outage_asymptotic=asym,
+                    outage_asymptotic=None if scheme is Scheme.AF else asym,
                     **_mc_columns(estimates.get((idx, scheme))),
                 )
             )
@@ -399,18 +402,17 @@ def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
     return rows
 
 
-def fit_scenario_curves(
-    s: Scenario, window_db: tuple[float, float] | None = None
-) -> list[FitRow]:
-    """Diversity fit of each scheme's exact closed-form curve, which is the
-    selection-combining outage whatever the scenario's outputs."""
+def fit_scenario_curves(s: Scenario) -> list[FitRow]:
+    """Diversity fit of each scheme's exact closed-form curve over the
+    scenario's fit window; the curve is the selection-combining outage
+    whatever the scenario's outputs."""
     _validate_curve_scenario(s)
     if s.combiner is Combiner.MRC:
         raise ScenarioError(
             "fit-diversity fits the selection-combining closed form; MRC "
             "outage has no closed form here"
         )
-    window = window_db or s.fit_window_db
+    window = s.fit_window_db
     d = analytic.diversity_order_dfaf(s.network)
     rows = []
     for scheme in s.schemes:
@@ -492,8 +494,14 @@ def preset(name: str) -> tuple[Scenario, ...]:
 
 def _parsed(cfg: dict, parsers: dict[str, Callable]) -> dict:
     """Parse the keys present in cfg; absent keys keep the defaults of the
-    class the result is passed to."""
-    return {key: parse(cfg[key]) for key, parse in parsers.items() if key in cfg}
+    class the result is passed to, and a key outside the table is an
+    error, so a misspelt key cannot silently leave a default in place."""
+    if not isinstance(cfg, dict):
+        raise ScenarioError(f"expected a mapping, got {cfg!r}")
+    if not cfg.keys() <= parsers.keys():
+        unknown = sorted(map(str, cfg.keys() - parsers.keys()))
+        raise ScenarioError(f"unknown keys {unknown}; valid: {sorted(parsers)}")
+    return {key: parsers[key](value) for key, value in cfg.items()}
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -519,8 +527,12 @@ def _channel(cfg: dict) -> ChannelSpec:
     return ChannelSpec(**_parsed(cfg, {"m": float, "omega": float}))
 
 
+_RELAY_KEYS = {"first_hop": _channel, "second_hop": _channel}
+
+
 def _relays(cfgs) -> tuple[tuple[ChannelSpec, ChannelSpec], ...]:
-    return tuple((_channel(r["first_hop"]), _channel(r["second_hop"])) for r in cfgs)
+    hops = [_parsed(cfg, _RELAY_KEYS) for cfg in cfgs]
+    return tuple((h["first_hop"], h["second_hop"]) for h in hops)
 
 
 _NETWORK_KEYS = {"direct": _channel, "relays": _relays}

@@ -15,7 +15,7 @@ observable.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
@@ -131,65 +131,47 @@ def _combined_snr_block(g0, g1, g2, rs: RateSpec, scheme: Scheme, combiner: Comb
     return g0 + relay
 
 
-def _block_counts(
-    net: NetworkSpec,
-    power: PowerSpec,
-    rs: RateSpec,
-    schemes: tuple[Scheme, ...],
-    combiner: Combiner,
-    trials: int,
-    seed: int,
-    tag: tuple[int, ...],
-    block_lo: int,
-    block_hi: int,
-) -> tuple[dict[Scheme, int], dict[Scheme, int]]:
-    """Failure counts per scheme (shared draws) plus counts of trials where
-    the adaptive scheme's combined SNR fell strictly below another's, over
-    the block index range [block_lo, block_hi)."""
-    direct, relays = network_link_snrs(net, power)
-    failures = {s: 0 for s in schemes}
-    violations = {s: 0 for s in schemes if s is not Scheme.DFAF}
-    for block in range(block_lo, block_hi):
-        n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
-        if n <= 0:
-            break
-        g0, g1, g2 = _draw_block(direct, relays, seed, tag, block, n)
-        combined = {
-            s: _combined_snr_block(g0, g1, g2, rs, s, combiner) for s in schemes
-        }
-        for s in schemes:
-            failures[s] += int(np.count_nonzero(combined[s] < rs.gamma_th))
-        if Scheme.DFAF in combined:
-            for s in violations:
-                violations[s] += int(
-                    np.count_nonzero(combined[Scheme.DFAF] < combined[s])
-                )
-    return failures, violations
-
-
 def _run_counts(
     net, power, rs, schemes, combiner, trials, seed, tag, workers
 ) -> tuple[dict[Scheme, int], dict[Scheme, int]]:
+    """Failure counts per scheme (shared draws) plus counts of trials where
+    the adaptive scheme's combined SNR fell strictly below another's.
+
+    Each worker resolves one contiguous range of blocks in one loop: the
+    calling thread the first range, pool threads the others.  The gamma
+    draws, most of the work, release the interpreter lock while they fill
+    a block, so the threads overlap.  One worker thus starts no thread; a
+    fresh thread per estimate gets a fresh malloc arena, which measured up
+    to 10 MB more peak RSS on single-worker runs."""
+    direct, relays = network_link_snrs(net, power)
     n_blocks = -(-trials // BLOCK_SIZE)
     workers = max(1, min(workers, n_blocks))
-    bounds = np.linspace(0, n_blocks, workers + 1).astype(int)
-    jobs = [
-        (net, power, rs, schemes, combiner, trials, seed, tag, int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    if workers == 1:
-        parts = [_block_counts(*job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_block_counts, *job) for job in jobs]
-            parts = [f.result() for f in futures]
-    failures = {s: 0 for s in schemes}
-    violations = {s: 0 for s in schemes if s is not Scheme.DFAF}
-    for part_fail, part_viol in parts:
-        for s, c in part_fail.items():
-            failures[s] += c
-        for s, c in part_viol.items():
-            violations[s] += c
+    bounds = [i * n_blocks // workers for i in range(workers + 1)]
+
+    def range_counts(block_lo: int, block_hi: int):
+        failures = {s: 0 for s in schemes}
+        violations = {s: 0 for s in schemes if s is not Scheme.DFAF}
+        for block in range(block_lo, block_hi):
+            n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
+            g0, g1, g2 = _draw_block(direct, relays, seed, tag, block, n)
+            combined = {
+                s: _combined_snr_block(g0, g1, g2, rs, s, combiner) for s in schemes
+            }
+            for s in schemes:
+                failures[s] += int(np.count_nonzero(combined[s] < rs.gamma_th))
+            if Scheme.DFAF in combined:
+                for s in violations:
+                    violations[s] += int(
+                        np.count_nonzero(combined[Scheme.DFAF] < combined[s])
+                    )
+        return failures, violations
+
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(range_counts, lo, hi) for lo, hi in ranges[1:]]
+        parts = [range_counts(*ranges[0])] + [f.result() for f in futures]
+    failures = {s: sum(f[s] for f, _ in parts) for s in schemes}
+    violations = {s: sum(v[s] for _, v in parts) for s in parts[0][1]}
     return failures, violations
 
 

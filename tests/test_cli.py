@@ -153,6 +153,16 @@ class TestExitCodes:
         assert out == ""
         assert "MRC" in err
 
+    def test_misspelt_scenario_key_is_config_error(self, capsys, tmp_path):
+        # a misspelt key must not leave the default of 10**6 trials in place
+        text = (SCENARIO_DIR / "fig4_K1.yaml").read_text()
+        path = tmp_path / "typo.yaml"
+        path.write_text(text + "\ntrails: 1000\n")
+        code, out, err = run_cli(capsys, "analytic", "--scenario", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "trails" in err
+
     def test_alpha_sweep_via_curve_command_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--scenario", "fig8_alpha_sweep")
         assert code == EXIT_CONFIG

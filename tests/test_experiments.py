@@ -229,14 +229,14 @@ class TestFitDiversity:
 
         monkeypatch.setattr(experiments, "fit_diversity", recording_fit)
         (s,) = preset("fig4_K1")
-        (row,) = fit_scenario_curves(s, (35.5, 45.0))
+        (row,) = fit_scenario_curves(replace(s, fit_window_db=(35.5, 45.0)))
         assert row.n_points == 10
         (surface,) = preset("fig6_diversity_surface")
         run_diversity_surface(
             replace(surface, surface_shapes=(1.0,), fit_window_db=(35.5, 45.0))
         )
         assert grids == [[35.5 + i for i in range(10)]] * 2
-        fit_scenario_curves(s, (35.0, 45.0))
+        fit_scenario_curves(replace(s, fit_window_db=(35.0, 45.0)))
         assert grids[-1] == [35.0 + i for i in range(11)]
 
     def test_scenario_curves_hit_theory(self):
@@ -374,6 +374,39 @@ class TestScenarioFiles:
             scenario_from_dict(
                 {"name": "x", "network": {"direct": {"m": 1.0}}, "schemes": ["bogus"]}
             )
+        with pytest.raises(ScenarioError, match="expected a mapping"):
+            scenario_from_dict({"name": "x", "network": "direct", "schemes": ["df"]})
+
+    @pytest.mark.parametrize(
+        "path, key",
+        [
+            ((), "trails"),
+            (("network",), "relay"),
+            (("network", "direct"), "omgea"),
+            (("network", "relays", 0), "third_hop"),
+            (("network", "relays", 0, "first_hop"), "shape"),
+            (("rate",), "gamma"),
+            (("power",), "relay_pwr"),
+        ],
+    )
+    def test_unknown_key_rejected(self, path, key):
+        cfg = {
+            "name": "t",
+            "network": {
+                "direct": {"m": 1.0},
+                "relays": [{"first_hop": {"m": 1.0}, "second_hop": {"m": 1.0}}],
+            },
+            "rate": {"rate": 1.0},
+            "power": {"source_power": 1.0},
+            "schemes": ["dfaf"],
+        }
+        scenario_from_dict(cfg)
+        level = cfg
+        for step in path:
+            level = level[step]
+        level[key] = 5
+        with pytest.raises(ScenarioError, match=f"unknown keys \\['{key}'\\]"):
+            scenario_from_dict(cfg)
 
     def test_resolver(self):
         assert resolve_scenarios("fig2_rayleigh_K1")[0].name == "fig2_rayleigh_K1"

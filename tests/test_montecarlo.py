@@ -1,6 +1,10 @@
 """Protocol simulation checks: selection logic, per-trial invariants,
 estimator calibration against the closed forms, and reproducibility."""
 
+import multiprocessing.process
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from opprelay.analytic import RateSpec, outage_dfaf_sc
 from opprelay.channel import NetworkSpec, PowerSpec, network_link_snrs, scale_power
 from opprelay.experiments import Scenario, run_scenario
 from opprelay.montecarlo import (
+    BLOCK_SIZE,
     Combiner,
     Scheme,
     _combined_snr_block,
@@ -238,6 +243,24 @@ class TestEstimators:
             NET1, scale_power(PW, 10.0), RS, Scheme.DFAF, 200_000, seed=5, workers=3
         )
         assert a.failures == b.failures
+
+    def test_workers_are_threads_of_this_process(self, monkeypatch):
+        # more workers than cores, switching threads often, give the serial
+        # counts and violations and start no child process
+        def refuse(*args, **kwargs):
+            raise AssertionError("an estimate started a child process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        args = (NET3, scale_power(PW, 10.0), RS, tuple(Scheme), 5 * BLOCK_SIZE)
+        serial = estimate_outage_coupled(*args, seed=5, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = estimate_outage_coupled(*args, seed=5, workers=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
     def test_stream_tags_give_distinct_runs(self):
         a = estimate_outage(
