@@ -3,10 +3,9 @@ opportunistic relaying schemes under selection combining, plus coding
 gain, diversity order, and the asymptotic sandwich bounds for the
 amplify-and-forward path.
 
-All outage expressions are driven by the per-link gamma rate parameters
-(shape / mean SNR), so they hold for unequal transmit powers too.  The
-asymptotic expressions are derived for equal transmit power and refuse
-to run otherwise.
+All outage expressions, exact and high-SNR, are driven by the per-link
+gamma rate parameters (shape / mean SNR), so they hold at any split of
+transmit power between source, relays and the direct link.
 
 Maximal ratio combining has no closed form here yet, so those curves come
 from the Monte Carlo engine.  Relay selection ignores the direct link, so
@@ -22,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammainc, gammaincc, kve
+from scipy.special import gammainc, kve
 
-from .channel import LinkSnr, NetworkSpec, PowerSpec, network_link_snrs, scale_power
+from .channel import LinkSnr, NetworkSpec, PowerSpec, network_link_snrs
 
 # Absolute error the AF path CDF quadrature must certify.
 AF_QUAD_TOL = 1e-9
@@ -117,9 +116,12 @@ def outage_dfaf_sc(
     direct, relays = network_link_snrs(net, power, snr)
     p = float(gammainc(direct.m, direct.rate * rs.gamma_th))
     for first, second in relays:
-        q_decode = float(gammaincc(first.m, first.rate * rs.delta))
+        # The decode failure P comes from gammainc: 1 - Q would lose it
+        # deep in outage, where it is the leading term.  1 - P is exact
+        # enough for Q, which only ever adds to P.
+        decode_fail = float(gammainc(first.m, first.rate * rs.delta))
         second_fail = float(gammainc(second.m, second.rate * rs.gamma_th))
-        p *= q_decode * second_fail + (1.0 - q_decode)
+        p *= decode_fail + (1.0 - decode_fail) * second_fail
     return p
 
 
@@ -250,15 +252,6 @@ def outage_af_sc(
     return p
 
 
-def _require_equal_power(power: PowerSpec, what: str) -> None:
-    if not power.is_equal_power:
-        raise ValueError(
-            f"{what} is derived for equal transmit power; got source "
-            f"{power.source_power}, relay {power.relay_power}, direct "
-            f"{power.effective_direct_power}"
-        )
-
-
 def _relay_asymptote(first: LinkSnr, second: LinkSnr, rs: RateSpec) -> RelayAsymptote:
     # The weaker hop (smaller shape) sets the slope.  With equal shapes
     # both failure events (first hop below delta, second hop below
@@ -280,17 +273,26 @@ def _relay_asymptote(first: LinkSnr, second: LinkSnr, rs: RateSpec) -> RelayAsym
     return RelayAsymptote(branch=branch, exponent=m, coefficient=coeff)
 
 
+def _leading_product(
+    direct: LinkSnr, relays: tuple[tuple[LinkSnr, LinkSnr], ...], rs: RateSpec
+) -> tuple[float, tuple[RelayAsymptote, ...]]:
+    # The exact product of outage_dfaf_sc with each CDF factor replaced by
+    # its leading small-argument term, at the given link descriptors.
+    factors = tuple(_relay_asymptote(first, second, rs) for first, second in relays)
+    g = _power_law(direct.m, direct.rate * rs.gamma_th)
+    for fac in factors:
+        g *= fac.coefficient
+    return g, factors
+
+
 def asymptotic_outage_dfaf(
     net: NetworkSpec, power: PowerSpec, rs: RateSpec, snr: float
 ) -> float:
     """High-SNR power law for the adaptive scheme: each CDF factor of the
-    exact expression is replaced by its leading small-argument term, so the
-    whole product decays like g * (snr P / N0)**(-d) with the coding gain g
-    and the network diversity order d of coding_gain_dfaf."""
-    _require_equal_power(power, "the high-SNR outage expansion")
-    law = coding_gain_dfaf(net, rs)
-    tx_snr = scale_power(power, snr).source_power / power.noise_variance
-    return law.coding_gain * tx_snr ** -law.diversity_order
+    exact expression is replaced by its leading small-argument term at the
+    point's link SNRs, so the product decays like snr**(-d) with the
+    network diversity order d, at any power split."""
+    return _leading_product(*network_link_snrs(net, power, snr), rs)[0]
 
 
 def coding_gain_dfaf(net: NetworkSpec, rs: RateSpec) -> AsymptoticResult:
@@ -305,11 +307,7 @@ def coding_gain_dfaf(net: NetworkSpec, rs: RateSpec) -> AsymptoticResult:
     """
     # Unit-SNR link descriptors make rate = m / omega, which is exactly
     # the snr-free coefficient the coding gain needs.
-    direct, relays = network_link_snrs(net, PowerSpec.equal())
-    factors = tuple(_relay_asymptote(first, second, rs) for first, second in relays)
-    g = _power_law(direct.m, direct.rate * rs.gamma_th)
-    for fac in factors:
-        g *= fac.coefficient
+    g, factors = _leading_product(*network_link_snrs(net, PowerSpec.equal()), rs)
     return AsymptoticResult(
         coding_gain=g,
         diversity_order=diversity_order_dfaf(net),

@@ -104,13 +104,6 @@ class PowerSpec:
     def effective_direct_power(self) -> float:
         return self.source_power if self.direct_power is None else self.direct_power
 
-    @property
-    def is_equal_power(self) -> bool:
-        return (
-            self.source_power == self.relay_power
-            and self.effective_direct_power == self.source_power
-        )
-
     @classmethod
     def equal(cls, power: float = 1.0, noise_variance: float = 1.0) -> "PowerSpec":
         return cls(source_power=power, relay_power=power, noise_variance=noise_variance)

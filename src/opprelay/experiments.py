@@ -56,6 +56,12 @@ class ZeroOutageError(RuntimeError):
 
 VALID_OUTPUTS = frozenset({"analytic", "asymptotic", "montecarlo", "bounds"})
 
+_KIND_COMMANDS = {
+    "curve": "analytic, asymptotic, simulate, compare or fit-diversity",
+    "alpha_sweep": "sweep-alpha",
+    "diversity_surface": "fit-diversity",
+}
+
 
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
@@ -82,7 +88,7 @@ class Scenario:
         bad = set(self.outputs) - VALID_OUTPUTS
         if bad:
             raise ScenarioError(f"unknown outputs {sorted(bad)}; valid: {sorted(VALID_OUTPUTS)}")
-        if self.kind not in ("curve", "alpha_sweep", "diversity_surface"):
+        if self.kind not in _KIND_COMMANDS:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
         if not self.schemes:
             raise ScenarioError("scenario needs at least one scheme")
@@ -197,27 +203,30 @@ def analytic_outage(s: Scenario, scheme: Scheme, snr: float) -> float:
     return _ANALYTIC_FNS[scheme](s.network, s.power, s.rate, snr)
 
 
-def _validate_curve_scenario(s: Scenario) -> None:
-    if s.kind != "curve":
+def _require_kind(s: Scenario, kind: str, what: str) -> None:
+    if s.kind != kind:
         raise ScenarioError(
-            f"scenario {s.name!r} has kind {s.kind!r}; run it with the "
-            "matching command (sweep-alpha or fit-diversity)"
+            f"scenario {s.name!r} is not {what} but kind {s.kind!r}; run it "
+            f"with {_KIND_COMMANDS[s.kind]}"
         )
+
+
+def _require_selection_combining(s: Scenario, what: str) -> None:
+    if s.combiner is Combiner.MRC:
+        raise ScenarioError(
+            f"{what} is selection-combining only; MRC outage has no closed "
+            "form here and comes from Monte Carlo (the montecarlo output)"
+        )
+
+
+def _validate_curve_scenario(s: Scenario) -> None:
+    _require_kind(s, "curve", "a curve")
     if not s.snr_grid_db:
         raise ScenarioError(f"scenario {s.name!r} has no SNR grid")
     if any(b <= a for a, b in zip(s.snr_grid_db, s.snr_grid_db[1:])):
         raise ScenarioError("snr_grid_db must be strictly increasing")
-    closed_form = s.outputs & {"analytic", "asymptotic", "bounds"}
-    if closed_form and s.combiner is Combiner.MRC:
-        raise ScenarioError(
-            f"outputs {sorted(closed_form)} are selection-combining only; "
-            "MRC outage has no closed form here and comes from Monte Carlo "
-            "(set outputs to montecarlo)"
-        )
-    if "asymptotic" in s.outputs and not s.power.is_equal_power:
-        raise ScenarioError(
-            "asymptotic output needs equal transmit power on all links"
-        )
+    if s.outputs - {"montecarlo"}:
+        _require_selection_combining(s, "a closed-form output")
     if "bounds" in s.outputs and Scheme.AF not in s.schemes:
         raise ScenarioError("bounds output applies to the AF scheme only")
 
@@ -329,16 +338,13 @@ def af_bounds_rows(s: Scenario) -> list[BoundsRow]:
 def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
     """Monte Carlo outage per (power split alpha, scheme) at fixed total
     power, coupled trials across schemes at each alpha."""
-    if s.kind != "alpha_sweep":
-        raise ScenarioError(f"scenario {s.name!r} is not an alpha sweep")
+    _require_kind(s, "alpha_sweep", "an alpha sweep")
     if not s.alphas:
         raise ScenarioError("alpha sweep needs a nonempty alphas list")
     if any(not 0.0 < a < 1.0 for a in s.alphas):
         raise ScenarioError("every alpha must lie strictly inside (0, 1)")
     if s.total_power is None or not s.total_power > 0.0:
         raise ScenarioError("alpha sweep needs a positive total_power")
-    if s.combiner is not Combiner.MRC:
-        raise ScenarioError("the power-allocation comparison is defined for MRC")
     n0 = s.power.noise_variance
     points = [
         (idx, f"alpha={alpha}", PowerSpec.from_alpha(alpha, s.total_power, n0))
@@ -373,8 +379,12 @@ def _fit_closed_form(
 def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
     """Fitted high-SNR slope of the exact outage for a two-relay symmetric
     network over a grid of hop shapes, against the predicted diversity."""
-    if s.kind != "diversity_surface":
-        raise ScenarioError(f"scenario {s.name!r} is not a diversity surface")
+    _require_kind(s, "diversity_surface", "a diversity surface")
+    _require_selection_combining(s, "a diversity fit")
+    if s.schemes != (Scheme.DFAF,):
+        raise ScenarioError(
+            "a diversity surface fits the adaptive scheme only; set schemes to [dfaf]"
+        )
     if not s.surface_shapes:
         raise ScenarioError("diversity surface needs a surface_shapes grid")
     rows = []
@@ -407,11 +417,7 @@ def fit_scenario_curves(s: Scenario) -> list[FitRow]:
     scenario's fit window; the curve is the selection-combining outage
     whatever the scenario's outputs."""
     _validate_curve_scenario(s)
-    if s.combiner is Combiner.MRC:
-        raise ScenarioError(
-            "fit-diversity fits the selection-combining closed form; MRC "
-            "outage has no closed form here"
-        )
+    _require_selection_combining(s, "a diversity fit")
     window = s.fit_window_db
     d = analytic.diversity_order_dfaf(s.network)
     rows = []

@@ -175,11 +175,13 @@ def _run_counts(
     return failures, violations
 
 
-def _check_run_args(trials: int, seed: int) -> None:
+def _check_run_args(trials: int, seed: int, confidence: float) -> None:
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials for a usable estimate, got {trials}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must lie in (0, 1)")
 
 
 def _estimate(failures: int, trials: int, confidence: float, seed: int) -> OutageEstimate:
@@ -213,7 +215,7 @@ def estimate_outage(
     independent (different grid points, different schemes in uncoupled
     mode) pass distinct tags.
     """
-    _check_run_args(trials, seed)
+    _check_run_args(trials, seed, confidence)
     failures, _ = _run_counts(
         net, power, rs, (scheme,), combiner, trials, seed, stream_tag, workers
     )
@@ -233,7 +235,7 @@ def estimate_outage_coupled(
     stream_tag: tuple[int, ...] = (),
 ) -> CoupledEstimates:
     """Run several schemes on identical channel draws (paired comparison)."""
-    _check_run_args(trials, seed)
+    _check_run_args(trials, seed, confidence)
     if not schemes:
         raise ValueError("need at least one scheme")
     failures, violations = _run_counts(

@@ -331,12 +331,55 @@ class TestAsymptotics:
         assert fac.exponent == 1.0
         assert fac.coefficient == pytest.approx(RS.delta)  # (m delta / w)^1 / (1 * 1)
 
-    def test_unequal_power_rejected(self):
-        net = NetworkSpec.rayleigh(1)
-        with pytest.raises(ValueError):
-            asymptotic_outage_dfaf(
-                net, PowerSpec(source_power=2.0, relay_power=1.0), RS, 100.0
+    def test_unequal_power_uses_each_link_snr(self):
+        # second-hop limited relay: direct link at power 4, second hop at
+        # relay power 0.5, each leading term at its own link's mean SNR
+        net = NetworkSpec.from_shapes(1.0, [2.0], [1.0])
+        pw = PowerSpec(source_power=2.0, relay_power=0.5, direct_power=4.0)
+        snr = 1e4
+        asym = asymptotic_outage_dfaf(net, pw, RS, snr)
+        assert asym == pytest.approx(
+            (RS.gamma_th / (4.0 * snr)) * (RS.gamma_th / (0.5 * snr)), rel=1e-12
+        )
+
+    def test_converges_on_random_networks_at_any_power_split(self):
+        # Not every network is within 1e-2 at 70 dB: when the limiting
+        # hop is ~1e3 times stronger than its partner, the partner's
+        # neglected term, one SNR order smaller, is still comparable
+        # there.  Every neglected term decays at least one SNR order
+        # faster than the law, so 40 dB on the gap must shrink a
+        # hundredfold and be within 1e-2.
+        rng = np.random.default_rng(2013)
+
+        def link(shapes):
+            omega = float(10.0 ** rng.uniform(-1.0, 1.0))
+            return ChannelSpec(m=float(rng.choice(shapes)), omega=omega)
+
+        for i in range(40):
+            net = NetworkSpec(
+                direct=link([0.5, 1.0, 1.5, 2.0]),
+                relays=tuple((link([1, 2, 3]), link([1, 2, 3])) for _ in range(i % 5)),
             )
+            source, relay, direct, n0 = (float(x) for x in rng.uniform(0.3, 3.0, 4))
+            pw = PowerSpec(source, relay, n0, direct)
+            rs = RateSpec(rate=1.0, gamma_th=RS.delta * float(rng.uniform(1.0, 3.0)))
+            gap = {
+                x: abs(
+                    asymptotic_outage_dfaf(net, pw, rs, db(x))
+                    / outage_dfaf_sc(net, pw, rs, db(x))
+                    - 1.0
+                )
+                for x in (70.0, 110.0)
+            }
+            assert gap[110.0] <= min(1e-2, 1e-2 * gap[70.0] + 1e-12), (i, gap)
+
+    def test_decode_failure_term_deep_in_outage(self):
+        # at 70 dB the first hop's decode failure P(3, a1 delta) ~ 1e-21
+        # is the relay factor's leading term; 1 - Q(3, .) would lose it
+        net = NetworkSpec.from_shapes(1.0, [3.0], [4.0])
+        exact = outage_dfaf_sc(net, PW, RS, db(70.0))
+        asym = asymptotic_outage_dfaf(net, PW, RS, db(70.0))
+        assert abs(asym / exact - 1.0) < 1e-3
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fig4_configs_within_15_percent_at_40db(self, k):

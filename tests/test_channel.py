@@ -55,8 +55,6 @@ class TestSpecs:
     def test_power_spec(self):
         pw = PowerSpec(source_power=4.0, relay_power=6.0)
         assert pw.alpha == 0.4
-        assert not pw.is_equal_power
-        assert PowerSpec.equal(2.0).is_equal_power
         split = PowerSpec.from_alpha(0.3, 10.0)
         assert split.source_power + split.relay_power == pytest.approx(10.0)
         assert split.alpha == pytest.approx(0.3)

@@ -153,6 +153,15 @@ class TestExitCodes:
         assert out == ""
         assert "MRC" in err
 
+    def test_mrc_surface_file_is_config_error(self, capsys, tmp_path):
+        text = (SCENARIO_DIR / "fig6_diversity_surface.yaml").read_text()
+        path = tmp_path / "mrc_surface.yaml"
+        path.write_text(text.replace("combiner: sc", "combiner: mrc"))
+        code, out, err = run_cli(capsys, "fit-diversity", "--scenario", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "MRC" in err
+
     def test_misspelt_scenario_key_is_config_error(self, capsys, tmp_path):
         # a misspelt key must not leave the default of 10**6 trials in place
         text = (SCENARIO_DIR / "fig4_K1.yaml").read_text()

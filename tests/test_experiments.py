@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import opprelay
-from opprelay import experiments
+from opprelay import analytic, experiments
 from opprelay.analytic import RateSpec
 from opprelay.channel import ChannelSpec, PowerSpec
 from opprelay.experiments import (
@@ -152,11 +152,34 @@ class TestRunScenario:
         with pytest.raises(ScenarioError, match="sweep-alpha"):
             run_scenario(s)
 
-    def test_asymptotic_needs_equal_power(self):
-        (s,) = preset("fig4_K1")
-        bad = replace(s, power=PowerSpec(source_power=2.0, relay_power=1.0))
-        with pytest.raises(ScenarioError, match="equal transmit power"):
-            run_scenario(bad)
+    def test_asymptotic_at_unequal_power(self):
+        (s,) = preset("fig3_nakagami_3relay")
+        s = replace(
+            s,
+            outputs=frozenset({"asymptotic"}),
+            power=PowerSpec(source_power=2.0, relay_power=0.5, direct_power=1.5),
+        )
+        for r in run_scenario(s):
+            if r.scheme == "af":
+                assert r.outage_asymptotic is None
+            else:
+                assert r.outage_asymptotic == analytic.asymptotic_outage_dfaf(
+                    s.network, s.power, s.rate, 10.0 ** (r.snr_db / 10.0)
+                )
+
+    @pytest.mark.parametrize(
+        "run,name,command",
+        [
+            ("fit_scenario_curves", "fig8_alpha_sweep", "sweep-alpha"),
+            ("run_scenario", "fig6_diversity_surface", "fit-diversity"),
+            ("sweep_alpha", "fig6_diversity_surface", "fit-diversity"),
+        ],
+        ids=["fit-sweep", "curve-surface", "sweep-surface"],
+    )
+    def test_wrong_kind_names_its_command(self, run, name, command):
+        (s,) = preset(name)
+        with pytest.raises(ScenarioError, match=f"run it with {command}$"):
+            getattr(experiments, run)(s)
 
     def test_coupled_equals_per_scheme_failure_ordering(self):
         (s,) = preset("fig7_mrc_compare")
@@ -263,14 +286,30 @@ class TestDiversitySurface:
         with pytest.raises(ScenarioError):
             run_diversity_surface(s)
 
+    @pytest.mark.parametrize(
+        "update,match",
+        [
+            ({"combiner": Combiner.MRC}, "MRC"),
+            ({"schemes": (Scheme.AF,)}, r"\[dfaf\]"),
+            ({"schemes": (Scheme.DFAF, Scheme.DF)}, r"\[dfaf\]"),
+        ],
+        ids=["mrc", "af", "dfaf-df"],
+    )
+    def test_only_selection_combining_dfaf(self, update, match):
+        (s,) = preset("fig6_diversity_surface")
+        with pytest.raises(ScenarioError, match=match):
+            run_diversity_surface(replace(s, **update))
+
 
 class TestSweepAlpha:
-    def test_rows_and_pairing(self):
+    @pytest.mark.parametrize("combiner", list(Combiner), ids=lambda c: c.value)
+    def test_rows_and_pairing(self, combiner):
         (s,) = preset("fig8_alpha_sweep")
-        s = small(s, alphas=(0.2, 0.5, 0.8))
+        s = small(s, alphas=(0.2, 0.5, 0.8), combiner=combiner)
         rows = sweep_alpha(s)
         assert len(rows) == 9  # 3 alphas x 3 schemes
         assert [r.alpha for r in rows[:3]] == [0.2, 0.2, 0.2]
+        assert {r.combiner for r in rows} == {combiner.value}
         by_key = {(r.alpha, r.scheme): r for r in rows}
         for alpha in (0.2, 0.5, 0.8):
             assert by_key[(alpha, "dfaf")].failures <= by_key[(alpha, "df")].failures
@@ -299,8 +338,6 @@ class TestSweepAlpha:
         (s,) = preset("fig8_alpha_sweep")
         with pytest.raises(ScenarioError, match="alpha"):
             sweep_alpha(replace(s, alphas=(0.0, 0.5)))
-        with pytest.raises(ScenarioError, match="MRC"):
-            sweep_alpha(replace(s, combiner=Combiner.SC))
         with pytest.raises(ScenarioError, match="total_power"):
             sweep_alpha(replace(s, total_power=None))
         (curve,) = preset("fig2_rayleigh_K1")

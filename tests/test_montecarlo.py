@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from opprelay import montecarlo
 from opprelay.analytic import RateSpec, outage_dfaf_sc
 from opprelay.channel import NetworkSpec, PowerSpec, network_link_snrs, scale_power
 from opprelay.experiments import Scenario, run_scenario
@@ -274,6 +275,19 @@ class TestEstimators:
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError):
             estimate_outage(NET1, PW, RS, Scheme.DFAF, 999, seed=1)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5])
+    def test_confidence_checked_before_any_draw(self, monkeypatch, confidence):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew trials for an invalid confidence")
+
+        monkeypatch.setattr(montecarlo, "_draw_block", refuse)
+        with pytest.raises(ValueError, match="confidence"):
+            estimate_outage(NET1, PW, RS, Scheme.DFAF, 10**4, seed=1, confidence=confidence)
+        with pytest.raises(ValueError, match="confidence"):
+            estimate_outage_coupled(
+                NET1, PW, RS, tuple(Scheme), 10**4, seed=1, confidence=confidence
+            )
 
     def test_coupled_needs_schemes(self):
         with pytest.raises(ValueError):
