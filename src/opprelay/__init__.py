@@ -8,7 +8,6 @@ from .analytic import (
     QuadratureError,
     RateSpec,
     af_bounds,
-    af_path_cdf,
     af_path_cdf_closed,
     af_path_cdf_quadrature,
     asymptotic_outage_dfaf,

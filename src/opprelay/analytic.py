@@ -7,6 +7,10 @@ All outage expressions, exact and high-SNR, are driven by the per-link
 gamma rate parameters (shape / mean SNR), so they hold at any split of
 transmit power between source, relays and the direct link.
 
+The AF path CDF has one route for any shapes, af_path_cdf_quadrature;
+the paper's Bessel sum for integer shapes, af_path_cdf_closed, is its
+reference.
+
 Maximal ratio combining has no closed form here yet, so those curves come
 from the Monte Carlo engine.  Relay selection ignores the direct link, so
 the selected path stays independent of it under MRC as well; the MRC
@@ -20,13 +24,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammainc, kve
 
 from .channel import LinkSnr, NetworkSpec, PowerSpec, network_link_snrs
 
-# Absolute error the AF path CDF quadrature must certify.
+# Error the AF path CDF quadrature must certify, relative to its value.
 AF_QUAD_TOL = 1e-9
+
+# 16-point Gauss-Legendre nodes and weights on [-1, 1].
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 class ClosedFormUnavailableError(ValueError):
@@ -34,7 +40,7 @@ class ClosedFormUnavailableError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance."""
+    """The AF path CDF quadrature could not certify AF_QUAD_TOL."""
 
 
 @dataclass(frozen=True)
@@ -136,29 +142,26 @@ def outage_df_sc(
     return outage_dfaf_sc(net, power, rs, snr)
 
 
-def _require_positive_integer_shape(m: float, which: str) -> int:
-    if not float(m).is_integer() or m < 1.0:
-        raise ClosedFormUnavailableError(
-            f"{which} shape m={m} is not a positive integer; the finite-sum "
-            "CDF needs integer shapes, use af_path_cdf_quadrature instead"
-        )
-    return int(m)
-
-
 def af_path_cdf_closed(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     """CDF of the amplified two-hop SNR g1*g2/(g1+g2+1) at y, evaluated by
-    the finite Bessel sum valid for integer fading shapes.
+    the paper's finite Bessel sum, valid for integer fading shapes.
 
-    Binomial weights are assembled in log space so shapes up to ~10 stay
-    well inside double range.  The result is clamped to [0, 1] only to
-    absorb last-bit rounding.
+    The reference af_path_cdf_quadrature is checked against; as 1 - sum
+    it loses values near 1e-16 and below.  Binomial weights are assembled
+    in log space so shapes up to ~10 stay well inside double range.  The
+    result is clamped to [0, 1] only to absorb last-bit rounding.
     """
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")
     if y == 0.0:
         return 0.0
-    m1 = _require_positive_integer_shape(hop1.m, "first hop")
-    m2 = _require_positive_integer_shape(hop2.m, "second hop")
+    for m, which in ((hop1.m, "first"), (hop2.m, "second")):
+        if not float(m).is_integer() or m < 1.0:
+            raise ClosedFormUnavailableError(
+                f"{which} hop shape m={m} is not a positive integer; the finite-sum "
+                "CDF needs integer shapes, use af_path_cdf_quadrature instead"
+            )
+    m1, m2 = int(hop1.m), int(hop2.m)
     a1 = hop1.rate
     a2 = hop2.rate
 
@@ -197,12 +200,14 @@ def af_path_cdf_closed(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
 
 
 def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
-    """CDF of g1*g2/(g1+g2+1) from first principles, for any shapes.
+    """CDF of g1*g2/(g1+g2+1) at y from first principles, for any shapes.
 
-    The event splits on the first hop: g1 <= y always fails, and for
-    g1 = x > y the path falls below y exactly when g2 < y(x+1)/(x-y).
-    Integrates the first-hop density against that conditional probability
-    with adaptive quadrature.
+    g1 <= y always fails; for g1 = y + t the path fails when
+    g2 < y(y+t+1)/t.  That tail integral is taken in v = ln t by 16-point
+    Gauss-Legendre on unit-width panels.  All its terms are positive, so
+    the value keeps its relative accuracy deep in outage.  Raises
+    QuadratureError when the gap to the width-2 rule exceeds AF_QUAD_TOL
+    of the value.
     """
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")
@@ -210,33 +215,29 @@ def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
         return 0.0
     m1, a1 = hop1.m, hop1.rate
     m2, a2 = hop2.m, hop2.rate
-    ln_norm1 = m1 * math.log(a1) - math.lgamma(m1)
-
-    def integrand(t: float) -> float:
-        # t = g1 - y > 0
-        x = y + t
-        ln_f1 = ln_norm1 + (m1 - 1.0) * math.log(x) - a1 * x
-        if ln_f1 < -745.0:
-            return 0.0
-        return math.exp(ln_f1) * gammainc(m2, a2 * y * (x + 1.0) / t)
-
-    tail, tail_err = integrate.quad(
-        integrand, 0.0, math.inf, epsabs=AF_QUAD_TOL * 1e-3, epsrel=1e-11, limit=500
-    )
-    if tail_err > AF_QUAD_TOL:
+    # Far below t = a2 y (y+1) the conditional probability tends to 1, so
+    # the integrand falls like t = e^v: all of it more than 36 e-folds
+    # under that point is e^-36 ~ 2e-16 of its size there.  Beyond
+    # a1 t = e (m1 + 60) the first-hop tail mass Q(m1, a1 t) is below e^-60.
+    lo = math.log(a2 * y * (y + 1.0)) - 36.0
+    hi = math.log((m1 + 60.0) / a1) + 1.0
+    n_wide = math.ceil((hi - lo) / 2.0)
+    unit = lo + 0.5 + np.arange(2 * n_wide)[:, None] + 0.5 * _GL_NODES
+    wide = lo + 1.0 + 2.0 * np.arange(n_wide)[:, None] + _GL_NODES
+    v = np.concatenate((unit.ravel(), wide.ravel()))
+    t = np.exp(v)
+    x = y + t
+    ln_f1 = m1 * math.log(a1) - math.lgamma(m1) + (m1 - 1.0) * np.log(x) - a1 * x
+    f = np.exp(ln_f1 + v) * gammainc(m2, a2 * y * (x + 1.0) / t)
+    panels = f.reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS  # half-widths 1/2, 1
+    tail = 0.5 * float(panels[: 2 * n_wide].sum())
+    value = min(1.0, float(gammainc(m1, a1 * y)) + tail)
+    err = abs(tail - float(panels[2 * n_wide :].sum()))
+    if err > AF_QUAD_TOL * value:
         raise QuadratureError(
-            f"AF path CDF quadrature error estimate {tail_err:.3e} exceeds "
-            f"{AF_QUAD_TOL:.3e}"
+            f"AF path CDF error estimate {err:.3e} exceeds {AF_QUAD_TOL:.1e} of {value:.3e}"
         )
-    head = float(gammainc(m1, a1 * y))
-    return min(1.0, max(0.0, head + tail))
-
-
-def af_path_cdf(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
-    """Closed form when both shapes are integer, quadrature otherwise."""
-    if float(hop1.m).is_integer() and float(hop2.m).is_integer():
-        return af_path_cdf_closed(hop1, hop2, y)
-    return af_path_cdf_quadrature(hop1, hop2, y)
+    return value
 
 
 def outage_af_sc(
@@ -248,7 +249,7 @@ def outage_af_sc(
     direct, relays = network_link_snrs(net, power, snr)
     p = float(gammainc(direct.m, direct.rate * rs.gamma_th))
     for first, second in relays:
-        p *= af_path_cdf(first, second, rs.gamma_th)
+        p *= af_path_cdf_quadrature(first, second, rs.gamma_th)
     return p
 
 

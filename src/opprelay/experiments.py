@@ -329,7 +329,7 @@ def af_bounds_rows(s: Scenario) -> list[BoundsRow]:
                     m_min=b.m_min,
                     bound_low=b.lower,
                     bound_high=b.upper,
-                    af_path_cdf=analytic.af_path_cdf(first, second, s.rate.gamma_th),
+                    af_path_cdf=analytic.af_path_cdf_quadrature(first, second, s.rate.gamma_th),
                 )
             )
     return rows

@@ -1,5 +1,6 @@
-"""Closed-form outage checks: hand-evaluated values, cross-validation of
-the two AF path CDF routes, asymptotics, coding gain, and bounds.
+"""Closed-form outage checks: hand-evaluated values, the AF path CDF
+quadrature against frozen 80-digit values and against the paper's Bessel
+sum, asymptotics, coding gain, and bounds.
 
 The frozen AF CDF value 0.5946916379538068 was computed with
 af_path_cdf_quadrature and agrees with the one-term Bessel expression for
@@ -7,18 +8,22 @@ the all-Rayleigh case.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
+import opprelay
 from opprelay.analytic import (
     ClosedFormUnavailableError,
     RateSpec,
     _power_law,
     af_bounds,
-    af_path_cdf,
     af_path_cdf_closed,
     af_path_cdf_quadrature,
     asymptotic_outage_dfaf,
@@ -111,6 +116,83 @@ class TestExactOutage:
             assert outage_df_sc(net, PW, RS, snr) == outage_dfaf_sc(net, PW, RS, snr)
 
 
+# P(g1 g2 / (g1 + g2 + 1) < 3) for hops (m1, mean SNR dB, m2, mean SNR dB),
+# frozen from an 80-digit mpmath evaluation of the same split the
+# quadrature uses: P(m1, a1 y) plus the tail integral in v = ln t, by
+# tanh-sinh on unit intervals from ln(a2 y (y + 1)) - 70 to
+# ln((m1 + 250) / a1) + 3.  For integer shapes it agrees with the Bessel
+# sum, also at 80 digits, to 4e-31 relative.
+AF_CDF_ORACLE = [
+    (0.5, 0.0, 0.5, 0.0, 0.9996661741218413832),
+    (0.5, 20.0, 0.5, 20.0, 0.27443507300808964224),
+    (0.5, 40.0, 0.5, 40.0, 0.027680763918801578406),
+    (0.5, 60.0, 0.5, 60.0, 0.0027644276802647535962),
+    (1.0, 0.0, 1.0, 0.0, 0.9999915721745505314),
+    (1.0, 20.0, 1.0, 20.0, 0.065666944735666646479),
+    (1.0, 40.0, 1.0, 40.0, 0.00060171266133480484589),
+    (1.0, 60.0, 1.0, 60.0, 6.0002818984342421156e-6),
+    (1.5, 0.0, 1.5, 0.0, 0.99999979194168183998),
+    (1.5, 20.0, 1.5, 20.0, 0.016172230344520674845),
+    (1.5, 40.0, 1.5, 40.0, 1.4383854313164806088e-5),
+    (1.5, 60.0, 1.5, 60.0, 1.4362141828131466701e-8),
+    (2.0, 0.0, 2.0, 0.0, 0.99999999480342374919),
+    (2.0, 20.0, 2.0, 20.0, 0.0040878651646312780952),
+    (2.0, 40.0, 2.0, 40.0, 3.6043539045096861327e-7),
+    (2.0, 60.0, 2.0, 60.0, 3.6000432060494421106e-11),
+    (2.5, 0.0, 2.5, 0.0, 0.99999999986859994209),
+    (2.5, 20.0, 2.5, 20.0, 0.0010548896601386173529),
+    (2.5, 40.0, 2.5, 40.0, 9.2811014931721795578e-9),
+    (2.5, 60.0, 2.5, 60.0, 9.2706856980325511768e-14),
+    (3.0, 0.0, 3.0, 0.0, 0.99999999999664365241),
+    (3.0, 20.0, 3.0, 20.0, 0.00027666459930484397496),
+    (3.0, 40.0, 3.0, 40.0, 2.4327396692619547213e-10),
+    (3.0, 60.0, 3.0, 60.0, 2.4300273380840787302e-16),
+    (4.0, 0.0, 4.0, 0.0, 0.99999999999999775997),
+    (4.0, 20.0, 4.0, 20.0, 1.9715389402099998534e-5),
+    (4.0, 40.0, 4.0, 40.0, 1.7300305721099241545e-13),
+    (4.0, 60.0, 4.0, 60.0, 1.7280202755041386313e-21),
+    (8.0, 0.0, 8.0, 0.0, 1.0),
+    (8.0, 20.0, 8.0, 20.0, 6.4096144889524146903e-10),
+    (8.0, 40.0, 8.0, 40.0, 5.4684150900417871701e-26),
+    (8.0, 60.0, 8.0, 60.0, 5.4601682308588757659e-42),
+    (0.5, 0.0, 3.0, 0.0, 0.9999994997593518191),
+    (0.5, 20.0, 3.0, 20.0, 0.14196792708209828796),
+    (0.5, 40.0, 3.0, 40.0, 0.013823222949982323242),
+    (0.5, 60.0, 3.0, 60.0, 0.0013819800528459277776),
+    (1.0, 0.0, 4.0, 0.0, 0.9999999981504385626),
+    (1.0, 20.0, 4.0, 20.0, 0.031220390140411557325),
+    (1.0, 40.0, 4.0, 40.0, 0.00030011505266201510781),
+    (1.0, 60.0, 4.0, 60.0, 3.0000115000525016049e-6),
+    (1.5, 0.0, 0.5, 0.0, 0.99998353172239750396),
+    (1.5, 20.0, 0.5, 20.0, 0.15173000230683269696),
+    (1.5, 40.0, 0.5, 40.0, 0.013834529356145166781),
+    (1.5, 60.0, 0.5, 60.0, 0.0013819913789908282602),
+    (1.5, 20.0, 2.5, 50.0, 0.0069908417521455641546),
+    (2.0, -10.0, 1.0, -10.0, 1.0),
+    (2.0, 0.0, 1.0, 0.0, 0.9999996744968593945),
+    (2.0, 20.0, 1.0, 20.0, 0.034184302152189928732),
+    (2.0, 40.0, 1.0, 40.0, 0.00030037683294008564507),
+    (2.0, 60.0, 1.0, 60.0, 3.0000375031614519726e-6),
+    (2.5, 0.0, 1.5, 0.0, 0.99999999273157621461),
+    (2.5, 20.0, 1.5, 20.0, 0.0083354601268305714756),
+    (2.5, 40.0, 1.5, 40.0, 7.1908612345367882285e-6),
+    (2.5, 60.0, 1.5, 60.0, 7.1810598234320828609e-9),
+    (3.0, 60.0, 0.5, 10.0, 0.41611870767356890135),
+    (3.0, 0.0, 8.0, 0.0, 0.99999999999999999901),
+    (3.0, 20.0, 8.0, 20.0, 0.00013033105692583112464),
+    (3.0, 40.0, 8.0, 40.0, 1.2158465116663917493e-10),
+    (3.0, 60.0, 8.0, 60.0, 1.215008461642221807e-16),
+    (4.0, 0.0, 2.5, 0.0, 0.99999999999914128361),
+    (4.0, 20.0, 2.5, 20.0, 0.00051543082520618977219),
+    (4.0, 40.0, 2.5, 40.0, 4.6390776825437949213e-9),
+    (4.0, 60.0, 2.5, 60.0, 4.6353274829896384625e-14),
+    (8.0, 0.0, 3.0, 0.0, 0.99999999999999999901),
+    (8.0, 20.0, 3.0, 20.0, 0.00013033105692583112464),
+    (8.0, 40.0, 3.0, 40.0, 1.2158465116663917493e-10),
+    (8.0, 60.0, 3.0, 60.0, 1.215008461642221807e-16),
+]
+
+
 class TestAfPathCdf:
     def test_zero(self):
         h = LinkSnr(mean_snr=10.0, m=1.0)
@@ -122,6 +204,16 @@ class TestAfPathCdf:
         assert af_path_cdf_closed(h, h, 3.0) == pytest.approx(
             0.5946916379538068, abs=1e-8
         )
+
+    @pytest.mark.parametrize(
+        "m1,db1,m2,db2,expected",
+        AF_CDF_ORACLE,
+        ids=[f"{r[0]}@{r[1]:g}dB-{r[2]}@{r[3]:g}dB" for r in AF_CDF_ORACLE],
+    )
+    def test_quadrature_matches_80_digit_oracle(self, m1, db1, m2, db2, expected):
+        h1 = LinkSnr(mean_snr=db(db1), m=m1)
+        h2 = LinkSnr(mean_snr=db(db2), m=m2)
+        assert af_path_cdf_quadrature(h1, h2, 3.0) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_large_y_saturates(self):
         h = LinkSnr(mean_snr=10.0, m=1.0)
@@ -194,6 +286,18 @@ class TestAfPathCdf:
         )
         assert d < 1.63 / math.sqrt(len(samples))  # 1% KS band
 
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # the quadrature is the package's own rule; scipy.integrate would
+        # add about 0.4 s to every CLI start
+        src = str(Path(opprelay.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        code = "import sys, opprelay; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "False"
+
     def test_empirical_vs_quadrature_non_integer_shapes(self):
         h1 = LinkSnr(mean_snr=10.0, m=0.8)
         h2 = LinkSnr(mean_snr=10.0, m=1.7)
@@ -205,18 +309,20 @@ class TestAfPathCdf:
             expected = af_path_cdf_quadrature(h1, h2, y)
             assert abs(np.mean(path < y) - expected) < 0.002
 
-    def test_dispatch(self):
-        integer = LinkSnr(mean_snr=10.0, m=2.0)
-        frac = LinkSnr(mean_snr=10.0, m=0.5)
-        assert af_path_cdf(integer, integer, 3.0) == af_path_cdf_closed(
-            integer, integer, 3.0
-        )
-        assert af_path_cdf(frac, integer, 3.0) == pytest.approx(
-            af_path_cdf_quadrature(frac, integer, 3.0)
-        )
-
 
 class TestAfOutage:
+    @pytest.mark.parametrize(
+        "m,snr_db,expected",
+        [(4.0, 50.0, 5.1845305789228479206e-22), (8.0, 30.0, 1.6607953574141004164e-20)],
+        ids=["m4-50dB", "m8-30dB"],
+    )
+    def test_integer_shapes_deep_in_outage(self, m, snr_db, expected):
+        # Rayleigh direct link times the AF path CDF of AF_CDF_ORACLE's
+        # method, whose value (1.7e-17 and 5.5e-18) is beyond what a
+        # 1 - sum closed form resolves
+        net = NetworkSpec.from_shapes(1.0, [m], [m])
+        assert outage_af_sc(net, PW, RS, db(snr_db)) == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_no_relays(self):
         net = NetworkSpec(direct=ChannelSpec(m=0.5))
         assert outage_af_sc(net, PW, RS, 10.0) == outage_dfaf_sc(net, PW, RS, 10.0)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import opprelay
+from opprelay import analytic
 from opprelay.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 SCENARIO_DIR = Path(opprelay.__file__).parent / "scenarios"
@@ -175,6 +176,15 @@ class TestExitCodes:
     def test_alpha_sweep_via_curve_command_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--scenario", "fig8_alpha_sweep")
         assert code == EXIT_CONFIG
+
+    def test_uncertified_af_quadrature_is_numerical_error(self, capsys, monkeypatch):
+        # no error estimate is below zero, so every AF path CDF refuses
+        monkeypatch.setattr(analytic, "AF_QUAD_TOL", -1.0)
+        code, out, err = run_cli(capsys, "analytic", "--scenario", "fig2_rayleigh_K1")
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "numerical error" in err
+        assert "AF path CDF error estimate" in err
 
     def test_underflowed_curve_is_numerical_error(self, capsys):
         # beyond ~1600 dB the closed form underflows to exactly zero, which

@@ -2,10 +2,9 @@
 at 20,000 trials per point.
 
 Monte Carlo columns must match byte for byte.  Closed-form columns may
-move by floating-point noise only: 1e-12 relative for the DF/DFAF values,
-asymptotes, bounds and slopes; 1e-10 relative for values derived from the
-AF path CDF, whose `1 - sum` form cancels deep in outage; 1e-11 absolute
-for fit residuals.
+move by floating-point noise only: 1e-12 relative for outage values,
+asymptotes, bounds, AF path CDFs and slopes; 1e-11 absolute for fit
+residuals.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py`, and only
 when a number is meant to change; such a change is a bug fix and is
@@ -42,7 +41,6 @@ CASES = (
 )
 
 MC_COLUMNS = frozenset({"outage_mc", "mc_ci_low", "mc_ci_high", "trials", "failures"})
-AF_DERIVED = frozenset({"outage_analytic", "fitted_slope"})
 
 
 def golden_path(command: str, name: str) -> Path:
@@ -64,11 +62,9 @@ def render(command: str, name: str, workdir: Path) -> str:
     return out.read_text(encoding="utf-8")
 
 
-def tolerance(column: str, row: dict) -> dict:
+def tolerance(column: str) -> dict:
     if column == "residual":
         return {"rel_tol": 0.0, "abs_tol": 1e-11}
-    if column == "af_path_cdf" or (row.get("scheme") == "af" and column in AF_DERIVED):
-        return {"rel_tol": 1e-10, "abs_tol": 0.0}
     return {"rel_tol": 1e-12, "abs_tol": 0.0}
 
 
@@ -84,7 +80,7 @@ def assert_tables_match(text: str, expected_text: str) -> None:
                 continue
             where = f"row {i}, {column}: {got!r} != golden {want!r}"
             assert column not in MC_COLUMNS and got and want, where
-            assert math.isclose(float(got), float(want), **tolerance(column, expected)), where
+            assert math.isclose(float(got), float(want), **tolerance(column)), where
 
 
 @pytest.mark.parametrize("command,name", CASES, ids=[f"{c}-{n}" for c, n in CASES])
