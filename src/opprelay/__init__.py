@@ -46,7 +46,6 @@ from .montecarlo import (
     CoupledEstimates,
     OutageEstimate,
     Scheme,
-    estimate_outage,
     estimate_outage_coupled,
     wilson_interval,
 )

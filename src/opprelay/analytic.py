@@ -69,40 +69,34 @@ class RateSpec:
 
 
 @dataclass(frozen=True)
-class RelayAsymptote:
-    """High-SNR factor contributed by one relay path: which hop limits it,
-    the SNR exponent, and the SNR-independent coefficient."""
-
-    branch: str  # "second_hop_limited" | "first_hop_limited" | "balanced"
-    exponent: float
-    coefficient: float
-
-
-@dataclass(frozen=True)
 class AsymptoticResult:
     coding_gain: float
     diversity_order: float
-    per_relay_factors: tuple[RelayAsymptote, ...] = ()
 
 
 @dataclass(frozen=True)
 class AfBounds:
     """Asymptotic sandwich for the AF path CDF at the outage threshold.
 
-    upper / lower = 2**m_min exactly; mean_snr_min is the mean SNR of the
-    hop with the smaller shape (the link descriptor folds spread and
-    transmit SNR together, so the bare spread is not kept separately).
+    m_min is the smaller hop shape; upper / lower = 2**m_min exactly.
     """
 
     lower: float
     upper: float
     m_min: float
-    mean_snr_min: float
 
 
 def _power_law(m: float, x: float) -> float:
     # x**m / (m * Gamma(m)), the small-argument limit of P(m, x).
     return math.exp(m * math.log(x) - math.log(m) - math.lgamma(m))
+
+
+def _leading_term(hops: tuple[tuple[float, float], ...]) -> tuple[float, float]:
+    # Leading small-argument term of a relay path's failure probability
+    # from its hops' (shape, argument) pairs: the smallest shape sets the
+    # exponent, and every hop with that shape adds its own term.
+    m_min = min(m for m, _ in hops)
+    return m_min, sum(_power_law(m, x) for m, x in hops if m == m_min)
 
 
 def outage_dfaf_sc(
@@ -204,10 +198,10 @@ def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
 
     g1 <= y always fails; for g1 = y + t the path fails when
     g2 < y(y+t+1)/t.  That tail integral is taken in v = ln t by 16-point
-    Gauss-Legendre on unit-width panels.  All its terms are positive, so
-    the value keeps its relative accuracy deep in outage.  Raises
-    QuadratureError when the gap to the width-2 rule exceeds AF_QUAD_TOL
-    of the value.
+    Gauss-Legendre on panels of width h = min(1, 3/sqrt(max shape)).  All
+    its terms are positive, so the value keeps its relative accuracy deep
+    in outage.  Raises QuadratureError when the gap to the width-2h rule
+    exceeds AF_QUAD_TOL of the value.
     """
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")
@@ -221,18 +215,23 @@ def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     # a1 t = e (m1 + 60) the first-hop tail mass Q(m1, a1 t) is below e^-60.
     lo = math.log(a2 * y * (y + 1.0)) - 36.0
     hi = math.log((m1 + 60.0) / a1) + 1.0
-    n_wide = math.ceil((hi - lo) / 2.0)
-    unit = lo + 0.5 + np.arange(2 * n_wide)[:, None] + 0.5 * _GL_NODES
-    wide = lo + 1.0 + 2.0 * np.arange(n_wide)[:, None] + _GL_NODES
+    # In v, a shape-m factor turns over a width of about 1/sqrt(m), so
+    # above shape 9 the panels narrow like that; the width-2h estimate
+    # then stays inside AF_QUAD_TOL wherever the width-h value is right.
+    h = min(1.0, 3.0 / math.sqrt(max(m1, m2)))
+    n_wide = math.ceil((hi - lo) / (2.0 * h))
+    k = h * np.arange(2 * n_wide)[:, None]
+    unit = lo + 0.5 * h + k + 0.5 * h * _GL_NODES
+    wide = lo + h + 2.0 * k[:n_wide] + h * _GL_NODES
     v = np.concatenate((unit.ravel(), wide.ravel()))
     t = np.exp(v)
     x = y + t
     ln_f1 = m1 * math.log(a1) - math.lgamma(m1) + (m1 - 1.0) * np.log(x) - a1 * x
     f = np.exp(ln_f1 + v) * gammainc(m2, a2 * y * (x + 1.0) / t)
-    panels = f.reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS  # half-widths 1/2, 1
-    tail = 0.5 * float(panels[: 2 * n_wide].sum())
+    panels = f.reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS  # half-widths h/2, h
+    tail = 0.5 * h * float(panels[: 2 * n_wide].sum())
     value = min(1.0, float(gammainc(m1, a1 * y)) + tail)
-    err = abs(tail - float(panels[2 * n_wide :].sum()))
+    err = abs(tail - h * float(panels[2 * n_wide :].sum()))
     if err > AF_QUAD_TOL * value:
         raise QuadratureError(
             f"AF path CDF error estimate {err:.3e} exceeds {AF_QUAD_TOL:.1e} of {value:.3e}"
@@ -253,37 +252,18 @@ def outage_af_sc(
     return p
 
 
-def _relay_asymptote(first: LinkSnr, second: LinkSnr, rs: RateSpec) -> RelayAsymptote:
-    # The weaker hop (smaller shape) sets the slope.  With equal shapes
-    # both failure events (first hop below delta, second hop below
-    # gamma_th) are of the same order, so both leading terms add.
-    if first.m > second.m:
-        branch = "second_hop_limited"
-        m = second.m
-        coeff = _power_law(m, second.rate * rs.gamma_th)
-    elif first.m < second.m:
-        branch = "first_hop_limited"
-        m = first.m
-        coeff = _power_law(m, first.rate * rs.delta)
-    else:
-        branch = "balanced"
-        m = first.m
-        coeff = _power_law(m, first.rate * rs.delta) + _power_law(
-            m, second.rate * rs.gamma_th
-        )
-    return RelayAsymptote(branch=branch, exponent=m, coefficient=coeff)
-
-
 def _leading_product(
     direct: LinkSnr, relays: tuple[tuple[LinkSnr, LinkSnr], ...], rs: RateSpec
-) -> tuple[float, tuple[RelayAsymptote, ...]]:
+) -> float:
     # The exact product of outage_dfaf_sc with each CDF factor replaced by
-    # its leading small-argument term, at the given link descriptors.
-    factors = tuple(_relay_asymptote(first, second, rs) for first, second in relays)
+    # its leading small-argument term, at the given link descriptors: a
+    # relay fails when the first hop misses delta or the second gamma_th.
     g = _power_law(direct.m, direct.rate * rs.gamma_th)
-    for fac in factors:
-        g *= fac.coefficient
-    return g, factors
+    for first, second in relays:
+        g *= _leading_term(
+            ((first.m, first.rate * rs.delta), (second.m, second.rate * rs.gamma_th))
+        )[1]
+    return g
 
 
 def asymptotic_outage_dfaf(
@@ -293,7 +273,7 @@ def asymptotic_outage_dfaf(
     exact expression is replaced by its leading small-argument term at the
     point's link SNRs, so the product decays like snr**(-d) with the
     network diversity order d, at any power split."""
-    return _leading_product(*network_link_snrs(net, power, snr), rs)[0]
+    return _leading_product(*network_link_snrs(net, power, snr), rs)
 
 
 def coding_gain_dfaf(net: NetworkSpec, rs: RateSpec) -> AsymptoticResult:
@@ -301,18 +281,16 @@ def coding_gain_dfaf(net: NetworkSpec, rs: RateSpec) -> AsymptoticResult:
     outage ~ g * snr**(-d), where snr is the equal transmit SNR and each
     link's mean SNR is its spread times snr.
 
-    The balanced branch (equal hop shapes) sums the leading small-argument
-    terms of both hops' failure probabilities, P(m, a1 delta) and
-    P(m, a2 gamma_th); at the default binding a1 delta = a2 gamma_th that
-    is twice either one.
+    Each relay contributes the leading small-argument terms of the hops
+    with its smaller shape: P(m1, a1 delta) for the first hop, and
+    P(m2, a2 gamma_th) for the second.  With equal shapes both terms add;
+    at the default binding a1 delta = a2 gamma_th that is twice either one.
     """
     # Unit-SNR link descriptors make rate = m / omega, which is exactly
     # the snr-free coefficient the coding gain needs.
-    g, factors = _leading_product(*network_link_snrs(net, PowerSpec.equal()), rs)
     return AsymptoticResult(
-        coding_gain=g,
+        coding_gain=_leading_product(*network_link_snrs(net, PowerSpec.equal()), rs),
         diversity_order=diversity_order_dfaf(net),
-        per_relay_factors=factors,
     )
 
 
@@ -325,13 +303,14 @@ def diversity_order_dfaf(net: NetworkSpec) -> float:
 def af_bounds(hop1: LinkSnr, hop2: LinkSnr, rs: RateSpec) -> AfBounds:
     """Asymptotic lower/upper bounds on the AF path CDF at gamma_th.
 
-    The amplified path SNR is sandwiched between half the weaker hop and
-    the weaker hop itself, so the CDF is squeezed between the weaker hop's
-    outage law at gamma_th and at 2*gamma_th; their ratio is 2**m_min.
-    The hop SNR descriptors already carry the evaluation SNR.
+    The amplified path SNR lies between min(g1, g2)/2 and min(g1, g2),
+    so the CDF is squeezed between the leading terms of
+    P(min(g1, g2) < gamma_th) and P(min(g1, g2) < 2 gamma_th): every hop
+    with the smaller shape m_min, both when the shapes are equal, adds
+    its own term.  The ratio is 2**m_min.  The hop SNR descriptors
+    already carry the evaluation SNR.
     """
-    weaker = hop1 if hop1.m <= hop2.m else hop2
-    m = weaker.m
-    lower = _power_law(m, weaker.rate * rs.gamma_th)
-    upper = _power_law(m, weaker.rate * 2.0 * rs.gamma_th)
-    return AfBounds(lower=lower, upper=upper, m_min=m, mean_snr_min=weaker.mean_snr)
+    m, lower = _leading_term(
+        ((hop1.m, hop1.rate * rs.gamma_th), (hop2.m, hop2.rate * rs.gamma_th))
+    )
+    return AfBounds(lower=lower, upper=2.0**m * lower, m_min=m)

@@ -197,31 +197,6 @@ def _estimate(failures: int, trials: int, confidence: float, seed: int) -> Outag
     )
 
 
-def estimate_outage(
-    net: NetworkSpec,
-    power: PowerSpec,
-    rs: RateSpec,
-    scheme: Scheme,
-    trials: int,
-    seed: int,
-    confidence: float = 0.99,
-    combiner: Combiner = Combiner.SC,
-    workers: int = 1,
-    stream_tag: tuple[int, ...] = (),
-) -> OutageEstimate:
-    """Monte Carlo outage estimate with a Wilson score interval.
-
-    stream_tag namespaces the random streams, so runs that must be
-    independent (different grid points, different schemes in uncoupled
-    mode) pass distinct tags.
-    """
-    _check_run_args(trials, seed, confidence)
-    failures, _ = _run_counts(
-        net, power, rs, (scheme,), combiner, trials, seed, stream_tag, workers
-    )
-    return _estimate(failures[scheme], trials, confidence, seed)
-
-
 def estimate_outage_coupled(
     net: NetworkSpec,
     power: PowerSpec,
@@ -234,7 +209,13 @@ def estimate_outage_coupled(
     workers: int = 1,
     stream_tag: tuple[int, ...] = (),
 ) -> CoupledEstimates:
-    """Run several schemes on identical channel draws (paired comparison)."""
+    """Monte Carlo outage estimates with Wilson score intervals for one or
+    more schemes on identical channel draws (paired comparison).
+
+    stream_tag namespaces the random streams, so runs that must be
+    independent (different grid points, different schemes in uncoupled
+    mode) pass distinct tags.
+    """
     _check_run_args(trials, seed, confidence)
     if not schemes:
         raise ValueError("need at least one scheme")

@@ -26,7 +26,6 @@ from opprelay.experiments import csv_text, preset, run_scenario, sweep_alpha
 from opprelay.montecarlo import (
     Combiner,
     Scheme,
-    estimate_outage,
     estimate_outage_coupled,
 )
 
@@ -60,10 +59,10 @@ def test_c1_analytic_mc_agreement_rayleigh():
         net = NetworkSpec.rayleigh(k)
         for idx, snr_db in enumerate((0.0, 5.0, 10.0, 15.0, 20.0)):
             exact = outage_dfaf_sc(net, PW, RS, db(snr_db))
-            est = estimate_outage(
-                net, scale_power(PW, db(snr_db)), RS, Scheme.DFAF,
+            est = estimate_outage_coupled(
+                net, scale_power(PW, db(snr_db)), RS, (Scheme.DFAF,),
                 10**6, seed=2026, confidence=0.99, stream_tag=(k, idx),
-            )
+            ).estimates[Scheme.DFAF]
             total += 1
             covered += est.ci_low <= exact <= est.ci_high
     elapsed = time.perf_counter() - start
@@ -79,9 +78,9 @@ def test_c2_hand_value():
     1e7-trial CI that covers it."""
     net = NetworkSpec.rayleigh(1)
     exact = outage_dfaf_sc(net, PW, RS, 10.0)
-    est = estimate_outage(
-        net, scale_power(PW, 10.0), RS, Scheme.DFAF, 10**7, seed=7, confidence=0.99
-    )
+    est = estimate_outage_coupled(
+        net, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 10**7, seed=7, confidence=0.99
+    ).estimates[Scheme.DFAF]
     ok = abs(exact - 0.11694) <= 1e-5 and est.ci_low <= exact <= est.ci_high
     report(
         ok,

@@ -190,6 +190,13 @@ AF_CDF_ORACLE = [
     (8.0, 20.0, 3.0, 20.0, 0.00013033105692583112464),
     (8.0, 40.0, 3.0, 40.0, 1.2158465116663917493e-10),
     (8.0, 60.0, 3.0, 60.0, 1.215008461642221807e-16),
+    # Large shapes, where the panels narrow below unit width; frozen from
+    # the Bessel sum at 250 digits (in double precision it reads 0.0 at
+    # (20, 20) through its 1 - sum).
+    (14.0, 32.5, 1.0, 32.5, 0.0016896895357660100707),
+    (16.0, 45.0, 1.0, 45.0, 9.4876630120824228664e-05),
+    (20.0, 50.0, 1.0, 50.0, 3.0000813166605178624e-05),
+    (20.0, 52.5, 20.0, 52.5, 3.0060520235048733699e-88),
 ]
 
 
@@ -396,8 +403,8 @@ class TestAsymptotics:
         direct = RS.gamma_th / snr          # (m0 gth / w0)^m0 / (m0 G(m0)) snr^-1
         relay = RS.gamma_th / snr           # same form for the m2=1 hop
         assert asym == pytest.approx(direct * relay, rel=1e-12)
-        result = coding_gain_dfaf(net, RS)
-        assert result.per_relay_factors[0].branch == "second_hop_limited"
+        gain = coding_gain_dfaf(net, RS).coding_gain
+        assert gain == pytest.approx(RS.gamma_th * RS.gamma_th, rel=1e-12)
 
     def test_balanced_branch_carries_factor_two(self):
         # equal hop shapes m=1, delta=3, unit spread: relay factor 6/snr
@@ -405,9 +412,8 @@ class TestAsymptotics:
         snr = 1e4
         asym = asymptotic_outage_dfaf(net, PW, RS, snr)
         assert asym == pytest.approx((3.0 / snr) * (6.0 / snr), rel=1e-12)
-        result = coding_gain_dfaf(net, RS)
-        assert result.per_relay_factors[0].branch == "balanced"
-        assert result.per_relay_factors[0].coefficient == pytest.approx(6.0)
+        gain = coding_gain_dfaf(net, RS).coding_gain
+        assert gain == pytest.approx(RS.gamma_th * (RS.delta + RS.gamma_th), rel=1e-12)
 
     @pytest.mark.parametrize(
         "net,rs",
@@ -432,10 +438,9 @@ class TestAsymptotics:
     def test_first_hop_limited_branch(self):
         net = NetworkSpec.from_shapes(1.0, [1.0], [2.0])
         result = coding_gain_dfaf(net, RS)
-        fac = result.per_relay_factors[0]
-        assert fac.branch == "first_hop_limited"
-        assert fac.exponent == 1.0
-        assert fac.coefficient == pytest.approx(RS.delta)  # (m delta / w)^1 / (1 * 1)
+        assert result.diversity_order == 2.0
+        # direct (m gth / w)^1 / (1 * 1) times the relay's (m delta / w)^1 / (1 * 1)
+        assert result.coding_gain == pytest.approx(RS.gamma_th * RS.delta, rel=1e-12)
 
     def test_unequal_power_uses_each_link_snr(self):
         # second-hop limited relay: direct link at power 4, second hop at
@@ -511,7 +516,9 @@ class TestCodingGainAndDiversity:
         assert result.diversity_order == 0.5
         expected = (0.5 * 3.0) ** 0.5 / (0.5 * math.gamma(0.5))
         assert result.coding_gain == pytest.approx(expected, rel=1e-12)
-        assert result.per_relay_factors == ()
+        assert asymptotic_outage_dfaf(net, PW, RS, 1e4) == pytest.approx(
+            expected * 1e4**-0.5, rel=1e-12
+        )
 
     def test_diversity_order_matches_coding_gain(self):
         rng = np.random.default_rng(31)
@@ -565,7 +572,36 @@ class TestAfBounds:
         h2 = LinkSnr(mean_snr=80.0, m=2.0)
         b = af_bounds(h1, h2, RS)
         assert b.m_min == 1.0
-        assert b.mean_snr_min == 50.0
+        # the m=1 hop alone: (m gth / mean SNR)^1 / (1 * 1)
+        assert b.lower == pytest.approx(RS.gamma_th / 50.0, rel=1e-12)
+        assert b.upper == pytest.approx(2.0 * RS.gamma_th / 50.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "m,ratio",
+        [(1.0, 1.0), (3.0, 10.0), (0.5, 10.0)],
+        ids=["m1-equal", "m3-10to1", "m0.5-10to1"],
+    )
+    def test_tied_shapes_sum_both_hops(self, m, ratio):
+        # with equal shapes neither hop is the weaker one: each adds its
+        # own leading term, and that sum is the CDF's leading term
+        h1 = LinkSnr(mean_snr=ratio * db(60.0), m=m)
+        h2 = LinkSnr(mean_snr=db(60.0), m=m)
+        b = af_bounds(h1, h2, RS)
+        assert b.m_min == m
+        assert b.lower == _power_law(m, h1.rate * RS.gamma_th) + _power_law(
+            m, h2.rate * RS.gamma_th
+        )
+        f = af_path_cdf_quadrature(h1, h2, RS.gamma_th)
+        assert abs(f / b.lower - 1.0) < 1e-3
+
+    def test_tied_shapes_on_random_networks(self):
+        rng = np.random.default_rng(2003)
+        for i in range(400):
+            m = float(rng.uniform(0.5, 4.0))
+            h1 = LinkSnr(mean_snr=db(60.0) * 10.0 ** rng.uniform(-1.0, 1.0), m=m)
+            h2 = LinkSnr(mean_snr=db(60.0) * 10.0 ** rng.uniform(-1.0, 1.0), m=m)
+            f = af_path_cdf_quadrature(h1, h2, RS.gamma_th)
+            assert abs(f / af_bounds(h1, h2, RS).lower - 1.0) < 1e-3, (i, h1, h2)
 
     @pytest.mark.parametrize("m1,m2", [(1, 1), (1, 2), (2, 3)])
     def test_squeeze_at_40db(self, m1, m2):

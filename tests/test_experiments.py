@@ -360,6 +360,18 @@ class TestBoundsTable:
             if r.snr_db == 40.0:
                 assert r.bound_low * 0.9 <= r.af_path_cdf <= r.bound_high * 1.1
 
+    @pytest.mark.parametrize(
+        "name", ["fig2_rayleigh_K1", "fig2_rayleigh_K2", "fig2_rayleigh_K3", "fig3_nakagami_3relay"]
+    )
+    def test_path_cdf_inside_its_sandwich_from_15db(self, name):
+        (s,) = preset(name)
+        rows = af_bounds_rows(replace(s, outputs=s.outputs | {"bounds"}))
+        outside = [
+            r for r in rows
+            if r.snr_db >= 15.0 and not r.bound_low <= r.af_path_cdf <= r.bound_high
+        ]
+        assert not outside
+
     def test_bounds_need_af_scheme(self):
         (s,) = preset("fig4_K1")
         bad = replace(s, outputs=frozenset({"analytic", "bounds"}))

@@ -18,7 +18,6 @@ from opprelay.montecarlo import (
     Scheme,
     _combined_snr_block,
     _draw_block,
-    estimate_outage,
     estimate_outage_coupled,
     wilson_interval,
 )
@@ -158,7 +157,9 @@ class TestBlockInvariants:
         # the estimator's first block is this block's draws
         g0, g1, g2 = block
         combined = _combined_snr_block(g0, g1, g2, RS, Scheme.DFAF, Combiner.SC)
-        est = estimate_outage(NET3, scale_power(PW, 10.0), RS, Scheme.DFAF, 2000, seed=77)
+        est = estimate_outage_coupled(
+            NET3, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 2000, seed=77
+        ).estimates[Scheme.DFAF]
         assert est.failures == np.count_nonzero(combined < RS.gamma_th)
 
 
@@ -197,21 +198,21 @@ class TestBlockEngineAgainstScalarLogic:
 
 class TestEstimators:
     def test_matches_closed_form_rayleigh(self):
-        est = estimate_outage(
-            NET1, scale_power(PW, 10.0), RS, Scheme.DFAF, 10**6, seed=42
-        )
+        est = estimate_outage_coupled(
+            NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 10**6, seed=42
+        ).estimates[Scheme.DFAF]
         exact = outage_dfaf_sc(NET1, PW, RS, 10.0)
         assert est.ci_low <= exact <= est.ci_high
         assert est.failures == round(est.probability * est.trials)
 
     def test_df_and_adaptive_agree_in_distribution(self):
         # independent runs, overlapping 99% intervals
-        a = estimate_outage(
-            NET1, scale_power(PW, 10.0), RS, Scheme.DFAF, 10**6, seed=1, stream_tag=(0,)
-        )
-        b = estimate_outage(
-            NET1, scale_power(PW, 10.0), RS, Scheme.DF, 10**6, seed=1, stream_tag=(1,)
-        )
+        a = estimate_outage_coupled(
+            NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 10**6, seed=1, stream_tag=(0,)
+        ).estimates[Scheme.DFAF]
+        b = estimate_outage_coupled(
+            NET1, scale_power(PW, 10.0), RS, (Scheme.DF,), 10**6, seed=1, stream_tag=(1,)
+        ).estimates[Scheme.DF]
         assert a.ci_low <= b.ci_high and b.ci_low <= a.ci_high
 
     def test_mrc_ordering_with_coupled_trials(self):
@@ -232,18 +233,18 @@ class TestEstimators:
 
     def test_reproducible_same_seed(self):
         kwargs = dict(trials=100_000, seed=5)
-        a = estimate_outage(NET1, scale_power(PW, 10.0), RS, Scheme.DFAF, **kwargs)
-        b = estimate_outage(NET1, scale_power(PW, 10.0), RS, Scheme.DFAF, **kwargs)
+        a = estimate_outage_coupled(NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), **kwargs)
+        b = estimate_outage_coupled(NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), **kwargs)
         assert a == b
 
     def test_worker_count_does_not_change_counts(self):
-        a = estimate_outage(
-            NET1, scale_power(PW, 10.0), RS, Scheme.DFAF, 200_000, seed=5, workers=1
+        a = estimate_outage_coupled(
+            NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 200_000, seed=5, workers=1
         )
-        b = estimate_outage(
-            NET1, scale_power(PW, 10.0), RS, Scheme.DFAF, 200_000, seed=5, workers=3
+        b = estimate_outage_coupled(
+            NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 200_000, seed=5, workers=3
         )
-        assert a.failures == b.failures
+        assert a.estimates[Scheme.DFAF].failures == b.estimates[Scheme.DFAF].failures
 
     def test_workers_are_threads_of_this_process(self, monkeypatch):
         # more workers than cores, switching threads often, give the serial
@@ -264,17 +265,17 @@ class TestEstimators:
         assert threaded == serial
 
     def test_stream_tags_give_distinct_runs(self):
-        a = estimate_outage(
-            NET1, scale_power(PW, 10.0), RS, Scheme.DFAF, 10**5, seed=5, stream_tag=(0,)
+        a = estimate_outage_coupled(
+            NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 10**5, seed=5, stream_tag=(0,)
         )
-        b = estimate_outage(
-            NET1, scale_power(PW, 10.0), RS, Scheme.DFAF, 10**5, seed=5, stream_tag=(1,)
+        b = estimate_outage_coupled(
+            NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 10**5, seed=5, stream_tag=(1,)
         )
-        assert a.failures != b.failures
+        assert a.estimates[Scheme.DFAF].failures != b.estimates[Scheme.DFAF].failures
 
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError):
-            estimate_outage(NET1, PW, RS, Scheme.DFAF, 999, seed=1)
+            estimate_outage_coupled(NET1, PW, RS, (Scheme.DFAF,), 999, seed=1)
 
     @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5])
     def test_confidence_checked_before_any_draw(self, monkeypatch, confidence):
@@ -283,7 +284,9 @@ class TestEstimators:
 
         monkeypatch.setattr(montecarlo, "_draw_block", refuse)
         with pytest.raises(ValueError, match="confidence"):
-            estimate_outage(NET1, PW, RS, Scheme.DFAF, 10**4, seed=1, confidence=confidence)
+            estimate_outage_coupled(
+                NET1, PW, RS, (Scheme.DFAF,), 10**4, seed=1, confidence=confidence
+            )
         with pytest.raises(ValueError, match="confidence"):
             estimate_outage_coupled(
                 NET1, PW, RS, tuple(Scheme), 10**4, seed=1, confidence=confidence
@@ -328,10 +331,10 @@ class TestCurve:
         estimates = {}
         for k in (1, 2, 3):
             net = NetworkSpec.rayleigh(k)
-            estimates[k] = estimate_outage(
-                net, scale_power(PW, 10.0 ** 1.5), RS, Scheme.DFAF,
+            estimates[k] = estimate_outage_coupled(
+                net, scale_power(PW, 10.0 ** 1.5), RS, (Scheme.DFAF,),
                 10**6, seed=13, stream_tag=(k,),
-            )
+            ).estimates[Scheme.DFAF]
         assert estimates[2].ci_high < estimates[1].ci_low
         assert estimates[3].ci_high < estimates[2].ci_low
 
