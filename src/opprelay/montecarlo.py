@@ -4,7 +4,10 @@ schemes under selection or maximal ratio combining.
 The engine partitions trials into fixed-size blocks; every (block, link)
 pair draws from its own random stream derived from the master seed, so
 failure counts are bit-identical for any worker count and scheduling
-order.  Aggregation is a plain sum of per-block failure counts.
+order.  Within a block the kernel draws one relay's hops at a time and
+folds them into a running best per scheme, so memory does not grow with
+the number of relays.  Aggregation is a plain sum of per-block failure
+counts.
 
 Coupled mode evaluates several schemes on the same channel draws, which
 turns scheme comparisons into paired comparisons with far lower variance
@@ -24,7 +27,6 @@ import numpy as np
 
 from .analytic import RateSpec
 from .channel import (
-    LinkSnr,
     NetworkSpec,
     PowerSpec,
     make_stream,
@@ -84,51 +86,31 @@ def wilson_interval(
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def _af_equivalent(g1, g2):
-    return g1 * g2 / (g1 + g2 + 1.0)
-
-
-def _draw_block(
-    direct: LinkSnr,
-    relays: tuple[tuple[LinkSnr, LinkSnr], ...],
-    seed: int,
-    tag: tuple[int, ...],
-    block: int,
-    n: int,
-):
-    # Link ids: 0 direct, 2i+1 first hop of relay i, 2i+2 second hop.
-    g0 = sample_snr(direct, make_stream(seed, *tag, block, 0), size=n)
-    k = len(relays)
-    g1 = np.empty((k, n))
-    g2 = np.empty((k, n))
-    for i, (first, second) in enumerate(relays):
-        g1[i] = sample_snr(first, make_stream(seed, *tag, block, 2 * i + 1), size=n)
-        g2[i] = sample_snr(second, make_stream(seed, *tag, block, 2 * i + 2), size=n)
-    return g0, g1, g2
-
-
-def _combined_snr_block(g0, g1, g2, rs: RateSpec, scheme: Scheme, combiner: Combiner):
-    """Combined destination SNR of each trial in a block of draws: g0 has
-    shape (n,), g1 and g2 shape (K, n).
+def _combined_snrs(g0, hops, rs: RateSpec, schemes, combiner: Combiner):
+    """Combined destination SNR of each trial for each scheme: g0 holds the
+    direct-link draws, hops yields each relay's (g1, g2) draws.
 
     The selected relay maximizes the scheme's own path metric.  A relay
     that decodes forwards its second hop; one that does not contributes
     the amplified SNR under the adaptive scheme and zero under DF, so with
-    no decoding relay DF falls back on the direct link.
+    no decoding relay DF falls back on the direct link.  Every metric is
+    nonnegative, so a running best that starts at zero is the selected
+    relay's SNR, and zero with no relays.
     """
-    if g1.shape[0] == 0:
-        relay = np.zeros_like(g0)
-    else:
-        if scheme is Scheme.DFAF:
-            metric = np.where(g1 >= rs.delta, g2, _af_equivalent(g1, g2))
-        elif scheme is Scheme.DF:
-            metric = np.where(g1 >= rs.delta, g2, 0.0)
-        else:
-            metric = _af_equivalent(g1, g2)
-        relay = metric.max(axis=0)
-    if combiner is Combiner.SC:
-        return np.maximum(g0, relay)
-    return g0 + relay
+    best = {s: np.zeros_like(g0) for s in schemes}
+    for g1, g2 in hops:
+        decoded = g1 >= rs.delta
+        amplified = g1 * g2 / (g1 + g2 + 1.0)
+        for s, relay in best.items():
+            if s is Scheme.DFAF:
+                metric = np.where(decoded, g2, amplified)
+            elif s is Scheme.DF:
+                metric = np.where(decoded, g2, 0.0)
+            else:
+                metric = amplified
+            np.maximum(relay, metric, out=relay)
+    combine = np.maximum if combiner is Combiner.SC else np.add
+    return {s: combine(g0, relay, out=relay) for s, relay in best.items()}
 
 
 def _run_counts(
@@ -142,10 +124,12 @@ def _run_counts(
     draws, most of the work, release the interpreter lock while they fill
     a block, so the threads overlap.  One worker thus starts no thread; a
     fresh thread per estimate gets a fresh malloc arena, which measured up
-    to 10 MB more peak RSS on single-worker runs."""
+    to 10 MB more peak RSS on single-worker runs.  A block's relay hops
+    are drawn lazily, one relay at a time, as the kernel folds them in, so
+    a worker's memory is flat in the number of relays."""
     direct, relays = network_link_snrs(net, power)
     n_blocks = -(-trials // BLOCK_SIZE)
-    workers = max(1, min(workers, n_blocks))
+    workers = min(workers, n_blocks)
     bounds = [i * n_blocks // workers for i in range(workers + 1)]
 
     def range_counts(block_lo: int, block_hi: int):
@@ -153,10 +137,16 @@ def _run_counts(
         violations = {s: 0 for s in schemes if s is not Scheme.DFAF}
         for block in range(block_lo, block_hi):
             n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
-            g0, g1, g2 = _draw_block(direct, relays, seed, tag, block, n)
-            combined = {
-                s: _combined_snr_block(g0, g1, g2, rs, s, combiner) for s in schemes
-            }
+            # Link ids: 0 direct, 2i+1 first hop of relay i, 2i+2 second hop.
+            g0 = sample_snr(direct, make_stream(seed, *tag, block, 0), size=n)
+            hops = (
+                (
+                    sample_snr(first, make_stream(seed, *tag, block, 2 * i + 1), size=n),
+                    sample_snr(second, make_stream(seed, *tag, block, 2 * i + 2), size=n),
+                )
+                for i, (first, second) in enumerate(relays)
+            )
+            combined = _combined_snrs(g0, hops, rs, schemes, combiner)
             for s in schemes:
                 failures[s] += int(np.count_nonzero(combined[s] < rs.gamma_th))
             if Scheme.DFAF in combined:
@@ -175,13 +165,15 @@ def _run_counts(
     return failures, violations
 
 
-def _check_run_args(trials: int, seed: int, confidence: float) -> None:
+def _check_run_args(trials: int, seed: int, confidence: float, workers: int) -> None:
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials for a usable estimate, got {trials}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
 
 
 def _estimate(failures: int, trials: int, confidence: float, seed: int) -> OutageEstimate:
@@ -216,7 +208,7 @@ def estimate_outage_coupled(
     independent (different grid points, different schemes in uncoupled
     mode) pass distinct tags.
     """
-    _check_run_args(trials, seed, confidence)
+    _check_run_args(trials, seed, confidence, workers)
     if not schemes:
         raise ValueError("need at least one scheme")
     failures, violations = _run_counts(

@@ -173,6 +173,17 @@ class TestExitCodes:
         assert out == ""
         assert "trails" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_nonpositive_workers_is_config_error(self, capsys, workers):
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--scenario", "fig2_rayleigh_K1",
+            "--trials", "20000", "--workers", workers,
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "configuration error" in err and "worker" in err
+
     def test_alpha_sweep_via_curve_command_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--scenario", "fig8_alpha_sweep")
         assert code == EXIT_CONFIG

@@ -4,20 +4,27 @@ estimator calibration against the closed forms, and reproducibility."""
 import multiprocessing.process
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from opprelay import montecarlo
 from opprelay.analytic import RateSpec, outage_dfaf_sc
-from opprelay.channel import NetworkSpec, PowerSpec, network_link_snrs, scale_power
+from opprelay.channel import (
+    NetworkSpec,
+    PowerSpec,
+    make_stream,
+    network_link_snrs,
+    sample_snr,
+    scale_power,
+)
 from opprelay.experiments import Scenario, run_scenario
 from opprelay.montecarlo import (
     BLOCK_SIZE,
     Combiner,
     Scheme,
-    _combined_snr_block,
-    _draw_block,
+    _combined_snrs,
     estimate_outage_coupled,
     wilson_interval,
 )
@@ -48,11 +55,26 @@ def scalar_combined_snr(gamma0, gamma1, gamma2, rs, scheme, combiner=Combiner.SC
 
 
 def kernel(gamma0, gamma1, gamma2, scheme, combiner=Combiner.SC):
-    """Block kernel on hand-written draws: gamma1/gamma2 rows are relays."""
+    """Block kernel of one scheme on given draws: gamma1/gamma2 rows are
+    relays, fed to the kernel one relay at a time."""
     g0 = np.array(gamma0, dtype=float)
     g1 = np.array(gamma1, dtype=float).reshape(len(gamma1), len(g0))
     g2 = np.array(gamma2, dtype=float).reshape(len(gamma2), len(g0))
-    return _combined_snr_block(g0, g1, g2, RS, scheme, combiner)
+    return _combined_snrs(g0, zip(g1, g2), RS, (scheme,), combiner)[scheme]
+
+
+def first_block(seed, n):
+    """The draws of an untagged estimate's first block on NET3 at 10 dB,
+    from its stream ids: 0 direct, 2i+1 and 2i+2 the hops of relay i."""
+    direct, relays = network_link_snrs(NET3, scale_power(PW, 10.0))
+
+    def draw(link, link_id):
+        return sample_snr(link, make_stream(seed, 0, link_id), size=n)
+
+    g0 = draw(direct, 0)
+    g1 = np.array([draw(first, 2 * i + 1) for i, (first, _) in enumerate(relays)])
+    g2 = np.array([draw(second, 2 * i + 2) for i, (_, second) in enumerate(relays)])
+    return g0, g1, g2
 
 
 class TestWilson:
@@ -95,8 +117,8 @@ class TestBlockKernel:
         g2 = rng.uniform(0, 20, (3, 200))
         g0 = rng.uniform(0, 5, 200)
         for combiner in Combiner:
-            adaptive = _combined_snr_block(g0, g1, g2, RS, Scheme.DFAF, combiner)
-            df = _combined_snr_block(g0, g1, g2, RS, Scheme.DF, combiner)
+            adaptive = kernel(g0, g1, g2, Scheme.DFAF, combiner)
+            df = kernel(g0, g1, g2, Scheme.DF, combiner)
             assert np.array_equal(adaptive, df)
 
     def test_no_decode_falls_back_to_direct(self):
@@ -112,15 +134,14 @@ class TestBlockKernel:
 
 @pytest.fixture(scope="module")
 def block():
-    direct, relays = network_link_snrs(NET3, scale_power(PW, 10.0))
-    return _draw_block(direct, relays, seed=77, tag=(), block=0, n=2000)
+    return first_block(seed=77, n=2000)
 
 
 class TestBlockInvariants:
     def test_selection_maximizes_equivalent_snr(self, block):
         g0, g1, g2 = block
         equivalent = np.where(g1 >= RS.delta, g2, g1 * g2 / (g1 + g2 + 1.0))
-        relay = _combined_snr_block(np.zeros_like(g0), g1, g2, RS, Scheme.DFAF, Combiner.MRC)
+        relay = kernel(np.zeros_like(g0), g1, g2, Scheme.DFAF, Combiner.MRC)
         assert np.all(relay[None, :] >= equivalent)
         assert np.all(np.any(relay[None, :] == equivalent, axis=0))
 
@@ -129,9 +150,7 @@ class TestBlockInvariants:
         g0, g1, g2 = block
         zero = np.zeros_like(g0)
         for i in range(g1.shape[0]):
-            eq = _combined_snr_block(
-                zero, g1[i : i + 1], g2[i : i + 1], RS, Scheme.DFAF, Combiner.MRC
-            )
+            eq = kernel(zero, g1[i : i + 1], g2[i : i + 1], Scheme.DFAF, Combiner.MRC)
             decoded = g1[i] >= RS.delta
             af = g1[i] * g2[i] / (g1[i] + g2[i] + 1.0)
             assert np.array_equal(eq, np.where(decoded, g2[i], af))
@@ -144,9 +163,7 @@ class TestBlockInvariants:
         g0, g1, g2 = block
         zero = np.zeros_like(g0)
         for i in range(g1.shape[0]):
-            af = _combined_snr_block(
-                zero, g1[i : i + 1], g2[i : i + 1], RS, Scheme.AF, Combiner.MRC
-            )
+            af = kernel(zero, g1[i : i + 1], g2[i : i + 1], Scheme.AF, Combiner.MRC)
             smaller, larger = np.minimum(g1[i], g2[i]), np.maximum(g1[i], g2[i])
             assert np.all(af < smaller)
             gated = larger >= smaller + 1.0
@@ -156,7 +173,7 @@ class TestBlockInvariants:
     def test_failure_count_is_kernel_outages(self, block):
         # the estimator's first block is this block's draws
         g0, g1, g2 = block
-        combined = _combined_snr_block(g0, g1, g2, RS, Scheme.DFAF, Combiner.SC)
+        combined = kernel(g0, g1, g2, Scheme.DFAF, Combiner.SC)
         est = estimate_outage_coupled(
             NET3, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 2000, seed=77
         ).estimates[Scheme.DFAF]
@@ -170,9 +187,9 @@ class TestSchemeDominancePerTrial:
         g0 = rng.gamma(0.5, 20.0, 1000)
         g1 = rng.gamma(1.0, 10.0, (3, 1000))
         g2 = rng.gamma(1.0, 10.0, (3, 1000))
-        adaptive = _combined_snr_block(g0, g1, g2, RS, Scheme.DFAF, combiner)
-        df = _combined_snr_block(g0, g1, g2, RS, Scheme.DF, combiner)
-        af = _combined_snr_block(g0, g1, g2, RS, Scheme.AF, combiner)
+        adaptive = kernel(g0, g1, g2, Scheme.DFAF, combiner)
+        df = kernel(g0, g1, g2, Scheme.DF, combiner)
+        af = kernel(g0, g1, g2, Scheme.AF, combiner)
         assert np.all(adaptive >= df)
         assert np.all(adaptive >= af)
 
@@ -181,9 +198,8 @@ class TestBlockEngineAgainstScalarLogic:
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("combiner", list(Combiner))
     def test_vectorized_matches_per_trial(self, scheme, combiner):
-        direct, relays = network_link_snrs(NET3, scale_power(PW, 10.0))
-        g0, g1, g2 = _draw_block(direct, relays, seed=5, tag=(), block=0, n=400)
-        combined = _combined_snr_block(g0, g1, g2, RS, scheme, combiner)
+        g0, g1, g2 = first_block(seed=5, n=400)
+        combined = kernel(g0, g1, g2, scheme, combiner)
         for t in range(400):
             expected = scalar_combined_snr(
                 float(g0[t]),
@@ -273,16 +289,50 @@ class TestEstimators:
         )
         assert a.estimates[Scheme.DFAF].failures != b.estimates[Scheme.DFAF].failures
 
+    @pytest.mark.parametrize("combiner", list(Combiner))
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_coupled_counts_equal_single_scheme_runs(self, combiner, k):
+        # the kernel shares each relay's decode mask and amplified SNR
+        # between schemes; no scheme's count may depend on the others
+        net = NetworkSpec.from_shapes(0.5, [1, 1.5, 2][:k], [2, 1, 0.5][:k])
+        args = (net, scale_power(PW, 3.0), RS)
+        kwargs = dict(trials=20_000, seed=8, combiner=combiner, stream_tag=(k, 4))
+        coupled = estimate_outage_coupled(*args, tuple(Scheme), **kwargs)
+        for s in Scheme:
+            alone = estimate_outage_coupled(*args, (s,), **kwargs).estimates[s]
+            assert alone.failures == coupled.estimates[s].failures
+
+    def test_memory_is_flat_in_relay_count(self):
+        # one block of every scheme: relays are drawn and folded one at a
+        # time, so eight relays trace no more memory than two
+        def traced_peak(k):
+            tracemalloc.start()
+            try:
+                estimate_outage_coupled(
+                    NetworkSpec.rayleigh(k), scale_power(PW, 10.0), RS, tuple(Scheme),
+                    BLOCK_SIZE, seed=1, combiner=Combiner.MRC, workers=1,
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(8) <= 1.1 * traced_peak(2)
+
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError):
             estimate_outage_coupled(NET1, PW, RS, (Scheme.DFAF,), 999, seed=1)
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_must_be_positive(self, workers):
+        with pytest.raises(ValueError, match="worker"):
+            estimate_outage_coupled(NET1, PW, RS, (Scheme.DFAF,), 10**4, seed=1, workers=workers)
 
     @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5])
     def test_confidence_checked_before_any_draw(self, monkeypatch, confidence):
         def refuse(*args, **kwargs):
             raise AssertionError("drew trials for an invalid confidence")
 
-        monkeypatch.setattr(montecarlo, "_draw_block", refuse)
+        monkeypatch.setattr(montecarlo, "sample_snr", refuse)
         with pytest.raises(ValueError, match="confidence"):
             estimate_outage_coupled(
                 NET1, PW, RS, (Scheme.DFAF,), 10**4, seed=1, confidence=confidence
