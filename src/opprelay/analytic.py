@@ -16,6 +16,10 @@ from the Monte Carlo engine.  Relay selection ignores the direct link, so
 the selected path stays independent of it under MRC as well; the MRC
 outage is a one-dimensional integral over the direct-link SNR that is
 not implemented yet.
+
+scipy.special is imported inside the functions that call it, so it loads
+on the first exact value: the high-SNR law, the coding gain and the AF
+bounds need only math, and Monte Carlo runs import numpy alone.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, kve
 
 from .channel import LinkSnr, NetworkSpec, PowerSpec, network_link_snrs
 
@@ -113,6 +116,8 @@ def outage_dfaf_sc(
     needs gamma_th >= delta; below it an amplified path can still clear
     gamma_th, and this expression is the DF outage, an upper bound.
     """
+    from scipy.special import gammainc
+
     direct, relays = network_link_snrs(net, power, snr)
     p = float(gammainc(direct.m, direct.rate * rs.gamma_th))
     for first, second in relays:
@@ -145,6 +150,8 @@ def af_path_cdf_closed(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     in log space so shapes up to ~10 stay well inside double range.  The
     result is clamped to [0, 1] only to absorb last-bit rounding.
     """
+    from scipy.special import kve
+
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")
     if y == 0.0:
@@ -203,6 +210,8 @@ def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     in outage.  Raises QuadratureError when the gap to the width-2h rule
     exceeds AF_QUAD_TOL of the value.
     """
+    from scipy.special import gammainc
+
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")
     if y == 0.0:
@@ -245,6 +254,8 @@ def outage_af_sc(
     """Exact outage of opportunistic amplify-and-forward under selection
     combining: direct-link outage times the product of the per-relay AF
     path CDFs at gamma_th (the per-path failures are independent)."""
+    from scipy.special import gammainc
+
     direct, relays = network_link_snrs(net, power, snr)
     p = float(gammainc(direct.m, direct.rate * rs.gamma_th))
     for first, second in relays:

@@ -4,6 +4,9 @@ seedable random variate generation.
 The squared envelope of a Nakagami-m channel is gamma distributed, so the
 instantaneous SNR of a link with mean snr gbar has density
 (1/Gamma(m)) (m/gbar)^m y^(m-1) exp(-m y / gbar).
+
+snr_cdf imports scipy.special on its first call; drawing variates needs
+numpy alone, so Monte Carlo runs never load scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainc
 
 
 @dataclass(frozen=True)
@@ -204,6 +206,8 @@ def sample_snr(
 
 def snr_cdf(link: LinkSnr, y: float) -> float:
     """CDF of the instantaneous SNR: P(m, m y / mean)."""
+    from scipy.special import gammainc
+
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")
     return float(gammainc(link.m, link.rate * y))

@@ -83,7 +83,9 @@ def wilson_interval(
     denom = 1.0 + z * z / trials
     centre = (p + z * z / (2.0 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
-    return max(0.0, centre - half), min(1.0, centre + half)
+    # At 0 or n failures centre and half nearly cancel, and rounding can
+    # leave an end a few ulps on the wrong side of p.
+    return min(max(0.0, centre - half), p), max(min(1.0, centre + half), p)
 
 
 def _combined_snrs(g0, hops, rs: RateSpec, schemes, combiner: Combiner):
@@ -95,12 +97,15 @@ def _combined_snrs(g0, hops, rs: RateSpec, schemes, combiner: Combiner):
     the amplified SNR under the adaptive scheme and zero under DF, so with
     no decoding relay DF falls back on the direct link.  Every metric is
     nonnegative, so a running best that starts at zero is the selected
-    relay's SNR, and zero with no relays.
+    relay's SNR, and zero with no relays.  The decode mask and the
+    amplified SNR are computed only when a requested scheme reads them.
     """
     best = {s: np.zeros_like(g0) for s in schemes}
+    decodes = Scheme.DFAF in best or Scheme.DF in best
+    amplifies = Scheme.DFAF in best or Scheme.AF in best
     for g1, g2 in hops:
-        decoded = g1 >= rs.delta
-        amplified = g1 * g2 / (g1 + g2 + 1.0)
+        decoded = g1 >= rs.delta if decodes else None
+        amplified = g1 * g2 / (g1 + g2 + 1.0) if amplifies else None
         for s, relay in best.items():
             if s is Scheme.DFAF:
                 metric = np.where(decoded, g2, amplified)

@@ -83,6 +83,17 @@ class TestWilson:
             lo, hi = wilson_interval(fails, trials, 0.99)
             assert 0.0 <= lo <= fails / trials <= hi <= 1.0
 
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
+    @pytest.mark.parametrize(
+        "trials", [1000, 3000, 10**4, 2 * 10**4, 3 * 10**4, 10**5, 3 * 10**5, 10**6, 3 * 10**6]
+    )
+    def test_contains_estimate_exactly(self, trials, confidence):
+        # unclamped, rounding left 0 of 1e6 at 95% with a lower end of
+        # 4.2e-22 and 1000 of 1000 at 99% with an upper end of 1 - 2**-52
+        for fails in (0, 1, trials // 2, trials - 1, trials):
+            lo, hi = wilson_interval(fails, trials, confidence)
+            assert 0.0 <= lo <= fails / trials <= hi <= 1.0
+
     def test_extremes(self):
         lo, hi = wilson_interval(0, 10**6)
         assert lo == 0.0 and hi < 1e-4
