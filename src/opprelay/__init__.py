@@ -22,7 +22,6 @@ from .channel import (
     LinkSnr,
     NetworkSpec,
     PowerSpec,
-    link_snr,
     make_stream,
     network_link_snrs,
     sample_snr,

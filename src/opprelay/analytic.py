@@ -17,9 +17,12 @@ the selected path stays independent of it under MRC as well; the MRC
 outage is a one-dimensional integral over the direct-link SNR that is
 not implemented yet.
 
-scipy.special is imported inside the functions that call it, so it loads
-on the first exact value: the high-SNR law, the coding gain and the AF
-bounds need only math, and Monte Carlo runs import numpy alone.
+Every scalar CDF factor (direct link, decode failure, second hop, the
+AF path's first-hop head) is channel.snr_cdf of the link laws that
+channel.network_link_snrs builds for the grid point.  scipy.special loads
+on the first exact value, inside snr_cdf, the quadrature's node array or
+the Bessel reference: the high-SNR law, the coding gain and the AF bounds
+need only math, and Monte Carlo runs import numpy alone.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import LinkSnr, NetworkSpec, PowerSpec, network_link_snrs
+from .channel import LinkSnr, NetworkSpec, PowerSpec, network_link_snrs, snr_cdf
 
 # Error the AF path CDF quadrature must certify, relative to its value.
 AF_QUAD_TOL = 1e-9
@@ -116,16 +119,14 @@ def outage_dfaf_sc(
     needs gamma_th >= delta; below it an amplified path can still clear
     gamma_th, and this expression is the DF outage, an upper bound.
     """
-    from scipy.special import gammainc
-
     direct, relays = network_link_snrs(net, power, snr)
-    p = float(gammainc(direct.m, direct.rate * rs.gamma_th))
+    p = snr_cdf(direct, rs.gamma_th)
     for first, second in relays:
-        # The decode failure P comes from gammainc: 1 - Q would lose it
-        # deep in outage, where it is the leading term.  1 - P is exact
-        # enough for Q, which only ever adds to P.
-        decode_fail = float(gammainc(first.m, first.rate * rs.delta))
-        second_fail = float(gammainc(second.m, second.rate * rs.gamma_th))
+        # The decode failure is the CDF P itself: 1 - Q would lose it deep
+        # in outage, where it is the leading term.  1 - P is exact enough
+        # for Q, which only ever adds to P.
+        decode_fail = snr_cdf(first, rs.delta)
+        second_fail = snr_cdf(second, rs.gamma_th)
         p *= decode_fail + (1.0 - decode_fail) * second_fail
     return p
 
@@ -239,7 +240,7 @@ def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     f = np.exp(ln_f1 + v) * gammainc(m2, a2 * y * (x + 1.0) / t)
     panels = f.reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS  # half-widths h/2, h
     tail = 0.5 * h * float(panels[: 2 * n_wide].sum())
-    value = min(1.0, float(gammainc(m1, a1 * y)) + tail)
+    value = min(1.0, snr_cdf(hop1, y) + tail)
     err = abs(tail - h * float(panels[2 * n_wide :].sum()))
     if err > AF_QUAD_TOL * value:
         raise QuadratureError(
@@ -254,10 +255,8 @@ def outage_af_sc(
     """Exact outage of opportunistic amplify-and-forward under selection
     combining: direct-link outage times the product of the per-relay AF
     path CDFs at gamma_th (the per-path failures are independent)."""
-    from scipy.special import gammainc
-
     direct, relays = network_link_snrs(net, power, snr)
-    p = float(gammainc(direct.m, direct.rate * rs.gamma_th))
+    p = snr_cdf(direct, rs.gamma_th)
     for first, second in relays:
         p *= af_path_cdf_quadrature(first, second, rs.gamma_th)
     return p

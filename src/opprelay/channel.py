@@ -5,8 +5,11 @@ The squared envelope of a Nakagami-m channel is gamma distributed, so the
 instantaneous SNR of a link with mean snr gbar has density
 (1/Gamma(m)) (m/gbar)^m y^(m-1) exp(-m y / gbar).
 
-snr_cdf imports scipy.special on its first call; drawing variates needs
-numpy alone, so Monte Carlo runs never load scipy.
+network_link_snrs turns a grid point (powers, noise and the swept SNR)
+into these laws for the closed forms and Monte Carlo alike, and snr_cdf is
+the one scalar CDF of a law.  snr_cdf imports scipy.special on its first
+call; drawing variates needs numpy alone, so Monte Carlo runs never load
+scipy.
 """
 
 from __future__ import annotations
@@ -143,41 +146,25 @@ class LinkSnr:
         object.__setattr__(self, "rate", self.m / self.mean_snr)
 
 
-def link_snr(ch: ChannelSpec, tx_power: float, n0: float) -> LinkSnr:
-    """Mean-SNR descriptor of a link at the given transmit power and noise."""
-    if not tx_power > 0.0:
-        raise ValueError(f"tx_power must be positive, got {tx_power}")
-    if not n0 > 0.0:
-        raise ValueError(f"n0 must be positive, got {n0}")
-    return LinkSnr(mean_snr=ch.omega * tx_power / n0, m=ch.m)
-
-
-def scale_power(power: PowerSpec, snr: float) -> PowerSpec:
-    """Scale all transmit powers by the linear sweep variable snr."""
-    if not snr > 0.0:
-        raise ValueError(f"snr must be positive, got {snr}")
-    return PowerSpec(
-        source_power=power.source_power * snr,
-        relay_power=power.relay_power * snr,
-        noise_variance=power.noise_variance,
-        direct_power=None if power.direct_power is None else power.direct_power * snr,
-    )
-
-
 def network_link_snrs(
     net: NetworkSpec, power: PowerSpec, snr: float = 1.0
 ) -> tuple[LinkSnr, tuple[tuple[LinkSnr, LinkSnr], ...]]:
-    """Per-link SNR descriptors with the sweep variable snr scaling every
-    transmit power.  With the unit equal-power default, snr is exactly the
-    transmit SNR."""
-    power = scale_power(power, snr)
+    """Per-link SNR laws at one grid point: the sweep variable snr scales
+    every transmit power, and a link's mean SNR is omega * power * snr / N0.
+    With the unit equal-power default, snr is exactly the transmit SNR.
+
+    This is the only place the grid SNR enters: the closed forms and the
+    Monte Carlo engine both take their link laws from here."""
+    if not snr > 0.0:
+        raise ValueError(f"snr must be positive, got {snr}")
     n0 = power.noise_variance
-    direct = link_snr(net.direct, power.effective_direct_power, n0)
+
+    def law(ch: ChannelSpec, tx_power: float) -> LinkSnr:
+        return LinkSnr(mean_snr=ch.omega * (tx_power * snr) / n0, m=ch.m)
+
+    direct = law(net.direct, power.effective_direct_power)
     relays = tuple(
-        (
-            link_snr(first, power.source_power, n0),
-            link_snr(second, power.relay_power, n0),
-        )
+        (law(first, power.source_power), law(second, power.relay_power))
         for first, second in net.relays
     )
     return direct, relays

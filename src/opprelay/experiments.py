@@ -32,7 +32,7 @@ import yaml
 
 from . import analytic
 from .analytic import RateSpec
-from .channel import ChannelSpec, NetworkSpec, PowerSpec, network_link_snrs, scale_power
+from .channel import ChannelSpec, NetworkSpec, PowerSpec, network_link_snrs
 from .montecarlo import (
     MIN_RELIABLE_FAILURES,
     Combiner,
@@ -229,29 +229,31 @@ def _validate_curve_scenario(s: Scenario) -> None:
         _require_selection_combining(s, "a closed-form output")
     if "bounds" in s.outputs and Scheme.AF not in s.schemes:
         raise ScenarioError("bounds output applies to the AF scheme only")
+    if "bounds" in s.outputs and not s.network.relays:
+        raise ScenarioError("bounds output needs at least one relay path")
 
 
 def _mc_points(
     s: Scenario,
-    points: Iterable[tuple[int, str, PowerSpec]],
+    points: Iterable[tuple[int, str, PowerSpec, float]],
     coupled: bool,
     workers: int,
 ) -> dict[tuple[int, Scheme], OutageEstimate]:
     """Monte Carlo estimate per (point index, scheme) over (point index,
-    label, point power) triples.  Coupled points share one draw per trial
-    across schemes, under stream tag (idx,); otherwise scheme si draws its
-    own trials under tag (idx, si)."""
+    label, power, grid SNR) points.  Coupled points share one draw per
+    trial across schemes, under stream tag (idx,); otherwise scheme si
+    draws its own trials under tag (idx, si)."""
     if coupled:
         runs = [(s.schemes, ())]
     else:
         runs = [((scheme,), (si,)) for si, scheme in enumerate(s.schemes)]
     estimates = {}
-    for idx, label, power in points:
+    for idx, label, power, snr in points:
         for schemes, sub_tag in runs:
             result = estimate_outage_coupled(
                 s.network, power, s.rate, schemes,
                 s.trials, s.seed, s.confidence, s.combiner, workers,
-                stream_tag=(idx, *sub_tag),
+                stream_tag=(idx, *sub_tag), snr=snr,
             )
             for scheme, est in result.estimates.items():
                 estimates[(idx, scheme)] = est
@@ -281,7 +283,7 @@ def run_scenario(s: Scenario, workers: int = 1) -> list[CurveRow]:
     _validate_curve_scenario(s)
     mc_cut = math.inf if s.mc_max_snr_db is None else s.mc_max_snr_db
     points = [
-        (idx, f"{snr_db} dB", scale_power(s.power, 10.0 ** (snr_db / 10.0)))
+        (idx, f"{snr_db} dB", s.power, 10.0 ** (snr_db / 10.0))
         for idx, snr_db in enumerate(s.snr_grid_db)
         if "montecarlo" in s.outputs and snr_db <= mc_cut
     ]
@@ -347,7 +349,7 @@ def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
         raise ScenarioError("alpha sweep needs a positive total_power")
     n0 = s.power.noise_variance
     points = [
-        (idx, f"alpha={alpha}", PowerSpec.from_alpha(alpha, s.total_power, n0))
+        (idx, f"alpha={alpha}", PowerSpec.from_alpha(alpha, s.total_power, n0), 1.0)
         for idx, alpha in enumerate(s.alphas)
     ]
     estimates = _mc_points(s, points, True, workers)
@@ -445,8 +447,6 @@ def fit_scenario_curves(s: Scenario) -> list[FitRow]:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
     # str() of a float is the shortest round-trip representation
     return str(value)
 

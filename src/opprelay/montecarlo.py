@@ -119,7 +119,7 @@ def _combined_snrs(g0, hops, rs: RateSpec, schemes, combiner: Combiner):
 
 
 def _run_counts(
-    net, power, rs, schemes, combiner, trials, seed, tag, workers
+    net, power, snr, rs, schemes, combiner, trials, seed, tag, workers
 ) -> tuple[dict[Scheme, int], dict[Scheme, int]]:
     """Failure counts per scheme (shared draws) plus counts of trials where
     the adaptive scheme's combined SNR fell strictly below another's.
@@ -132,7 +132,7 @@ def _run_counts(
     to 10 MB more peak RSS on single-worker runs.  A block's relay hops
     are drawn lazily, one relay at a time, as the kernel folds them in, so
     a worker's memory is flat in the number of relays."""
-    direct, relays = network_link_snrs(net, power)
+    direct, relays = network_link_snrs(net, power, snr)
     n_blocks = -(-trials // BLOCK_SIZE)
     workers = min(workers, n_blocks)
     bounds = [i * n_blocks // workers for i in range(workers + 1)]
@@ -205,19 +205,21 @@ def estimate_outage_coupled(
     combiner: Combiner = Combiner.SC,
     workers: int = 1,
     stream_tag: tuple[int, ...] = (),
+    snr: float = 1.0,
 ) -> CoupledEstimates:
     """Monte Carlo outage estimates with Wilson score intervals for one or
     more schemes on identical channel draws (paired comparison).
 
-    stream_tag namespaces the random streams, so runs that must be
-    independent (different grid points, different schemes in uncoupled
-    mode) pass distinct tags.
+    snr scales every transmit power of `power`, as the closed forms'
+    argument of that name does.  stream_tag namespaces the random streams,
+    so runs that must be independent (different grid points, different
+    schemes in uncoupled mode) pass distinct tags.
     """
     _check_run_args(trials, seed, confidence, workers)
     if not schemes:
         raise ValueError("need at least one scheme")
     failures, violations = _run_counts(
-        net, power, rs, tuple(schemes), combiner, trials, seed, stream_tag, workers
+        net, power, snr, rs, tuple(schemes), combiner, trials, seed, stream_tag, workers
     )
     return CoupledEstimates(
         estimates={

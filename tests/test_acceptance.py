@@ -21,7 +21,7 @@ from opprelay.analytic import (
     outage_df_sc,
     outage_dfaf_sc,
 )
-from opprelay.channel import LinkSnr, NetworkSpec, PowerSpec, scale_power
+from opprelay.channel import LinkSnr, NetworkSpec, PowerSpec
 from opprelay.experiments import csv_text, preset, run_scenario, sweep_alpha
 from opprelay.montecarlo import (
     Combiner,
@@ -60,8 +60,8 @@ def test_c1_analytic_mc_agreement_rayleigh():
         for idx, snr_db in enumerate((0.0, 5.0, 10.0, 15.0, 20.0)):
             exact = outage_dfaf_sc(net, PW, RS, db(snr_db))
             est = estimate_outage_coupled(
-                net, scale_power(PW, db(snr_db)), RS, (Scheme.DFAF,),
-                10**6, seed=2026, confidence=0.99, stream_tag=(k, idx),
+                net, PW, RS, (Scheme.DFAF,),
+                10**6, seed=2026, confidence=0.99, stream_tag=(k, idx), snr=db(snr_db),
             ).estimates[Scheme.DFAF]
             total += 1
             covered += est.ci_low <= exact <= est.ci_high
@@ -79,7 +79,7 @@ def test_c2_hand_value():
     net = NetworkSpec.rayleigh(1)
     exact = outage_dfaf_sc(net, PW, RS, 10.0)
     est = estimate_outage_coupled(
-        net, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 10**7, seed=7, confidence=0.99
+        net, PW, RS, (Scheme.DFAF,), 10**7, seed=7, confidence=0.99, snr=10.0
     ).estimates[Scheme.DFAF]
     ok = abs(exact - 0.11694) <= 1e-5 and est.ci_low <= exact <= est.ci_high
     report(
@@ -180,9 +180,9 @@ def test_c7_mrc_ordering_coupled():
     adaptive scheme dominates per trial in all 1e6 trials and its outage
     CI sits strictly below both others."""
     coupled = estimate_outage_coupled(
-        FIG3_NET, scale_power(PW, 10.0), RS,
+        FIG3_NET, PW, RS,
         (Scheme.DFAF, Scheme.DF, Scheme.AF),
-        10**6, seed=12345, confidence=0.99, combiner=Combiner.MRC,
+        10**6, seed=12345, confidence=0.99, combiner=Combiner.MRC, snr=10.0,
     )
     viol = coupled.dominance_violations
     adaptive = coupled.estimates[Scheme.DFAF]

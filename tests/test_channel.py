@@ -12,7 +12,6 @@ from opprelay.channel import (
     LinkSnr,
     NetworkSpec,
     PowerSpec,
-    link_snr,
     make_stream,
     network_link_snrs,
     sample_snr,
@@ -70,27 +69,61 @@ class TestSpecs:
         assert pw.effective_direct_power == 5.0
 
 
+def link_laws(ch: ChannelSpec, snr: float = 1.0, **power):
+    """Direct, first-hop and second-hop laws of a one-relay network whose
+    three links are all ch."""
+    net = NetworkSpec(direct=ch, relays=((ch, ch),))
+    direct, ((first, second),) = network_link_snrs(net, PowerSpec(**power), snr)
+    return direct, first, second
+
+
 class TestLinkSnr:
     def test_definition(self):
-        ls = link_snr(ChannelSpec(m=1.0, omega=1.0), tx_power=10.0, n0=1.0)
-        assert ls.mean_snr == 10.0
-        assert ls.rate == pytest.approx(0.1)
-        ls = link_snr(ChannelSpec(m=2.0, omega=1.0), tx_power=10.0, n0=1.0)
-        assert ls.rate == pytest.approx(0.2)
+        for ls in link_laws(ChannelSpec(m=1.0, omega=1.0), snr=10.0):
+            assert ls.mean_snr == 10.0
+            assert ls.rate == pytest.approx(0.1)
+        for ls in link_laws(ChannelSpec(m=2.0, omega=1.0), snr=10.0):
+            assert ls.rate == pytest.approx(0.2)
+
+    def test_mean_is_spread_power_snr_over_noise(self):
+        ch = ChannelSpec(m=1.5, omega=0.7)
+        laws = link_laws(
+            ch, snr=3.0,
+            source_power=2.0, relay_power=5.0, direct_power=0.5, noise_variance=4.0,
+        )
+        for ls, tx in zip(laws, (0.5, 2.0, 5.0)):
+            assert ls.mean_snr == pytest.approx(0.7 * tx * 3.0 / 4.0)
+            assert ls.rate == pytest.approx(1.5 / ls.mean_snr)
+            assert ls.m == 1.5
 
     def test_forty_db_case(self):
-        ls = link_snr(ChannelSpec(m=0.5, omega=1.0), tx_power=1e4, n0=1.0)
-        assert ls.mean_snr == 1e4
+        for ls in link_laws(ChannelSpec(m=0.5, omega=1.0), snr=1e4):
+            assert ls.mean_snr == 1e4
 
     def test_scale_consistency(self):
+        # doubling one transmit power doubles its own link's mean SNR
+        # only; doubling snr doubles all three
         ch = ChannelSpec(m=1.5, omega=0.7)
-        assert link_snr(ch, 6.0, 2.0).mean_snr == 2.0 * link_snr(ch, 3.0, 2.0).mean_snr
+        base = dict(
+            snr=3.0, source_power=3.0, relay_power=3.0, direct_power=3.0, noise_variance=2.0
+        )
+        before = link_laws(ch, **base)
+        for field, link in (
+            ("direct_power", 0), ("source_power", 1), ("relay_power", 2), ("snr", None)
+        ):
+            after = link_laws(ch, **{**base, field: 2.0 * base[field]})
+            for i, (x, y) in enumerate(zip(before, after)):
+                factor = 2.0 if link in (None, i) else 1.0
+                assert y.mean_snr == factor * x.mean_snr, (field, i)
 
     def test_domain(self):
+        for snr in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                link_laws(ChannelSpec(m=1.0), snr=snr)
         with pytest.raises(ValueError):
-            link_snr(ChannelSpec(m=1.0), tx_power=0.0, n0=1.0)
+            link_laws(ChannelSpec(m=1.0), source_power=0.0)
         with pytest.raises(ValueError):
-            link_snr(ChannelSpec(m=1.0), tx_power=1.0, n0=-1.0)
+            link_laws(ChannelSpec(m=1.0), noise_variance=-1.0)
 
     def test_network_link_snrs_power_routing(self):
         net = NetworkSpec.from_shapes(1.0, [1.0], [1.0])

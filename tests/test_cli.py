@@ -184,6 +184,25 @@ class TestExitCodes:
         assert out == ""
         assert "configuration error" in err and "worker" in err
 
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_bounds_without_relays_is_config_error(self, capsys, tmp_path, to_file):
+        # rejected before any table is written, not after the curve CSV
+        import yaml
+
+        cfg = yaml.safe_load((SCENARIO_DIR / "fig2_rayleigh_K1.yaml").read_text())
+        cfg["network"]["relays"] = []
+        cfg["outputs"] = ["analytic", "bounds"]
+        cfg["schemes"] = ["af"]
+        path = tmp_path / "no_relays.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        target = tmp_path / "curve.csv"
+        argv = ["compare", "--scenario", str(path)]
+        code, out, err = run_cli(capsys, *argv, *(["--out", str(target)] if to_file else []))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "relay" in err
+        assert not list(tmp_path.glob("curve*"))
+
     def test_alpha_sweep_via_curve_command_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--scenario", "fig8_alpha_sweep")
         assert code == EXIT_CONFIG

@@ -378,6 +378,17 @@ class TestBoundsTable:
         with pytest.raises(ScenarioError, match="AF scheme"):
             run_scenario(bad)
 
+    def test_bounds_need_a_relay(self):
+        (s,) = preset("fig2_rayleigh_K1")
+        bad = replace(
+            s,
+            network=replace(s.network, relays=()),
+            outputs=frozenset({"analytic", "bounds"}),
+        )
+        for table in (run_scenario, af_bounds_rows):
+            with pytest.raises(ScenarioError, match="relay"):
+                table(bad)
+
 
 class TestScenarioFiles:
     @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))

@@ -17,7 +17,6 @@ from opprelay.channel import (
     make_stream,
     network_link_snrs,
     sample_snr,
-    scale_power,
 )
 from opprelay.experiments import Scenario, run_scenario
 from opprelay.montecarlo import (
@@ -66,7 +65,7 @@ def kernel(gamma0, gamma1, gamma2, scheme, combiner=Combiner.SC):
 def first_block(seed, n):
     """The draws of an untagged estimate's first block on NET3 at 10 dB,
     from its stream ids: 0 direct, 2i+1 and 2i+2 the hops of relay i."""
-    direct, relays = network_link_snrs(NET3, scale_power(PW, 10.0))
+    direct, relays = network_link_snrs(NET3, PW, snr=10.0)
 
     def draw(link, link_id):
         return sample_snr(link, make_stream(seed, 0, link_id), size=n)
@@ -186,7 +185,7 @@ class TestBlockInvariants:
         g0, g1, g2 = block
         combined = kernel(g0, g1, g2, Scheme.DFAF, Combiner.SC)
         est = estimate_outage_coupled(
-            NET3, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 2000, seed=77
+            NET3, PW, RS, (Scheme.DFAF,), 2000, seed=77, snr=10.0
         ).estimates[Scheme.DFAF]
         assert est.failures == np.count_nonzero(combined < RS.gamma_th)
 
@@ -226,7 +225,7 @@ class TestBlockEngineAgainstScalarLogic:
 class TestEstimators:
     def test_matches_closed_form_rayleigh(self):
         est = estimate_outage_coupled(
-            NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 10**6, seed=42
+            NET1, PW, RS, (Scheme.DFAF,), 10**6, seed=42, snr=10.0
         ).estimates[Scheme.DFAF]
         exact = outage_dfaf_sc(NET1, PW, RS, 10.0)
         assert est.ci_low <= exact <= est.ci_high
@@ -235,22 +234,23 @@ class TestEstimators:
     def test_df_and_adaptive_agree_in_distribution(self):
         # independent runs, overlapping 99% intervals
         a = estimate_outage_coupled(
-            NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 10**6, seed=1, stream_tag=(0,)
+            NET1, PW, RS, (Scheme.DFAF,), 10**6, seed=1, stream_tag=(0,), snr=10.0
         ).estimates[Scheme.DFAF]
         b = estimate_outage_coupled(
-            NET1, scale_power(PW, 10.0), RS, (Scheme.DF,), 10**6, seed=1, stream_tag=(1,)
+            NET1, PW, RS, (Scheme.DF,), 10**6, seed=1, stream_tag=(1,), snr=10.0
         ).estimates[Scheme.DF]
         assert a.ci_low <= b.ci_high and b.ci_low <= a.ci_high
 
     def test_mrc_ordering_with_coupled_trials(self):
         coupled = estimate_outage_coupled(
             NET3,
-            scale_power(PW, 10.0),
+            PW,
             RS,
             (Scheme.DFAF, Scheme.DF, Scheme.AF),
             10**6,
             seed=11,
             combiner=Combiner.MRC,
+            snr=10.0,
         )
         assert coupled.dominance_violations[Scheme.DF] == 0
         assert coupled.dominance_violations[Scheme.AF] == 0
@@ -259,17 +259,17 @@ class TestEstimators:
         assert adaptive.ci_high < coupled.estimates[Scheme.AF].ci_low
 
     def test_reproducible_same_seed(self):
-        kwargs = dict(trials=100_000, seed=5)
-        a = estimate_outage_coupled(NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), **kwargs)
-        b = estimate_outage_coupled(NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), **kwargs)
+        kwargs = dict(trials=100_000, seed=5, snr=10.0)
+        a = estimate_outage_coupled(NET1, PW, RS, (Scheme.DFAF,), **kwargs)
+        b = estimate_outage_coupled(NET1, PW, RS, (Scheme.DFAF,), **kwargs)
         assert a == b
 
     def test_worker_count_does_not_change_counts(self):
         a = estimate_outage_coupled(
-            NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 200_000, seed=5, workers=1
+            NET1, PW, RS, (Scheme.DFAF,), 200_000, seed=5, workers=1, snr=10.0
         )
         b = estimate_outage_coupled(
-            NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 200_000, seed=5, workers=3
+            NET1, PW, RS, (Scheme.DFAF,), 200_000, seed=5, workers=3, snr=10.0
         )
         assert a.estimates[Scheme.DFAF].failures == b.estimates[Scheme.DFAF].failures
 
@@ -281,22 +281,22 @@ class TestEstimators:
 
         monkeypatch.setattr(os, "fork", refuse)
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
-        args = (NET3, scale_power(PW, 10.0), RS, tuple(Scheme), 5 * BLOCK_SIZE)
-        serial = estimate_outage_coupled(*args, seed=5, workers=1)
+        args = (NET3, PW, RS, tuple(Scheme), 5 * BLOCK_SIZE)
+        serial = estimate_outage_coupled(*args, seed=5, workers=1, snr=10.0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = estimate_outage_coupled(*args, seed=5, workers=5)
+            threaded = estimate_outage_coupled(*args, seed=5, workers=5, snr=10.0)
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
 
     def test_stream_tags_give_distinct_runs(self):
         a = estimate_outage_coupled(
-            NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 10**5, seed=5, stream_tag=(0,)
+            NET1, PW, RS, (Scheme.DFAF,), 10**5, seed=5, stream_tag=(0,), snr=10.0
         )
         b = estimate_outage_coupled(
-            NET1, scale_power(PW, 10.0), RS, (Scheme.DFAF,), 10**5, seed=5, stream_tag=(1,)
+            NET1, PW, RS, (Scheme.DFAF,), 10**5, seed=5, stream_tag=(1,), snr=10.0
         )
         assert a.estimates[Scheme.DFAF].failures != b.estimates[Scheme.DFAF].failures
 
@@ -306,8 +306,8 @@ class TestEstimators:
         # the kernel shares each relay's decode mask and amplified SNR
         # between schemes; no scheme's count may depend on the others
         net = NetworkSpec.from_shapes(0.5, [1, 1.5, 2][:k], [2, 1, 0.5][:k])
-        args = (net, scale_power(PW, 3.0), RS)
-        kwargs = dict(trials=20_000, seed=8, combiner=combiner, stream_tag=(k, 4))
+        args = (net, PW, RS)
+        kwargs = dict(trials=20_000, seed=8, combiner=combiner, stream_tag=(k, 4), snr=3.0)
         coupled = estimate_outage_coupled(*args, tuple(Scheme), **kwargs)
         for s in Scheme:
             alone = estimate_outage_coupled(*args, (s,), **kwargs).estimates[s]
@@ -320,8 +320,8 @@ class TestEstimators:
             tracemalloc.start()
             try:
                 estimate_outage_coupled(
-                    NetworkSpec.rayleigh(k), scale_power(PW, 10.0), RS, tuple(Scheme),
-                    BLOCK_SIZE, seed=1, combiner=Combiner.MRC, workers=1,
+                    NetworkSpec.rayleigh(k), PW, RS, tuple(Scheme),
+                    BLOCK_SIZE, seed=1, combiner=Combiner.MRC, workers=1, snr=10.0,
                 )
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -393,8 +393,8 @@ class TestCurve:
         for k in (1, 2, 3):
             net = NetworkSpec.rayleigh(k)
             estimates[k] = estimate_outage_coupled(
-                net, scale_power(PW, 10.0 ** 1.5), RS, (Scheme.DFAF,),
-                10**6, seed=13, stream_tag=(k,),
+                net, PW, RS, (Scheme.DFAF,),
+                10**6, seed=13, stream_tag=(k,), snr=10.0 ** 1.5,
             ).estimates[Scheme.DFAF]
         assert estimates[2].ci_high < estimates[1].ci_low
         assert estimates[3].ci_high < estimates[2].ci_low
