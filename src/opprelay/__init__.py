@@ -7,15 +7,14 @@ from .analytic import (
     ClosedFormUnavailableError,
     QuadratureError,
     RateSpec,
+    Scheme,
     af_bounds,
     af_path_cdf_closed,
     af_path_cdf_quadrature,
     asymptotic_outage_dfaf,
     coding_gain_dfaf,
     diversity_order_dfaf,
-    outage_af_sc,
-    outage_df_sc,
-    outage_dfaf_sc,
+    outage_sc,
 )
 from .channel import (
     ChannelSpec,
@@ -44,7 +43,6 @@ from .montecarlo import (
     Combiner,
     CoupledEstimates,
     OutageEstimate,
-    Scheme,
     estimate_outage_coupled,
     wilson_interval,
 )

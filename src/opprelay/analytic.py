@@ -7,6 +7,11 @@ All outage expressions, exact and high-SNR, are driven by the per-link
 gamma rate parameters (shape / mean SNR), so they hold at any split of
 transmit power between source, relays and the direct link.
 
+outage_sc is the one exact closed form: the direct-link CDF times one
+path-failure factor per relay, and only that factor differs between the
+schemes.  The Scheme enum is defined here for it; the Monte Carlo engine
+and the experiments import it from this module.
+
 The AF path CDF has one route for any shapes, af_path_cdf_quadrature;
 the paper's Bessel sum for integer shapes, af_path_cdf_closed, is its
 reference.
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 
@@ -39,6 +45,12 @@ AF_QUAD_TOL = 1e-9
 
 # 16-point Gauss-Legendre nodes and weights on [-1, 1].
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+class Scheme(Enum):
+    DFAF = "dfaf"
+    DF = "df"
+    AF = "af"
 
 
 class ClosedFormUnavailableError(ValueError):
@@ -105,41 +117,40 @@ def _leading_term(hops: tuple[tuple[float, float], ...]) -> tuple[float, float]:
     return m_min, sum(_power_law(m, x) for m, x in hops if m == m_min)
 
 
-def outage_dfaf_sc(
-    net: NetworkSpec, power: PowerSpec, rs: RateSpec, snr: float
+def _relay_failure(
+    scheme: Scheme, first: LinkSnr, second: LinkSnr, rs: RateSpec
 ) -> float:
-    """Exact outage probability of adaptive decode-or-amplify relaying with
-    best-relay selection and selection combining, for gamma_th >= delta.
+    # Probability that one relay's path misses gamma_th.  AF: the amplified
+    # path's CDF.  DF: the relay fails to decode, or decodes and its second
+    # hop misses gamma_th.  DFAF shares the DF factor only for gamma_th >=
+    # delta, where the amplified path of a relay that cannot decode is
+    # capped by its first hop and misses too; below delta it may not, and
+    # the DF factor is an upper bound.
+    if scheme is Scheme.AF:
+        return af_path_cdf_quadrature(first, second, rs.gamma_th)
+    # The decode failure is the CDF P itself: 1 - Q would lose it deep in
+    # outage, where it is the leading term.  1 - P is exact enough for Q,
+    # which only ever adds to P.
+    decode_fail = snr_cdf(first, rs.delta)
+    second_fail = snr_cdf(second, rs.gamma_th)
+    return decode_fail + (1.0 - decode_fail) * second_fail
 
-    Product of the direct-link outage and, per relay, the probability that
-    the relay path fails: either the relay decodes (first hop clears the
-    decode threshold) but the second hop falls below gamma_th, or the
-    relay fails to decode, in which case the amplified path is capped by
-    the first hop and cannot clear the threshold either.  That last step
-    needs gamma_th >= delta; below it an amplified path can still clear
-    gamma_th, and this expression is the DF outage, an upper bound.
+
+def outage_sc(
+    scheme: Scheme, net: NetworkSpec, power: PowerSpec, rs: RateSpec, snr: float
+) -> float:
+    """Exact outage probability of a scheme with best-relay selection and
+    selection combining: the direct-link outage times, per relay, the
+    probability that the relay path fails (the paths are independent).
+
+    Exact at any gamma_th for DF and AF; for the adaptive scheme DFAF only
+    at gamma_th >= delta, below which it is the DF outage, an upper bound.
     """
     direct, relays = network_link_snrs(net, power, snr)
     p = snr_cdf(direct, rs.gamma_th)
     for first, second in relays:
-        # The decode failure is the CDF P itself: 1 - Q would lose it deep
-        # in outage, where it is the leading term.  1 - P is exact enough
-        # for Q, which only ever adds to P.
-        decode_fail = snr_cdf(first, rs.delta)
-        second_fail = snr_cdf(second, rs.gamma_th)
-        p *= decode_fail + (1.0 - decode_fail) * second_fail
+        p *= _relay_failure(scheme, first, second, rs)
     return p
-
-
-def outage_df_sc(
-    net: NetworkSpec, power: PowerSpec, rs: RateSpec, snr: float
-) -> float:
-    """Exact outage of opportunistic decode-and-forward under selection
-    combining, for any gamma_th.  For gamma_th >= delta it equals the
-    adaptive scheme's outage (a relay that cannot decode fails to clear
-    the threshold either way), so it shares that expression; kept as its
-    own named operation so scheme comparison tables stay explicit."""
-    return outage_dfaf_sc(net, power, rs, snr)
 
 
 def af_path_cdf_closed(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
@@ -249,23 +260,10 @@ def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     return value
 
 
-def outage_af_sc(
-    net: NetworkSpec, power: PowerSpec, rs: RateSpec, snr: float
-) -> float:
-    """Exact outage of opportunistic amplify-and-forward under selection
-    combining: direct-link outage times the product of the per-relay AF
-    path CDFs at gamma_th (the per-path failures are independent)."""
-    direct, relays = network_link_snrs(net, power, snr)
-    p = snr_cdf(direct, rs.gamma_th)
-    for first, second in relays:
-        p *= af_path_cdf_quadrature(first, second, rs.gamma_th)
-    return p
-
-
 def _leading_product(
     direct: LinkSnr, relays: tuple[tuple[LinkSnr, LinkSnr], ...], rs: RateSpec
 ) -> float:
-    # The exact product of outage_dfaf_sc with each CDF factor replaced by
+    # The exact DFAF product of outage_sc with each CDF factor replaced by
     # its leading small-argument term, at the given link descriptors: a
     # relay fails when the first hop misses delta or the second gamma_th.
     g = _power_law(direct.m, direct.rate * rs.gamma_th)

@@ -83,10 +83,9 @@ class NetworkSpec:
 class PowerSpec:
     """Transmit powers and noise level, all in linear units.
 
-    alpha is the source share of the total transmit power.  direct_power
-    is the power used on the source-destination link; it defaults to the
-    source power (configurable because unequal-power operation leaves
-    this choice open).
+    direct_power is the power used on the source-destination link; it
+    defaults to the source power (configurable because unequal-power
+    operation leaves this choice open).
     """
 
     source_power: float = 1.0
@@ -100,10 +99,6 @@ class PowerSpec:
                 raise ValueError(f"{name} must be positive")
         if self.direct_power is not None and not self.direct_power > 0.0:
             raise ValueError("direct_power must be positive when given")
-
-    @property
-    def alpha(self) -> float:
-        return self.source_power / (self.source_power + self.relay_power)
 
     @property
     def effective_direct_power(self) -> float:

@@ -12,6 +12,9 @@ snr_db, scheme, combiner, outage_analytic, outage_asymptotic, outage_mc,
 mc_ci_low, mc_ci_high, trials, failures.  Columns a scenario did not
 request stay empty.  Alpha-sweep, diversity-surface, slope-fit, and AF
 bound tables have their own documented column sets.
+
+Every exact value, in curves and slope fits alike, is analytic.outage_sc
+of the row's scheme.  A dB value too large for a float is a ScenarioError.
 """
 
 from __future__ import annotations
@@ -31,13 +34,12 @@ import numpy as np
 import yaml
 
 from . import analytic
-from .analytic import RateSpec
+from .analytic import RateSpec, Scheme
 from .channel import ChannelSpec, NetworkSpec, PowerSpec, network_link_snrs
 from .montecarlo import (
     MIN_RELIABLE_FAILURES,
     Combiner,
     OutageEstimate,
-    Scheme,
     estimate_outage_coupled,
 )
 
@@ -192,15 +194,11 @@ def fit_diversity(
     )
 
 
-_ANALYTIC_FNS: dict[Scheme, Callable] = {
-    Scheme.DFAF: analytic.outage_dfaf_sc,
-    Scheme.DF: analytic.outage_df_sc,
-    Scheme.AF: analytic.outage_af_sc,
-}
-
-
-def analytic_outage(s: Scenario, scheme: Scheme, snr: float) -> float:
-    return _ANALYTIC_FNS[scheme](s.network, s.power, s.rate, snr)
+def _db_to_linear(db: float) -> float:
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ScenarioError(f"{db} dB overflows a linear SNR") from None
 
 
 def _require_kind(s: Scenario, kind: str, what: str) -> None:
@@ -223,6 +221,8 @@ def _validate_curve_scenario(s: Scenario) -> None:
     _require_kind(s, "curve", "a curve")
     if not s.snr_grid_db:
         raise ScenarioError(f"scenario {s.name!r} has no SNR grid")
+    if not all(map(math.isfinite, s.snr_grid_db)):
+        raise ScenarioError("every snr_grid_db point must be finite")
     if any(b <= a for a, b in zip(s.snr_grid_db, s.snr_grid_db[1:])):
         raise ScenarioError("snr_grid_db must be strictly increasing")
     if s.outputs - {"montecarlo"}:
@@ -281,9 +281,10 @@ def _mc_columns(est: OutageEstimate | None) -> dict:
 def run_scenario(s: Scenario, workers: int = 1) -> list[CurveRow]:
     """Produce the curve table: one row per (snr_db, scheme)."""
     _validate_curve_scenario(s)
+    snrs = [_db_to_linear(snr_db) for snr_db in s.snr_grid_db]
     mc_cut = math.inf if s.mc_max_snr_db is None else s.mc_max_snr_db
     points = [
-        (idx, f"{snr_db} dB", s.power, 10.0 ** (snr_db / 10.0))
+        (idx, f"{snr_db} dB", s.power, snrs[idx])
         for idx, snr_db in enumerate(s.snr_grid_db)
         if "montecarlo" in s.outputs and snr_db <= mc_cut
     ]
@@ -292,15 +293,14 @@ def run_scenario(s: Scenario, workers: int = 1) -> list[CurveRow]:
     # The high-SNR law is one value per point, shared by the non-AF rows.
     with_asym = "asymptotic" in s.outputs and any(x is not Scheme.AF for x in s.schemes)
     rows = []
-    for idx, snr_db in enumerate(s.snr_grid_db):
-        snr = 10.0 ** (snr_db / 10.0)
+    for idx, (snr_db, snr) in enumerate(zip(s.snr_grid_db, snrs)):
         asym = None
         if with_asym:
             asym = analytic.asymptotic_outage_dfaf(s.network, s.power, s.rate, snr)
         for scheme in s.schemes:
             exact = None
             if "analytic" in s.outputs:
-                exact = analytic_outage(s, scheme, snr)
+                exact = analytic.outage_sc(scheme, s.network, s.power, s.rate, snr)
             rows.append(
                 CurveRow(
                     snr_db=snr_db,
@@ -320,8 +320,7 @@ def af_bounds_rows(s: Scenario) -> list[BoundsRow]:
     _validate_curve_scenario(s)
     rows = []
     for snr_db in s.snr_grid_db:
-        snr = 10.0 ** (snr_db / 10.0)
-        _, relays = network_link_snrs(s.network, s.power, snr)
+        _, relays = network_link_snrs(s.network, s.power, _db_to_linear(snr_db))
         for i, (first, second) in enumerate(relays):
             b = analytic.af_bounds(first, second, s.rate)
             rows.append(
@@ -348,6 +347,11 @@ def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
     if s.total_power is None or not s.total_power > 0.0:
         raise ScenarioError("alpha sweep needs a positive total_power")
     n0 = s.power.noise_variance
+    if s.power != PowerSpec(noise_variance=n0):
+        raise ScenarioError(
+            "an alpha sweep takes its power split from alphas and total_power; "
+            "its power block may set noise_variance only"
+        )
     points = [
         (idx, f"alpha={alpha}", PowerSpec.from_alpha(alpha, s.total_power, n0), 1.0)
         for idx, alpha in enumerate(s.alphas)
@@ -365,17 +369,18 @@ def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
     ]
 
 
-def _fit_closed_form(
-    outage: Callable[[float], float], window: tuple[float, float], theoretical_d: float
-) -> DiversityFit:
-    """Slope fit of a closed-form curve sampled in 1 dB steps from the
-    window's low end, none beyond its high end."""
-    lo, hi = window
+def _fit_closed_form(s: Scenario, scheme: Scheme, net: NetworkSpec) -> DiversityFit:
+    """Slope fit of the scheme's exact SC curve on net, sampled in 1 dB
+    steps from the low end of the scenario's window, none beyond its high
+    end, against the network's diversity order."""
+    lo, hi = s.fit_window_db
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ScenarioError(f"fit window [{lo}, {hi}] dB must be finite")
     curve = [
-        (db, outage(10.0 ** (db / 10.0)))
+        (db, analytic.outage_sc(scheme, net, s.power, s.rate, _db_to_linear(db)))
         for db in (lo + i for i in range(math.floor(hi - lo) + 1))
     ]
-    return fit_diversity(curve, window, theoretical_d)
+    return fit_diversity(curve, s.fit_window_db, analytic.diversity_order_dfaf(net))
 
 
 def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
@@ -395,11 +400,7 @@ def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
             direct=s.network.direct,
             relays=((ChannelSpec(m=g1), ChannelSpec(m=g2)),) * 2,
         )
-        fit = _fit_closed_form(
-            lambda snr: analytic.outage_dfaf_sc(net, s.power, s.rate, snr),
-            s.fit_window_db,
-            analytic.diversity_order_dfaf(net),
-        )
+        fit = _fit_closed_form(s, Scheme.DFAF, net)
         rows.append(
             SurfaceRow(
                 shape_first_hop=g1,
@@ -421,10 +422,9 @@ def fit_scenario_curves(s: Scenario) -> list[FitRow]:
     _validate_curve_scenario(s)
     _require_selection_combining(s, "a diversity fit")
     window = s.fit_window_db
-    d = analytic.diversity_order_dfaf(s.network)
     rows = []
     for scheme in s.schemes:
-        fit = _fit_closed_form(lambda snr: analytic_outage(s, scheme, snr), window, d)
+        fit = _fit_closed_form(s, scheme, s.network)
         rows.append(
             FitRow(
                 scheme=scheme.value,

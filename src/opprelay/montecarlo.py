@@ -13,6 +13,9 @@ Coupled mode evaluates several schemes on the same channel draws, which
 turns scheme comparisons into paired comparisons with far lower variance
 and makes the per-trial dominance of the adaptive scheme directly
 observable.
+
+The Scheme enum is defined in analytic, next to the closed forms that
+dispatch on it, and re-exported here.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .analytic import RateSpec
+from .analytic import RateSpec, Scheme
 from .channel import (
     NetworkSpec,
     PowerSpec,
@@ -35,12 +38,6 @@ from .channel import (
 )
 
 BLOCK_SIZE = 1 << 16
-
-
-class Scheme(Enum):
-    DFAF = "dfaf"
-    DF = "df"
-    AF = "af"
 
 
 class Combiner(Enum):

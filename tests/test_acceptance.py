@@ -17,9 +17,7 @@ from opprelay.analytic import (
     af_path_cdf_closed,
     af_path_cdf_quadrature,
     asymptotic_outage_dfaf,
-    outage_af_sc,
-    outage_df_sc,
-    outage_dfaf_sc,
+    outage_sc,
 )
 from opprelay.channel import LinkSnr, NetworkSpec, PowerSpec
 from opprelay.experiments import csv_text, preset, run_scenario, sweep_alpha
@@ -58,7 +56,7 @@ def test_c1_analytic_mc_agreement_rayleigh():
     for k in (1, 2, 3):
         net = NetworkSpec.rayleigh(k)
         for idx, snr_db in enumerate((0.0, 5.0, 10.0, 15.0, 20.0)):
-            exact = outage_dfaf_sc(net, PW, RS, db(snr_db))
+            exact = outage_sc(Scheme.DFAF, net, PW, RS, db(snr_db))
             est = estimate_outage_coupled(
                 net, PW, RS, (Scheme.DFAF,),
                 10**6, seed=2026, confidence=0.99, stream_tag=(k, idx), snr=db(snr_db),
@@ -77,7 +75,7 @@ def test_c2_hand_value():
     """Rayleigh K=1 at transmit SNR 10: closed form 0.11694 +- 1e-5 and a
     1e7-trial CI that covers it."""
     net = NetworkSpec.rayleigh(1)
-    exact = outage_dfaf_sc(net, PW, RS, 10.0)
+    exact = outage_sc(Scheme.DFAF, net, PW, RS, 10.0)
     est = estimate_outage_coupled(
         net, PW, RS, (Scheme.DFAF,), 10**7, seed=7, confidence=0.99, snr=10.0
     ).estimates[Scheme.DFAF]
@@ -112,12 +110,12 @@ def test_c4_diversity_slopes():
     checks = []
     for k, d in ((1, 1.8), (2, 2.8), (3, 3.8)):
         net = NetworkSpec.from_shapes(0.8, [1.0] * k, [1.0] * k)
-        s_adapt = fitted_slope(lambda snr: outage_dfaf_sc(net, PW, RS, snr))
-        s_af = fitted_slope(lambda snr: outage_af_sc(net, PW, RS, snr))
+        s_adapt = fitted_slope(lambda snr: outage_sc(Scheme.DFAF, net, PW, RS, snr))
+        s_af = fitted_slope(lambda snr: outage_sc(Scheme.AF, net, PW, RS, snr))
         checks.append((f"K{k}", s_adapt, d, 0.15))
         checks.append((f"K{k}-af", s_af, d, 0.2))
-    s_adapt = fitted_slope(lambda snr: outage_dfaf_sc(FIG3_NET, PW, RS, snr))
-    s_af = fitted_slope(lambda snr: outage_af_sc(FIG3_NET, PW, RS, snr))
+    s_adapt = fitted_slope(lambda snr: outage_sc(Scheme.DFAF, FIG3_NET, PW, RS, snr))
+    s_af = fitted_slope(lambda snr: outage_sc(Scheme.AF, FIG3_NET, PW, RS, snr))
     checks.append(("fig3", s_adapt, 3.5, 0.15))
     checks.append(("fig3-af", s_af, 3.5, 0.2))
     ok = all(abs(slope - d) <= tol for _, slope, d, tol in checks)
@@ -136,8 +134,8 @@ def test_c5_asymptotic_validity():
     for name, net in nets.items():
         gaps = []
         for snr_db in (30.0, 35.0, 40.0, 45.0, 50.0):
-            ratio = asymptotic_outage_dfaf(net, PW, RS, db(snr_db)) / outage_dfaf_sc(
-                net, PW, RS, db(snr_db)
+            ratio = asymptotic_outage_dfaf(net, PW, RS, db(snr_db)) / outage_sc(
+                Scheme.DFAF, net, PW, RS, db(snr_db)
             )
             gaps.append(abs(ratio - 1.0))
         ok &= gaps[2] <= 0.15
@@ -158,16 +156,15 @@ def test_c6_scheme_ordering_sc():
         for s in preset(name):
             grid = s.snr_grid_db or tuple(float(x) for x in range(0, 51, 5))
             for snr_db in grid:
-                a = outage_dfaf_sc(s.network, PW, s.rate, db(snr_db))
-                b = outage_df_sc(s.network, PW, s.rate, db(snr_db))
+                a = outage_sc(Scheme.DFAF, s.network, PW, s.rate, db(snr_db))
+                b = outage_sc(Scheme.DF, s.network, PW, s.rate, db(snr_db))
                 equal_everywhere &= a == b
     ordered = True
     for k in (1, 2, 3):
         net = NetworkSpec.rayleigh(k)
         for snr_db in (30.0, 35.0, 40.0):
-            ordered &= outage_dfaf_sc(net, PW, RS, db(snr_db)) <= outage_af_sc(
-                net, PW, RS, db(snr_db)
-            )
+            dfaf, af = (outage_sc(x, net, PW, RS, db(snr_db)) for x in (Scheme.DFAF, Scheme.AF))
+            ordered &= dfaf <= af
     report(
         equal_everywhere and ordered,
         "C6 scheme ordering (SC)",

@@ -22,6 +22,7 @@ import opprelay
 from opprelay.analytic import (
     ClosedFormUnavailableError,
     RateSpec,
+    Scheme,
     _power_law,
     af_bounds,
     af_path_cdf_closed,
@@ -29,9 +30,7 @@ from opprelay.analytic import (
     asymptotic_outage_dfaf,
     coding_gain_dfaf,
     diversity_order_dfaf,
-    outage_af_sc,
-    outage_df_sc,
-    outage_dfaf_sc,
+    outage_sc,
 )
 from opprelay.channel import ChannelSpec, LinkSnr, NetworkSpec, PowerSpec, make_stream, sample_snr
 
@@ -65,20 +64,20 @@ class TestExactOutage:
         # direct evaluation with exponential CDFs at transmit SNR 10
         e = math.exp(-0.3)
         hand = (1 - e) * (e * (1 - e) + (1 - e))
-        assert outage_dfaf_sc(NetworkSpec.rayleigh(1), PW, RS, 10.0) == pytest.approx(
+        assert outage_sc(Scheme.DFAF, NetworkSpec.rayleigh(1), PW, RS, 10.0) == pytest.approx(
             hand, abs=1e-15
         )
         assert hand == pytest.approx(0.11694, abs=1e-5)
 
     def test_no_relays_reduces_to_direct_link(self):
         net = NetworkSpec(direct=ChannelSpec(m=1.0))
-        assert outage_dfaf_sc(net, PW, RS, 10.0) == pytest.approx(
+        assert outage_sc(Scheme.DFAF, net, PW, RS, 10.0) == pytest.approx(
             1 - math.exp(-0.3), rel=1e-12
         )
 
     def test_monotone_decreasing_in_snr(self):
         net = NetworkSpec.rayleigh(2)
-        values = [outage_dfaf_sc(net, PW, RS, db(s)) for s in range(0, 61, 5)]
+        values = [outage_sc(Scheme.DFAF, net, PW, RS, db(s)) for s in range(0, 61, 5)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-9
 
@@ -86,7 +85,7 @@ class TestExactOutage:
         net = NetworkSpec.from_shapes(0.5, [1.0, 2.0], [1.0, 1.0])
         ths = [0.5, 1.0, 2.0, 3.0, 6.0]
         vals = [
-            outage_dfaf_sc(net, PW, RateSpec(rate=1.0, gamma_th=t), 50.0) for t in ths
+            outage_sc(Scheme.DFAF, net, PW, RateSpec(rate=1.0, gamma_th=t), 50.0) for t in ths
         ]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
@@ -100,7 +99,7 @@ class TestExactOutage:
                 list(rng.uniform(0.5, 3.0, k)),
             )
             snr = float(rng.uniform(0.1, 1e4))
-            p = outage_dfaf_sc(net, PW, RS, snr)
+            p = outage_sc(Scheme.DFAF, net, PW, RS, snr)
             assert 0.0 <= p <= 1.0
 
     def test_df_identical_to_dfaf(self):
@@ -113,7 +112,8 @@ class TestExactOutage:
                 list(rng.uniform(0.5, 3.0, k)),
             )
             snr = float(rng.uniform(0.1, 1e4))
-            assert outage_df_sc(net, PW, RS, snr) == outage_dfaf_sc(net, PW, RS, snr)
+            df, dfaf = (outage_sc(x, net, PW, RS, snr) for x in (Scheme.DF, Scheme.DFAF))
+            assert df == dfaf
 
 
 # P(g1 g2 / (g1 + g2 + 1) < 3) for hops (m1, mean SNR dB, m2, mean SNR dB),
@@ -328,41 +328,42 @@ class TestAfOutage:
         # method, whose value (1.7e-17 and 5.5e-18) is beyond what a
         # 1 - sum closed form resolves
         net = NetworkSpec.from_shapes(1.0, [m], [m])
-        assert outage_af_sc(net, PW, RS, db(snr_db)) == pytest.approx(expected, rel=1e-12, abs=0)
+        got = outage_sc(Scheme.AF, net, PW, RS, db(snr_db))
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_no_relays(self):
         net = NetworkSpec(direct=ChannelSpec(m=0.5))
-        assert outage_af_sc(net, PW, RS, 10.0) == outage_dfaf_sc(net, PW, RS, 10.0)
+        af, dfaf = (outage_sc(x, net, PW, RS, 10.0) for x in (Scheme.AF, Scheme.DFAF))
+        assert af == dfaf
 
     def test_single_relay_factorization(self):
         net = NetworkSpec.rayleigh(1)
         h = LinkSnr(mean_snr=10.0, m=1.0)
         expected = (1 - math.exp(-0.3)) * af_path_cdf_closed(h, h, 3.0)
-        assert outage_af_sc(net, PW, RS, 10.0) == pytest.approx(expected, rel=1e-12)
+        assert outage_sc(Scheme.AF, net, PW, RS, 10.0) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("snr_db", [30.0, 35.0, 40.0])
     def test_adaptive_beats_af_at_high_snr(self, snr_db):
         for k in (1, 2, 3):
             net = NetworkSpec.rayleigh(k)
-            assert outage_dfaf_sc(net, PW, RS, db(snr_db)) <= outage_af_sc(
-                net, PW, RS, db(snr_db)
-            )
+            x = db(snr_db)
+            assert outage_sc(Scheme.DFAF, net, PW, RS, x) <= outage_sc(Scheme.AF, net, PW, RS, x)
 
     def test_af_product_over_relays(self):
         net2 = NetworkSpec.rayleigh(2)
         h = LinkSnr(mean_snr=10.0, m=1.0)
         f = af_path_cdf_closed(h, h, 3.0)
         expected = (1 - math.exp(-0.3)) * f * f
-        assert outage_af_sc(net2, PW, RS, 10.0) == pytest.approx(expected, rel=1e-12)
+        assert outage_sc(Scheme.AF, net2, PW, RS, 10.0) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_and_bounded(self):
         net = NetworkSpec.from_shapes(0.5, [1.0, 2.0], [2.0, 1.0])
-        values = [outage_af_sc(net, PW, RS, db(s)) for s in range(0, 51, 5)]
+        values = [outage_sc(Scheme.AF, net, PW, RS, db(s)) for s in range(0, 51, 5)]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
         ths = [1.0, 2.0, 3.0, 6.0]
         by_th = [
-            outage_af_sc(net, PW, RateSpec(rate=1.0, gamma_th=t), 100.0) for t in ths
+            outage_sc(Scheme.AF, net, PW, RateSpec(rate=1.0, gamma_th=t), 100.0) for t in ths
         ]
         assert all(b >= a for a, b in zip(by_th, by_th[1:]))
 
@@ -387,7 +388,7 @@ class TestAsymptotics:
         net = NetworkSpec.from_shapes(0.5, [1, 1, 2], [1, 1, 1])
         ratios = []
         for snr_db in (30, 35, 40, 45, 50):
-            exact = outage_dfaf_sc(net, PW, RS, db(snr_db))
+            exact = outage_sc(Scheme.DFAF, net, PW, RS, db(snr_db))
             asym = asymptotic_outage_dfaf(net, PW, RS, db(snr_db))
             ratios.append(asym / exact)
         assert abs(ratios[2] - 1.0) < 0.15  # within 15% at 40 dB
@@ -431,7 +432,7 @@ class TestAsymptotics:
     )
     def test_balanced_branch_away_from_default_binding(self, net, rs):
         # a1 delta != a2 gamma_th: each hop's own leading term counts
-        exact = outage_dfaf_sc(net, PW, rs, db(70.0))
+        exact = outage_sc(Scheme.DFAF, net, PW, rs, db(70.0))
         asym = asymptotic_outage_dfaf(net, PW, rs, db(70.0))
         assert abs(asym / exact - 1.0) < 1e-2
 
@@ -477,7 +478,7 @@ class TestAsymptotics:
             gap = {
                 x: abs(
                     asymptotic_outage_dfaf(net, pw, rs, db(x))
-                    / outage_dfaf_sc(net, pw, rs, db(x))
+                    / outage_sc(Scheme.DFAF, net, pw, rs, db(x))
                     - 1.0
                 )
                 for x in (70.0, 110.0)
@@ -488,14 +489,14 @@ class TestAsymptotics:
         # at 70 dB the first hop's decode failure P(3, a1 delta) ~ 1e-21
         # is the relay factor's leading term; 1 - Q(3, .) would lose it
         net = NetworkSpec.from_shapes(1.0, [3.0], [4.0])
-        exact = outage_dfaf_sc(net, PW, RS, db(70.0))
+        exact = outage_sc(Scheme.DFAF, net, PW, RS, db(70.0))
         asym = asymptotic_outage_dfaf(net, PW, RS, db(70.0))
         assert abs(asym / exact - 1.0) < 1e-3
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fig4_configs_within_15_percent_at_40db(self, k):
         net = NetworkSpec.from_shapes(0.8, [1.0] * k, [1.0] * k)
-        exact = outage_dfaf_sc(net, PW, RS, db(40.0))
+        exact = outage_sc(Scheme.DFAF, net, PW, RS, db(40.0))
         asym = asymptotic_outage_dfaf(net, PW, RS, db(40.0))
         assert abs(asym / exact - 1.0) < 0.15
 
@@ -554,7 +555,7 @@ class TestSlopeLaw:
     )
     def test_fitted_slope_matches_diversity(self, net, d):
         xs = np.arange(35.0, 45.5, 1.0)
-        ys = [outage_dfaf_sc(net, PW, RS, db(x)) for x in xs]
+        ys = [outage_sc(Scheme.DFAF, net, PW, RS, db(x)) for x in xs]
         slope = -np.polyfit(xs / 10.0, np.log10(ys), 1)[0]
         assert abs(slope - d) <= 0.15
 

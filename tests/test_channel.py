@@ -53,10 +53,10 @@ class TestSpecs:
 
     def test_power_spec(self):
         pw = PowerSpec(source_power=4.0, relay_power=6.0)
-        assert pw.alpha == 0.4
+        assert pw.source_power / (pw.source_power + pw.relay_power) == 0.4
         split = PowerSpec.from_alpha(0.3, 10.0)
         assert split.source_power + split.relay_power == pytest.approx(10.0)
-        assert split.alpha == pytest.approx(0.3)
+        assert split.source_power / (split.source_power + split.relay_power) == pytest.approx(0.3)
         with pytest.raises(ValueError):
             PowerSpec.from_alpha(1.0, 10.0)
         with pytest.raises(ValueError):

@@ -203,6 +203,50 @@ class TestExitCodes:
         assert "relay" in err
         assert not list(tmp_path.glob("curve*"))
 
+    def test_alpha_sweep_power_block_is_config_error(self, capsys, tmp_path):
+        # a power split other than the alphas' would be silently dropped
+        text = (SCENARIO_DIR / "fig8_alpha_sweep.yaml").read_text()
+        path = tmp_path / "sweep.yaml"
+        path.write_text(text.replace("power: {noise_variance: 1.0}", "power: {direct_power: 50}"))
+        target = tmp_path / "alpha.csv"
+        code, out, err = run_cli(
+            capsys, "sweep-alpha", "--scenario", str(path),
+            "--trials", "20000", "--out", str(target),
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "total_power" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("window", [("35", "inf"), ("3080", "3090")])
+    def test_unrepresentable_fit_window_is_config_error(self, capsys, tmp_path, window):
+        # an infinite bound, or one whose linear SNR overflows a float
+        target = tmp_path / "fit.csv"
+        code, out, err = run_cli(
+            capsys, "fit-diversity", "--scenario", "fig4_K1",
+            "--window-db", *window, "--out", str(target),
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "configuration error" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("top", [4000.0, float("inf")], ids=["overflow", "inf"])
+    def test_unrepresentable_grid_point_is_config_error(self, capsys, tmp_path, top):
+        # an inf point used to write an inf row, an overflowing one to crash
+        import yaml
+
+        cfg = yaml.safe_load((SCENARIO_DIR / "fig4_K1.yaml").read_text())
+        cfg["snr_grid_db"] = [10.0, top]
+        path = tmp_path / "grid.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        target = tmp_path / "curve.csv"
+        code, out, err = run_cli(capsys, "analytic", "--scenario", str(path), "--out", str(target))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "configuration error" in err
+        assert not target.exists()
+
     def test_alpha_sweep_via_curve_command_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--scenario", "fig8_alpha_sweep")
         assert code == EXIT_CONFIG

@@ -334,6 +334,22 @@ class TestSweepAlpha:
         assert rel_gap(0.9) < 0.03
         assert rel_gap(0.2) > 0.05
 
+    @pytest.mark.parametrize(
+        "power",
+        [
+            PowerSpec(direct_power=50.0),
+            PowerSpec(source_power=2.0),
+            PowerSpec(relay_power=0.5, noise_variance=2.0),
+        ],
+        ids=["direct", "source", "relay"],
+    )
+    def test_power_beyond_noise_is_refused(self, power):
+        # the split comes from alphas and total_power, so any other power
+        # setting would be silently dropped
+        (s,) = preset("fig8_alpha_sweep")
+        with pytest.raises(ScenarioError, match="alphas and total_power"):
+            sweep_alpha(small(s, alphas=(0.5,), power=power))
+
     def test_validation(self):
         (s,) = preset("fig8_alpha_sweep")
         with pytest.raises(ScenarioError, match="alpha"):

@@ -26,8 +26,7 @@ import scipy
 from opprelay.analytic import (
     RateSpec,
     asymptotic_outage_dfaf,
-    outage_af_sc,
-    outage_dfaf_sc,
+    outage_sc,
 )
 from opprelay.channel import ChannelSpec, NetworkSpec, PowerSpec, network_link_snrs
 from opprelay.experiments import Scenario, run_scenario
@@ -42,8 +41,8 @@ SAME_LIBRARIES = FROZEN["captured_with"] == {
 SEEDS = range(20)
 SNR_DB = (0.0, 15.0, 30.0, 45.0, 60.0)
 CLOSED_FORMS = {
-    "outage_dfaf_sc": outage_dfaf_sc,
-    "outage_af_sc": outage_af_sc,
+    "outage_dfaf_sc": lambda *args: outage_sc(Scheme.DFAF, *args),
+    "outage_af_sc": lambda *args: outage_sc(Scheme.AF, *args),
     "asymptotic_outage_dfaf": asymptotic_outage_dfaf,
 }
 # Coupled failures per scheme at 10 dB on network(3): three relays and a

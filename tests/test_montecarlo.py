@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from opprelay import montecarlo
-from opprelay.analytic import RateSpec, outage_dfaf_sc
+from opprelay.analytic import RateSpec, outage_sc
 from opprelay.channel import (
     NetworkSpec,
     PowerSpec,
@@ -227,7 +227,7 @@ class TestEstimators:
         est = estimate_outage_coupled(
             NET1, PW, RS, (Scheme.DFAF,), 10**6, seed=42, snr=10.0
         ).estimates[Scheme.DFAF]
-        exact = outage_dfaf_sc(NET1, PW, RS, 10.0)
+        exact = outage_sc(Scheme.DFAF, NET1, PW, RS, 10.0)
         assert est.ci_low <= exact <= est.ci_high
         assert est.failures == round(est.probability * est.trials)
 
@@ -405,7 +405,8 @@ class TestCurve:
             curve_scenario(NET3, grid, 10**6, seed=2026, outputs=("analytic", "montecarlo"))
         )
         for r in rows:
-            assert r.outage_analytic == outage_dfaf_sc(NET3, PW, RS, 10.0 ** (r.snr_db / 10.0))
+            snr = 10.0 ** (r.snr_db / 10.0)
+            assert r.outage_analytic == outage_sc(Scheme.DFAF, NET3, PW, RS, snr)
             assert r.mc_ci_low <= r.outage_analytic <= r.mc_ci_high
 
     def test_warns_on_few_failures(self):
