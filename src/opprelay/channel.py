@@ -175,15 +175,24 @@ def make_stream(master_seed: int, *key: int) -> np.random.Generator:
 
 
 def sample_snr(
-    link: LinkSnr, rng_stream: np.random.Generator, size: int | None = None
+    link: LinkSnr,
+    rng_stream: np.random.Generator,
+    size: int | None = None,
+    out: np.ndarray | None = None,
 ):
     """Draw instantaneous SNR values: gamma with shape m, scale mean/m.
 
-    numpy's generator handles shape < 1 via the boosted rejection sampler
-    (draw at shape m+1, multiply by U^(1/m)), which the half-integer
-    shapes here need.
+    Draws size values, or fills out (a contiguous float64 array of that
+    size, when both are given) in place and returns it.  Standard gamma
+    variates scaled in place are bit for bit numpy's gamma(m, mean/m),
+    which draws the same variates and multiplies by the scale.  numpy's
+    generator handles shape < 1 via the boosted rejection sampler (draw at
+    shape m+1, multiply by U^(1/m)), which the half-integer shapes here
+    need.
     """
-    return rng_stream.gamma(shape=link.m, scale=link.mean_snr / link.m, size=size)
+    x = rng_stream.standard_gamma(link.m, size=size, out=out)
+    x *= link.mean_snr / link.m
+    return x
 
 
 def snr_cdf(link: LinkSnr, y: float) -> float:

@@ -336,6 +336,12 @@ def af_bounds_rows(s: Scenario) -> list[BoundsRow]:
     return rows
 
 
+_ALPHA_POWER_KEYS = (
+    "an alpha sweep takes its power split from alphas and total_power; "
+    "its power block may set noise_variance only"
+)
+
+
 def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
     """Monte Carlo outage per (power split alpha, scheme) at fixed total
     power, coupled trials across schemes at each alpha."""
@@ -348,10 +354,7 @@ def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
         raise ScenarioError("alpha sweep needs a positive total_power")
     n0 = s.power.noise_variance
     if s.power != PowerSpec(noise_variance=n0):
-        raise ScenarioError(
-            "an alpha sweep takes its power split from alphas and total_power; "
-            "its power block may set noise_variance only"
-        )
+        raise ScenarioError(_ALPHA_POWER_KEYS)
     points = [
         (idx, f"alpha={alpha}", PowerSpec.from_alpha(alpha, s.total_power, n0), 1.0)
         for idx, alpha in enumerate(s.alphas)
@@ -570,13 +573,19 @@ _SCENARIO_KEYS = {
 
 def scenario_from_dict(cfg: dict) -> Scenario:
     """Build a scenario from its file schema; absent keys take the
-    defaults of Scenario, RateSpec, PowerSpec and ChannelSpec."""
+    defaults of Scenario, RateSpec, PowerSpec and ChannelSpec.  An alpha
+    sweep's power block may name noise_variance only, even at a default
+    value, since the parsed PowerSpec no longer shows which keys were set."""
     try:
-        return Scenario(**_parsed(cfg, _SCENARIO_KEYS))
+        s = Scenario(**_parsed(cfg, _SCENARIO_KEYS))
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario config: {exc}") from exc
+    ignored = sorted(map(str, cfg.get("power", {}).keys() - {"noise_variance"}))
+    if s.kind == "alpha_sweep" and ignored:
+        raise ScenarioError(f"{_ALPHA_POWER_KEYS}, not {ignored}")
+    return s
 
 
 def load_scenario(path: str | os.PathLike | Traversable) -> Scenario:

@@ -5,9 +5,10 @@ The engine partitions trials into fixed-size blocks; every (block, link)
 pair draws from its own random stream derived from the master seed, so
 failure counts are bit-identical for any worker count and scheduling
 order.  Within a block the kernel draws one relay's hops at a time and
-folds them into a running best per scheme, so memory does not grow with
-the number of relays.  Aggregation is a plain sum of per-block failure
-counts.
+folds them into a running best per scheme.  Each worker draws and folds
+every block it resolves into one set of block-sized buffers, so its
+memory is flat in the number of relays and of blocks.  Aggregation is a
+plain sum of per-block failure counts.
 
 Coupled mode evaluates several schemes on the same channel draws, which
 turns scheme comparisons into paired comparisons with far lower variance
@@ -85,7 +86,32 @@ def wilson_interval(
     return min(max(0.0, centre - half), p), max(min(1.0, centre + half), p)
 
 
-def _combined_snrs(g0, hops, rs: RateSpec, schemes, combiner: Combiner):
+class _Workspace:
+    """Block-sized arrays one worker reuses for every block it resolves.
+
+    Rows of one float block hold the direct link's and a relay's two hops'
+    draws, the amplified SNR, a temporary and a running best per scheme;
+    rows of one bool block hold the decode mask and a comparison mask."""
+
+    def __init__(self, schemes, floats: np.ndarray, masks: np.ndarray) -> None:
+        self.g0, self.g1, self.g2, self.amplified, self.tmp, *best = floats
+        self.best = dict(zip(schemes, best))
+        self.decoded, self.mask = masks
+        self._blocks = (schemes, floats, masks)
+
+    @classmethod
+    def allocate(cls, n: int, schemes) -> _Workspace:
+        return cls(schemes, np.empty((5 + len(schemes), n)), np.empty((2, n), dtype=bool))
+
+    def head(self, n: int) -> _Workspace:
+        """Views of the first n trials of every array, for a short block."""
+        schemes, floats, masks = self._blocks
+        return _Workspace(schemes, floats[:, :n], masks[:, :n])
+
+
+def _combined_snrs(
+    g0, hops, rs: RateSpec, schemes, combiner: Combiner, ws: _Workspace | None = None
+):
     """Combined destination SNR of each trial for each scheme: g0 holds the
     direct-link draws, hops yields each relay's (g1, g2) draws.
 
@@ -96,23 +122,40 @@ def _combined_snrs(g0, hops, rs: RateSpec, schemes, combiner: Combiner):
     nonnegative, so a running best that starts at zero is the selected
     relay's SNR, and zero with no relays.  The decode mask and the
     amplified SNR are computed only when a requested scheme reads them.
+
+    Every result is written into ws, a _Workspace as long as g0 that is
+    allocated when absent; the returned arrays are its running bests.
     """
-    best = {s: np.zeros_like(g0) for s in schemes}
+    if ws is None:
+        ws = _Workspace.allocate(len(g0), schemes)
+    best, decoded, amplified, tmp = ws.best, ws.decoded, ws.amplified, ws.tmp
+    for relay in best.values():
+        relay.fill(0.0)
     decodes = Scheme.DFAF in best or Scheme.DF in best
     amplifies = Scheme.DFAF in best or Scheme.AF in best
     for g1, g2 in hops:
-        decoded = g1 >= rs.delta if decodes else None
-        amplified = g1 * g2 / (g1 + g2 + 1.0) if amplifies else None
+        if decodes:
+            np.greater_equal(g1, rs.delta, out=decoded)
+        if amplifies:
+            # g1 * g2 / (g1 + g2 + 1.0), in that operation order
+            np.multiply(g1, g2, out=amplified)
+            np.add(g1, g2, out=tmp)
+            tmp += 1.0
+            amplified /= tmp
         for s, relay in best.items():
             if s is Scheme.DFAF:
-                metric = np.where(decoded, g2, amplified)
+                np.copyto(tmp, amplified)
+                np.copyto(tmp, g2, where=decoded)
+                np.maximum(relay, tmp, out=relay)
             elif s is Scheme.DF:
-                metric = np.where(decoded, g2, 0.0)
+                # an undecoded relay's metric is zero, never above relay
+                np.maximum(relay, g2, out=relay, where=decoded)
             else:
-                metric = amplified
-            np.maximum(relay, metric, out=relay)
+                np.maximum(relay, amplified, out=relay)
     combine = np.maximum if combiner is Combiner.SC else np.add
-    return {s: combine(g0, relay, out=relay) for s, relay in best.items()}
+    for relay in best.values():
+        combine(g0, relay, out=relay)
+    return best
 
 
 def _run_counts(
@@ -122,13 +165,13 @@ def _run_counts(
     the adaptive scheme's combined SNR fell strictly below another's.
 
     Each worker resolves one contiguous range of blocks in one loop: the
-    calling thread the first range, pool threads the others.  The gamma
-    draws, most of the work, release the interpreter lock while they fill
-    a block, so the threads overlap.  One worker thus starts no thread; a
-    fresh thread per estimate gets a fresh malloc arena, which measured up
-    to 10 MB more peak RSS on single-worker runs.  A block's relay hops
-    are drawn lazily, one relay at a time, as the kernel folds them in, so
-    a worker's memory is flat in the number of relays."""
+    calling thread the first range, pool threads the others, so one
+    worker starts no thread.  The gamma draws, most of the work, release
+    the interpreter lock while they fill a block, so the threads overlap.
+    A worker allocates one _Workspace and draws and folds every block into
+    it, relay by relay, so its memory is flat in the number of relays and
+    of blocks, and its pages are faulted in once per estimate rather than
+    once per block.  A short last block uses views of the workspace."""
     direct, relays = network_link_snrs(net, power, snr)
     n_blocks = -(-trials // BLOCK_SIZE)
     workers = min(workers, n_blocks)
@@ -137,24 +180,31 @@ def _run_counts(
     def range_counts(block_lo: int, block_hi: int):
         failures = {s: 0 for s in schemes}
         violations = {s: 0 for s in schemes if s is not Scheme.DFAF}
+        full = _Workspace.allocate(min(BLOCK_SIZE, trials), schemes)
+
+        def draw(link, block, link_id, buf):
+            stream = make_stream(seed, *tag, block, link_id)
+            return sample_snr(link, stream, size=len(buf), out=buf)
+
         for block in range(block_lo, block_hi):
-            n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
+            ws = full.head(min(BLOCK_SIZE, trials - block * BLOCK_SIZE))
             # Link ids: 0 direct, 2i+1 first hop of relay i, 2i+2 second hop.
-            g0 = sample_snr(direct, make_stream(seed, *tag, block, 0), size=n)
+            g0 = draw(direct, block, 0, ws.g0)
             hops = (
-                (
-                    sample_snr(first, make_stream(seed, *tag, block, 2 * i + 1), size=n),
-                    sample_snr(second, make_stream(seed, *tag, block, 2 * i + 2), size=n),
-                )
+                (draw(first, block, 2 * i + 1, ws.g1), draw(second, block, 2 * i + 2, ws.g2))
                 for i, (first, second) in enumerate(relays)
             )
-            combined = _combined_snrs(g0, hops, rs, schemes, combiner)
+            combined = _combined_snrs(g0, hops, rs, schemes, combiner, ws)
             for s in schemes:
-                failures[s] += int(np.count_nonzero(combined[s] < rs.gamma_th))
+                failures[s] += int(
+                    np.count_nonzero(np.less(combined[s], rs.gamma_th, out=ws.mask))
+                )
             if Scheme.DFAF in combined:
                 for s in violations:
                     violations[s] += int(
-                        np.count_nonzero(combined[Scheme.DFAF] < combined[s])
+                        np.count_nonzero(
+                            np.less(combined[Scheme.DFAF], combined[s], out=ws.mask)
+                        )
                     )
         return failures, violations
 

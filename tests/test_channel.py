@@ -17,6 +17,7 @@ from opprelay.channel import (
     sample_snr,
     snr_cdf,
 )
+from opprelay.montecarlo import BLOCK_SIZE
 
 
 def upper_gamma_quadrature(a: float, x: float) -> float:
@@ -162,6 +163,22 @@ class TestSampling:
         draws = sample_snr(link, rng, size=10**5)
         pvalue = stats.kstest(draws, stats.gamma(a=m, scale=gbar / m).cdf).pvalue
         assert pvalue > 0.01
+
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 2.0, 3.3])
+    @pytest.mark.parametrize("mean", [0.1, 3.0, 1e4])
+    @pytest.mark.parametrize("n", [BLOCK_SIZE, 1000])
+    def test_filling_a_buffer_draws_the_same_bits(self, m, mean, n):
+        # Monte Carlo blocks draw into reused buffers, a short block into
+        # the head of one; the values must be those of a fresh draw
+        link = LinkSnr(mean_snr=mean, m=m)
+        buf = np.full(BLOCK_SIZE, np.nan)
+        filled = sample_snr(link, make_stream(9, 1), out=buf[:n])
+        drawn = sample_snr(link, make_stream(9, 1), size=n)
+        scaled = make_stream(9, 1).gamma(m, mean / m, size=n)
+        assert np.shares_memory(filled, buf)
+        assert np.array_equal(filled.view(np.int64), drawn.view(np.int64))
+        assert np.array_equal(drawn.view(np.int64), scaled.view(np.int64))
+        assert np.isnan(buf[n:]).all()
 
     @pytest.mark.parametrize("m", [0.5, 0.8, 1.0, 2.0, 3.0])
     def test_variance(self, m):

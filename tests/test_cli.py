@@ -218,6 +218,24 @@ class TestExitCodes:
         assert "total_power" in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("key", ["source_power", "relay_power"])
+    def test_alpha_sweep_default_power_key_is_config_error(self, capsys, tmp_path, key):
+        # a key spelt out at its default value is refused when the file is
+        # parsed: the alphas would override it all the same
+        text = (SCENARIO_DIR / "fig8_alpha_sweep.yaml").read_text()
+        path = tmp_path / "sweep.yaml"
+        block = f"power: {{noise_variance: 1.0, {key}: 1.0}}"
+        path.write_text(text.replace("power: {noise_variance: 1.0}", block))
+        target = tmp_path / "alpha.csv"
+        code, out, err = run_cli(
+            capsys, "sweep-alpha", "--scenario", str(path),
+            "--trials", "20000", "--out", str(target),
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert key in err and "noise_variance only" in err
+        assert not target.exists()
+
     @pytest.mark.parametrize("window", [("35", "inf"), ("3080", "3090")])
     def test_unrepresentable_fit_window_is_config_error(self, capsys, tmp_path, window):
         # an infinite bound, or one whose linear SNR overflows a float

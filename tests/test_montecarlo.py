@@ -62,13 +62,14 @@ def kernel(gamma0, gamma1, gamma2, scheme, combiner=Combiner.SC):
     return _combined_snrs(g0, zip(g1, g2), RS, (scheme,), combiner)[scheme]
 
 
-def first_block(seed, n):
-    """The draws of an untagged estimate's first block on NET3 at 10 dB,
-    from its stream ids: 0 direct, 2i+1 and 2i+2 the hops of relay i."""
+def first_block(seed, n, block=0):
+    """The draws of an untagged estimate's first block (or the given one)
+    on NET3 at 10 dB, from its stream ids: 0 direct, 2i+1 and 2i+2 the
+    hops of relay i."""
     direct, relays = network_link_snrs(NET3, PW, snr=10.0)
 
     def draw(link, link_id):
-        return sample_snr(link, make_stream(seed, 0, link_id), size=n)
+        return sample_snr(link, make_stream(seed, block, link_id), size=n)
 
     g0 = draw(direct, 0)
     g1 = np.array([draw(first, 2 * i + 1) for i, (first, _) in enumerate(relays)])
@@ -222,6 +223,34 @@ class TestBlockEngineAgainstScalarLogic:
             assert combined[t] == expected
 
 
+class TestBlockBuffersReused:
+    # three blocks, the last one short: a running best or mask not reset
+    # between blocks, or a stale tail read in the short block, moves a
+    # count away from the sum of freshly drawn blocks
+    TRIALS = 2 * BLOCK_SIZE + 1000
+
+    @pytest.mark.parametrize("combiner", list(Combiner))
+    def test_counts_are_sums_over_fresh_blocks(self, combiner):
+        failures = dict.fromkeys(Scheme, 0)
+        violations = dict.fromkeys((Scheme.DF, Scheme.AF), 0)
+        for block in range(3):
+            n = min(BLOCK_SIZE, self.TRIALS - block * BLOCK_SIZE)
+            g0, g1, g2 = first_block(seed=31, n=n, block=block)
+            for trial in zip(g0.tolist(), g1.T.tolist(), g2.T.tolist()):
+                combined = {s: scalar_combined_snr(*trial, RS, s, combiner) for s in Scheme}
+                for s in Scheme:
+                    failures[s] += combined[s] < RS.gamma_th
+                for s in violations:
+                    violations[s] += combined[Scheme.DFAF] < combined[s]
+        for workers in (1, 2, 3):
+            coupled = estimate_outage_coupled(
+                NET3, PW, RS, tuple(Scheme), self.TRIALS,
+                seed=31, combiner=combiner, workers=workers, snr=10.0,
+            )
+            assert {s: e.failures for s, e in coupled.estimates.items()} == failures
+            assert coupled.dominance_violations == violations
+
+
 class TestEstimators:
     def test_matches_closed_form_rayleigh(self):
         est = estimate_outage_coupled(
@@ -328,6 +357,20 @@ class TestEstimators:
                 tracemalloc.stop()
 
         assert traced_peak(8) <= 1.1 * traced_peak(2)
+
+    def test_repeat_estimate_faults_few_pages(self):
+        # each worker draws and folds every block into one set of buffers,
+        # so a repeat estimate maps little new memory (about 1,000 pages
+        # at most); arrays allocated afresh per block took about 16,800
+        resource = pytest.importorskip("resource")
+        if not sys.platform.startswith("linux"):
+            pytest.skip("minor page faults are counted as on Linux")
+        args = (NET3, PW, RS, tuple(Scheme), 10**6)
+        kwargs = dict(seed=11, combiner=Combiner.MRC, workers=1, snr=10.0)
+        estimate_outage_coupled(*args, **kwargs)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        estimate_outage_coupled(*args, **kwargs)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 4000
 
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError):
