@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
-import yaml
 
 from . import analytic
 from .analytic import RateSpec, Scheme
@@ -517,9 +516,32 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(float(x) for x in values)
 
 
+def _integral(value) -> int:
+    """A whole number; a fraction, a bool or a string is an error rather
+    than silently truncated or converted."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ScenarioError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
+def _flag(value) -> bool:
+    """A YAML boolean; a quoted "false" would otherwise read as true."""
+    if not isinstance(value, bool):
+        raise ScenarioError(f"expected true or false, got {value!r}")
+    return value
+
+
+_GRID_KEYS = dict.fromkeys(("start", "stop", "step"), float)
+
+
 def _grid_from_config(cfg) -> tuple[float, ...]:
     if isinstance(cfg, dict):
-        start, stop, step = float(cfg["start"]), float(cfg["stop"]), float(cfg["step"])
+        grid = _parsed(cfg, _GRID_KEYS)
+        if grid.keys() != _GRID_KEYS.keys():
+            missing = sorted(_GRID_KEYS.keys() - grid.keys())
+            raise ScenarioError(f"snr_grid_db mapping needs {missing}")
+        start, stop, step = grid["start"], grid["stop"], grid["step"]
         if step <= 0:
             raise ScenarioError("snr grid step must be positive")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -560,10 +582,10 @@ _SCENARIO_KEYS = {
     "outputs": lambda names: frozenset(str(x).lower() for x in names),
     "snr_grid_db": _grid_from_config,
     "mc_max_snr_db": lambda v: None if v is None else float(v),
-    "trials": int,
-    "seed": int,
+    "trials": _integral,
+    "seed": _integral,
     "confidence": float,
-    "coupled": bool,
+    "coupled": _flag,
     "alphas": _floats,
     "total_power": float,
     "surface_shapes": _floats,
@@ -589,7 +611,10 @@ def scenario_from_dict(cfg: dict) -> Scenario:
 
 
 def load_scenario(path: str | os.PathLike | Traversable) -> Scenario:
-    """Read one scenario from a YAML file path or a packaged resource."""
+    """Read one scenario from a YAML file path or a packaged resource.
+    PyYAML loads on the first call, so importing opprelay does not."""
+    import yaml
+
     if isinstance(path, (str, os.PathLike)):
         path = Path(path)
     cfg = yaml.safe_load(path.read_text(encoding="utf-8"))

@@ -1,14 +1,16 @@
 """Trial-level protocol simulation of the three opportunistic relaying
 schemes under selection or maximal ratio combining.
 
-The engine partitions trials into fixed-size blocks; every (block, link)
-pair draws from its own random stream derived from the master seed, so
-failure counts are bit-identical for any worker count and scheduling
-order.  Within a block the kernel draws one relay's hops at a time and
-folds them into a running best per scheme.  Each worker draws and folds
-every block it resolves into one set of block-sized buffers, so its
-memory is flat in the number of relays and of blocks.  Aggregation is a
-plain sum of per-block failure counts.
+The engine partitions trials into blocks of BLOCK_SIZE; every
+(block, link) pair draws from its own random stream derived from the
+master seed, so failure counts are bit-identical for any worker count and
+scheduling order.  BLOCK_SIZE fixes that stream layout and nothing else:
+a worker draws and folds each block in strips of CHUNK_SIZE trials, each
+strip continuing the block's streams, into one set of strip-sized
+buffers.  Within a strip the kernel draws one relay's hops at a time and
+folds them into a running best per scheme, so a worker's memory is flat
+in the number of relays, of blocks and in BLOCK_SIZE.  Aggregation is a
+plain sum of per-strip failure counts.
 
 Coupled mode evaluates several schemes on the same channel draws, which
 turns scheme comparisons into paired comparisons with far lower variance
@@ -39,6 +41,7 @@ from .channel import (
 )
 
 BLOCK_SIZE = 1 << 16
+CHUNK_SIZE = 1 << 14
 
 
 class Combiner(Enum):
@@ -87,7 +90,8 @@ def wilson_interval(
 
 
 class _Workspace:
-    """Block-sized arrays one worker reuses for every block it resolves.
+    """Strip-sized arrays one worker reuses for every strip of every block
+    it resolves: CHUNK_SIZE long, or the trial count when that is smaller.
 
     Rows of one float block hold the direct link's and a relay's two hops'
     draws, the amplified SNR, a temporary and a running best per scheme;
@@ -104,7 +108,7 @@ class _Workspace:
         return cls(schemes, np.empty((5 + len(schemes), n)), np.empty((2, n), dtype=bool))
 
     def head(self, n: int) -> _Workspace:
-        """Views of the first n trials of every array, for a short block."""
+        """Views of the first n trials of every array, for a short strip."""
         schemes, floats, masks = self._blocks
         return _Workspace(schemes, floats[:, :n], masks[:, :n])
 
@@ -167,12 +171,20 @@ def _run_counts(
     Each worker resolves one contiguous range of blocks in one loop: the
     calling thread the first range, pool threads the others, so one
     worker starts no thread.  The gamma draws, most of the work, release
-    the interpreter lock while they fill a block, so the threads overlap.
-    A worker allocates one _Workspace and draws and folds every block into
-    it, relay by relay, so its memory is flat in the number of relays and
-    of blocks, and its pages are faulted in once per estimate rather than
-    once per block.  A short last block uses views of the workspace."""
+    the interpreter lock while they fill a strip, so the threads overlap.
+
+    BLOCK_SIZE fixes the stream layout: a block opens its 2K+1 streams
+    once, keyed (seed, *tag, block, link_id).  CHUNK_SIZE fixes the buffer
+    length: the block is drawn and folded in strips of that many trials,
+    and each strip continues every stream where the last one stopped, so
+    the draws are bit for bit those of one block-long fill.  A worker
+    allocates one strip-sized _Workspace and folds every strip into it,
+    relay by relay, so its memory is flat in the number of relays, of
+    blocks and in BLOCK_SIZE, and its pages are faulted in once per
+    estimate.  A short last strip uses views of the workspace."""
     direct, relays = network_link_snrs(net, power, snr)
+    # Link ids: 0 direct, 2i+1 first hop of relay i, 2i+2 second hop.
+    links = (direct, *(hop for pair in relays for hop in pair))
     n_blocks = -(-trials // BLOCK_SIZE)
     workers = min(workers, n_blocks)
     bounds = [i * n_blocks // workers for i in range(workers + 1)]
@@ -180,32 +192,37 @@ def _run_counts(
     def range_counts(block_lo: int, block_hi: int):
         failures = {s: 0 for s in schemes}
         violations = {s: 0 for s in schemes if s is not Scheme.DFAF}
-        full = _Workspace.allocate(min(BLOCK_SIZE, trials), schemes)
+        full = _Workspace.allocate(min(CHUNK_SIZE, trials), schemes)
 
-        def draw(link, block, link_id, buf):
-            stream = make_stream(seed, *tag, block, link_id)
+        def draw(source, buf):
+            link, stream = source
             return sample_snr(link, stream, size=len(buf), out=buf)
 
         for block in range(block_lo, block_hi):
-            ws = full.head(min(BLOCK_SIZE, trials - block * BLOCK_SIZE))
-            # Link ids: 0 direct, 2i+1 first hop of relay i, 2i+2 second hop.
-            g0 = draw(direct, block, 0, ws.g0)
-            hops = (
-                (draw(first, block, 2 * i + 1, ws.g1), draw(second, block, 2 * i + 2, ws.g2))
-                for i, (first, second) in enumerate(relays)
-            )
-            combined = _combined_snrs(g0, hops, rs, schemes, combiner, ws)
-            for s in schemes:
-                failures[s] += int(
-                    np.count_nonzero(np.less(combined[s], rs.gamma_th, out=ws.mask))
+            direct_source, *hop_sources = [
+                (link, make_stream(seed, *tag, block, link_id))
+                for link_id, link in enumerate(links)
+            ]
+            n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
+            for start in range(0, n, CHUNK_SIZE):
+                ws = full.head(min(CHUNK_SIZE, n - start))
+                g0 = draw(direct_source, ws.g0)
+                hops = (
+                    (draw(a, ws.g1), draw(b, ws.g2))
+                    for a, b in zip(hop_sources[::2], hop_sources[1::2])
                 )
-            if Scheme.DFAF in combined:
-                for s in violations:
-                    violations[s] += int(
-                        np.count_nonzero(
-                            np.less(combined[Scheme.DFAF], combined[s], out=ws.mask)
-                        )
+                combined = _combined_snrs(g0, hops, rs, schemes, combiner, ws)
+                for s in schemes:
+                    failures[s] += int(
+                        np.count_nonzero(np.less(combined[s], rs.gamma_th, out=ws.mask))
                     )
+                if Scheme.DFAF in combined:
+                    for s in violations:
+                        violations[s] += int(
+                            np.count_nonzero(
+                                np.less(combined[Scheme.DFAF], combined[s], out=ws.mask)
+                            )
+                        )
         return failures, violations
 
     ranges = list(zip(bounds[:-1], bounds[1:]))

@@ -17,7 +17,7 @@ from opprelay.channel import (
     sample_snr,
     snr_cdf,
 )
-from opprelay.montecarlo import BLOCK_SIZE
+from opprelay.montecarlo import BLOCK_SIZE, CHUNK_SIZE
 
 
 def upper_gamma_quadrature(a: float, x: float) -> float:
@@ -166,10 +166,13 @@ class TestSampling:
 
     @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 2.0, 3.3])
     @pytest.mark.parametrize("mean", [0.1, 3.0, 1e4])
-    @pytest.mark.parametrize("n", [BLOCK_SIZE, 1000])
+    @pytest.mark.parametrize("n", [BLOCK_SIZE, 2 * CHUNK_SIZE + 1000, 1000])
     def test_filling_a_buffer_draws_the_same_bits(self, m, mean, n):
         # Monte Carlo blocks draw into reused buffers, a short block into
-        # the head of one; the values must be those of a fresh draw
+        # the head of one; the values must be those of a fresh draw.  A
+        # block is drawn in strips of CHUNK_SIZE from one stream, the last
+        # strip short unless n is a multiple, and the strips must join up
+        # into the values of one fill
         link = LinkSnr(mean_snr=mean, m=m)
         buf = np.full(BLOCK_SIZE, np.nan)
         filled = sample_snr(link, make_stream(9, 1), out=buf[:n])
@@ -179,6 +182,12 @@ class TestSampling:
         assert np.array_equal(filled.view(np.int64), drawn.view(np.int64))
         assert np.array_equal(drawn.view(np.int64), scaled.view(np.int64))
         assert np.isnan(buf[n:]).all()
+        stream, strip = make_stream(9, 1), np.empty(CHUNK_SIZE)
+        strips = []
+        for start in range(0, n, CHUNK_SIZE):
+            c = min(CHUNK_SIZE, n - start)
+            strips.append(sample_snr(link, stream, size=c, out=strip[:c]).copy())
+        assert np.array_equal(np.concatenate(strips).view(np.int64), drawn.view(np.int64))
 
     @pytest.mark.parametrize("m", [0.5, 0.8, 1.0, 2.0, 3.0])
     def test_variance(self, m):

@@ -1,6 +1,7 @@
 """Command-line behaviour: CSV emission, overrides, exit codes, and
 byte-identical reruns."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,40 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "trails" in err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            'coupled: "false"', "coupled: 'False'", "coupled: 'off'", "coupled: 0",
+            "trials: 2500.7", "trials: '2500'", "trials: true",
+            "seed: 12.5", "seed: '7'",
+        ],
+    )
+    def test_mistyped_scenario_value_is_config_error(self, capsys, tmp_path, line):
+        # a quoted "false" used to run a coupled scenario, and a fractional
+        # trial count was truncated; each is refused before anything runs
+        key = line.split(":")[0]
+        text = (SCENARIO_DIR / "fig4_K1.yaml").read_text()
+        path = tmp_path / "typed.yaml"
+        path.write_text(re.sub(rf"^{key}: .*$", line, text, flags=re.M))
+        code, out, err = run_cli(capsys, "analytic", "--scenario", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "configuration error" in err
+
+    @pytest.mark.parametrize(
+        "grid, word",
+        [("{start: 0, stop: 10, step: 5, stpe: 1}", "stpe"), ("{start: 0, stop: 10}", "step")],
+        ids=["unknown", "missing"],
+    )
+    def test_grid_mapping_keys_are_checked(self, capsys, tmp_path, grid, word):
+        text = (SCENARIO_DIR / "fig4_K1.yaml").read_text()
+        path = tmp_path / "grid.yaml"
+        path.write_text(text.replace("{start: 0, stop: 50, step: 5}", grid))
+        code, out, err = run_cli(capsys, "analytic", "--scenario", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert word in err
 
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_nonpositive_workers_is_config_error(self, capsys, workers):

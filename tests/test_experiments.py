@@ -425,6 +425,19 @@ class TestScenarioFiles:
         )
         assert s.snr_grid_db == (0.0, 5.0, 10.0)
 
+    def test_whole_floats_and_yaml_booleans_parse(self, tmp_path):
+        # the checks that refuse fractions and quoted booleans still take
+        # a whole float and YAML's unquoted off
+        text = (SCENARIO_DIR / "fig7_mrc_compare.yaml").read_text()
+        text = text.replace("coupled: true", "coupled: off")
+        text = text.replace("trials: 1000000", "trials: 2.0e+4")
+        path = tmp_path / "typed.yaml"
+        path.write_text(text.replace("seed: 12345", "seed: 7.0"))
+        s = load_scenario(path)
+        assert s.coupled is False
+        assert (s.trials, s.seed) == (20_000, 7)
+        assert type(s.trials) is int and type(s.seed) is int
+
     def test_minimal_config_takes_dataclass_defaults(self):
         s = scenario_from_dict(
             {"name": "t", "network": {"direct": {"m": 2.0}}, "schemes": ["DF"]}

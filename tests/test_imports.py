@@ -1,6 +1,7 @@
 """scipy.special loads on the first closed-form call, so Monte Carlo runs
-import numpy alone.  Each check runs in a fresh interpreter, because the
-test process has long since loaded scipy."""
+import numpy alone, and PyYAML loads on the first scenario file read.
+Each check runs in a fresh interpreter, because the test process has long
+since loaded scipy."""
 
 import os
 import subprocess
@@ -47,6 +48,17 @@ print("scipy" in sys.modules)
 """
     assert run_fresh(code) == ["False", "False", "False"]
     assert out.read_text().count("\n") > 1
+
+
+def test_yaml_loads_on_the_first_scenario_file():
+    code = """
+import sys
+import opprelay
+print("yaml" in sys.modules)
+opprelay.preset("fig4_K1")
+print("yaml" in sys.modules)
+"""
+    assert run_fresh(code) == ["False", "True"]
 
 
 def test_closed_form_loads_scipy_special_and_matches_it():

@@ -21,6 +21,7 @@ from opprelay.channel import (
 from opprelay.experiments import Scenario, run_scenario
 from opprelay.montecarlo import (
     BLOCK_SIZE,
+    CHUNK_SIZE,
     Combiner,
     Scheme,
     _combined_snrs,
@@ -224,10 +225,11 @@ class TestBlockEngineAgainstScalarLogic:
 
 
 class TestBlockBuffersReused:
-    # three blocks, the last one short: a running best or mask not reset
-    # between blocks, or a stale tail read in the short block, moves a
-    # count away from the sum of freshly drawn blocks
-    TRIALS = 2 * BLOCK_SIZE + 1000
+    # three blocks, the last one a full strip plus a short one: a running
+    # best or mask not reset between strips, a stream reopened per strip,
+    # or a stale tail read in the short strip, moves a count away from the
+    # sum of freshly drawn blocks
+    TRIALS = 2 * BLOCK_SIZE + CHUNK_SIZE + 1000
 
     @pytest.mark.parametrize("combiner", list(Combiner))
     def test_counts_are_sums_over_fresh_blocks(self, combiner):
@@ -357,6 +359,22 @@ class TestEstimators:
                 tracemalloc.stop()
 
         assert traced_peak(8) <= 1.1 * traced_peak(2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_buffers_are_strip_sized(self, workers):
+        # four blocks of three schemes under MRC: each worker holds eight
+        # float rows of CHUNK_SIZE, not of BLOCK_SIZE (about 4.2 MB each)
+        bound = (1 << 20) + workers * 8 * CHUNK_SIZE * 8 * 1.5
+        tracemalloc.start()
+        try:
+            estimate_outage_coupled(
+                NET3, PW, RS, tuple(Scheme), 4 * BLOCK_SIZE,
+                seed=1, combiner=Combiner.MRC, workers=workers, snr=10.0,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_repeat_estimate_faults_few_pages(self):
         # each worker draws and folds every block into one set of buffers,
