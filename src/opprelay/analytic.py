@@ -77,13 +77,13 @@ class RateSpec:
     delta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.rate > 0.0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0.0 < self.rate < 512.0:  # 2.0 ** 1024.0 overflows
+            raise ValueError(f"rate must lie in (0, 512), got {self.rate}")
         object.__setattr__(self, "delta", 2.0 ** (2.0 * self.rate) - 1.0)
         if self.gamma_th is None:
             object.__setattr__(self, "gamma_th", self.delta)
-        if not self.gamma_th > 0.0:
-            raise ValueError(f"gamma_th must be positive, got {self.gamma_th}")
+        if not 0.0 < self.gamma_th < math.inf:
+            raise ValueError(f"gamma_th must be positive and finite, got {self.gamma_th}")
 
 
 @dataclass(frozen=True)

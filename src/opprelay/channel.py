@@ -14,6 +14,7 @@ scipy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,12 +29,10 @@ class ChannelSpec:
     omega: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.m > 0.0:
-            raise ValueError(f"Nakagami shape must be positive, got m={self.m}")
-        if self.m < 0.5:
-            raise ValueError(f"Nakagami shape must be >= 0.5, got m={self.m}")
-        if not self.omega > 0.0:
-            raise ValueError(f"spread must be positive, got omega={self.omega}")
+        if not 0.5 <= self.m < math.inf:
+            raise ValueError(f"Nakagami shape must be finite and >= 0.5, got m={self.m}")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"spread must be positive and finite, got omega={self.omega}")
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,10 @@ class PowerSpec:
 
     def __post_init__(self) -> None:
         for name in ("source_power", "relay_power", "noise_variance"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.direct_power is not None and not self.direct_power > 0.0:
-            raise ValueError("direct_power must be positive when given")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.direct_power is not None and not 0.0 < self.direct_power < math.inf:
+            raise ValueError("direct_power must be positive and finite when given")
 
     @property
     def effective_direct_power(self) -> float:
@@ -115,8 +114,6 @@ class PowerSpec:
         """Split a total power budget: source gets alpha, relay the rest."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        if not total_power > 0.0:
-            raise ValueError("total_power must be positive")
         return cls(
             source_power=alpha * total_power,
             relay_power=(1.0 - alpha) * total_power,

@@ -349,8 +349,8 @@ def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
         raise ScenarioError("alpha sweep needs a nonempty alphas list")
     if any(not 0.0 < a < 1.0 for a in s.alphas):
         raise ScenarioError("every alpha must lie strictly inside (0, 1)")
-    if s.total_power is None or not s.total_power > 0.0:
-        raise ScenarioError("alpha sweep needs a positive total_power")
+    if s.total_power is None or not 0.0 < s.total_power < math.inf:
+        raise ScenarioError("alpha sweep needs a positive finite total_power")
     n0 = s.power.noise_variance
     if s.power != PowerSpec(noise_variance=n0):
         raise ScenarioError(_ALPHA_POWER_KEYS)
@@ -394,6 +394,8 @@ def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
         raise ScenarioError(
             "a diversity surface fits the adaptive scheme only; set schemes to [dfaf]"
         )
+    if s.network.relays:
+        raise ScenarioError("a surface takes its relays from surface_shapes; set relays: []")
     if not s.surface_shapes:
         raise ScenarioError("diversity surface needs a surface_shapes grid")
     rows = []
@@ -512,8 +514,15 @@ def _parsed(cfg: dict, parsers: dict[str, Callable]) -> dict:
     return {key: parsers[key](value) for key, value in cfg.items()}
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(x) for x in values)
+def _real(value) -> float:
+    """A number, not a YAML boolean; float() parses a string such as '1e-3'."""
+    if isinstance(value, bool):
+        raise ScenarioError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _reals(values) -> tuple[float, ...]:
+    return tuple(map(_real, values))
 
 
 def _integral(value) -> int:
@@ -532,7 +541,7 @@ def _flag(value) -> bool:
     return value
 
 
-_GRID_KEYS = dict.fromkeys(("start", "stop", "step"), float)
+_GRID_KEYS = dict.fromkeys(("start", "stop", "step"), _real)
 
 
 def _grid_from_config(cfg) -> tuple[float, ...]:
@@ -542,22 +551,25 @@ def _grid_from_config(cfg) -> tuple[float, ...]:
             missing = sorted(_GRID_KEYS.keys() - grid.keys())
             raise ScenarioError(f"snr_grid_db mapping needs {missing}")
         start, stop, step = grid["start"], grid["stop"], grid["step"]
-        if step <= 0:
-            raise ScenarioError("snr grid step must be positive")
+        if not (step > 0 and all(map(math.isfinite, (start, stop, step)))):
+            raise ScenarioError("snr grid start, stop and step must be finite, step positive")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return tuple(start + i * step for i in range(n))
-    return _floats(cfg)
+    return _reals(cfg)
 
 
 def _window(bounds) -> tuple[float, float]:
-    lo, hi = bounds
-    return float(lo), float(hi)
+    lo, hi = _reals(bounds)
+    return lo, hi
 
 
-def _channel(cfg: dict) -> ChannelSpec:
-    return ChannelSpec(**_parsed(cfg, {"m": float, "omega": float}))
+def _spec(cls) -> Callable[[dict], object]:
+    """Parser of a mapping of the init fields of cls, each a number."""
+    keys = {f.name: _real for f in fields(cls) if f.init}
+    return lambda cfg: cls(**_parsed(cfg, keys))
 
 
+_channel = _spec(ChannelSpec)
 _RELAY_KEYS = {"first_hop": _channel, "second_hop": _channel}
 
 
@@ -567,28 +579,24 @@ def _relays(cfgs) -> tuple[tuple[ChannelSpec, ChannelSpec], ...]:
 
 
 _NETWORK_KEYS = {"direct": _channel, "relays": _relays}
-_RATE_KEYS = {"rate": float, "gamma_th": float}
-_POWER_KEYS = dict.fromkeys(
-    ("source_power", "relay_power", "noise_variance", "direct_power"), float
-)
 _SCENARIO_KEYS = {
     "name": str,
     "kind": str,
     "network": lambda cfg: NetworkSpec(**_parsed(cfg, _NETWORK_KEYS)),
-    "rate": lambda cfg: RateSpec(**_parsed(cfg, _RATE_KEYS)),
-    "power": lambda cfg: PowerSpec(**_parsed(cfg, _POWER_KEYS)),
+    "rate": _spec(RateSpec),
+    "power": _spec(PowerSpec),
     "schemes": lambda names: tuple(Scheme(str(x).lower()) for x in names),
     "combiner": lambda name: Combiner(str(name).lower()),
     "outputs": lambda names: frozenset(str(x).lower() for x in names),
     "snr_grid_db": _grid_from_config,
-    "mc_max_snr_db": lambda v: None if v is None else float(v),
+    "mc_max_snr_db": lambda v: None if v is None else _real(v),
     "trials": _integral,
     "seed": _integral,
-    "confidence": float,
+    "confidence": _real,
     "coupled": _flag,
-    "alphas": _floats,
-    "total_power": float,
-    "surface_shapes": _floats,
+    "alphas": _reals,
+    "total_power": _real,
+    "surface_shapes": _reals,
     "fit_window_db": _window,
 }
 
@@ -602,7 +610,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         s = Scenario(**_parsed(cfg, _SCENARIO_KEYS))
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario config: {exc}") from exc
     ignored = sorted(map(str, cfg.get("power", {}).keys() - {"noise_variance"}))
     if s.kind == "alpha_sweep" and ignored:

@@ -93,15 +93,16 @@ class _Workspace:
     """Strip-sized arrays one worker reuses for every strip of every block
     it resolves: CHUNK_SIZE long, or the trial count when that is smaller.
 
-    Rows of one float block hold the direct link's and a relay's two hops'
-    draws, the amplified SNR, a temporary and a running best per scheme;
-    rows of one bool block hold the decode mask and a comparison mask."""
+    Rows of the float array, floats, hold the direct link's and a relay's
+    two hops' draws, the amplified SNR, a temporary and a running best per
+    scheme; rows of the bool array, masks, hold the decode mask and a
+    comparison mask.  The keys of best are the schemes the kernel folds."""
 
     def __init__(self, schemes, floats: np.ndarray, masks: np.ndarray) -> None:
         self.g0, self.g1, self.g2, self.amplified, self.tmp, *best = floats
         self.best = dict(zip(schemes, best))
         self.decoded, self.mask = masks
-        self._blocks = (schemes, floats, masks)
+        self.floats, self.masks = floats, masks
 
     @classmethod
     def allocate(cls, n: int, schemes) -> _Workspace:
@@ -109,15 +110,12 @@ class _Workspace:
 
     def head(self, n: int) -> _Workspace:
         """Views of the first n trials of every array, for a short strip."""
-        schemes, floats, masks = self._blocks
-        return _Workspace(schemes, floats[:, :n], masks[:, :n])
+        return _Workspace(self.best, self.floats[:, :n], self.masks[:, :n])
 
 
-def _combined_snrs(
-    g0, hops, rs: RateSpec, schemes, combiner: Combiner, ws: _Workspace | None = None
-):
-    """Combined destination SNR of each trial for each scheme: g0 holds the
-    direct-link draws, hops yields each relay's (g1, g2) draws.
+def _combined_snrs(g0, hops, rs: RateSpec, combiner: Combiner, ws: _Workspace):
+    """Combined destination SNR of each trial for each scheme of ws: g0
+    holds the direct-link draws, hops yields each relay's (g1, g2) draws.
 
     The selected relay maximizes the scheme's own path metric.  A relay
     that decodes forwards its second hop; one that does not contributes
@@ -127,11 +125,9 @@ def _combined_snrs(
     relay's SNR, and zero with no relays.  The decode mask and the
     amplified SNR are computed only when a requested scheme reads them.
 
-    Every result is written into ws, a _Workspace as long as g0 that is
-    allocated when absent; the returned arrays are its running bests.
+    Every result is written into ws, a _Workspace as long as g0; the
+    returned dict is its running bests, keyed by scheme.
     """
-    if ws is None:
-        ws = _Workspace.allocate(len(g0), schemes)
     best, decoded, amplified, tmp = ws.best, ws.decoded, ws.amplified, ws.tmp
     for relay in best.values():
         relay.fill(0.0)
@@ -174,14 +170,16 @@ def _run_counts(
     the interpreter lock while they fill a strip, so the threads overlap.
 
     BLOCK_SIZE fixes the stream layout: a block opens its 2K+1 streams
-    once, keyed (seed, *tag, block, link_id).  CHUNK_SIZE fixes the buffer
-    length: the block is drawn and folded in strips of that many trials,
-    and each strip continues every stream where the last one stopped, so
-    the draws are bit for bit those of one block-long fill.  A worker
-    allocates one strip-sized _Workspace and folds every strip into it,
-    relay by relay, so its memory is flat in the number of relays, of
-    blocks and in BLOCK_SIZE, and its pages are faulted in once per
-    estimate.  A short last strip uses views of the workspace."""
+    once, keyed (seed, *tag, block, link_id), and pairs each with its
+    link.  CHUNK_SIZE fixes the buffer length: the block is drawn and
+    folded in strips of that many trials, and each strip continues every
+    stream where the last one stopped, so the draws are bit for bit those
+    of one block-long fill.  A worker allocates one strip-sized _Workspace
+    for the requested schemes and has sample_snr fill its rows and
+    _combined_snrs fold them, relay by relay, so its memory is flat in
+    the number of relays, of blocks and in BLOCK_SIZE, and its pages are
+    faulted in once per estimate.  A short last strip uses views of the
+    workspace."""
     direct, relays = network_link_snrs(net, power, snr)
     # Link ids: 0 direct, 2i+1 first hop of relay i, 2i+2 second hop.
     links = (direct, *(hop for pair in relays for hop in pair))
@@ -193,25 +191,22 @@ def _run_counts(
         failures = {s: 0 for s in schemes}
         violations = {s: 0 for s in schemes if s is not Scheme.DFAF}
         full = _Workspace.allocate(min(CHUNK_SIZE, trials), schemes)
-
-        def draw(source, buf):
-            link, stream = source
-            return sample_snr(link, stream, size=len(buf), out=buf)
-
         for block in range(block_lo, block_hi):
-            direct_source, *hop_sources = [
+            (direct_link, direct_stream), *sources = [
                 (link, make_stream(seed, *tag, block, link_id))
                 for link_id, link in enumerate(links)
             ]
+            pairs = list(zip(sources[::2], sources[1::2]))
             n = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
             for start in range(0, n, CHUNK_SIZE):
-                ws = full.head(min(CHUNK_SIZE, n - start))
-                g0 = draw(direct_source, ws.g0)
+                c = min(CHUNK_SIZE, n - start)
+                ws = full.head(c)
+                g0 = sample_snr(direct_link, direct_stream, size=c, out=ws.g0)
                 hops = (
-                    (draw(a, ws.g1), draw(b, ws.g2))
-                    for a, b in zip(hop_sources[::2], hop_sources[1::2])
+                    (sample_snr(*a, size=c, out=ws.g1), sample_snr(*b, size=c, out=ws.g2))
+                    for a, b in pairs
                 )
-                combined = _combined_snrs(g0, hops, rs, schemes, combiner, ws)
+                combined = _combined_snrs(g0, hops, rs, combiner, ws)
                 for s in schemes:
                     failures[s] += int(
                         np.count_nonzero(np.less(combined[s], rs.gamma_th, out=ws.mask))

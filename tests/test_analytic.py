@@ -57,6 +57,8 @@ class TestRateSpec:
             RateSpec(rate=0.0)
         with pytest.raises(ValueError):
             RateSpec(rate=1.0, gamma_th=-1.0)
+        with pytest.raises(ValueError):
+            RateSpec(rate=math.inf)
 
 
 class TestExactOutage:

@@ -41,6 +41,10 @@ class TestSpecs:
             ChannelSpec(m=1.0, omega=0.0)
         with pytest.raises(ValueError):
             ChannelSpec(m=-1.0)
+        with pytest.raises(ValueError):
+            ChannelSpec(m=math.inf)
+        with pytest.raises(ValueError):
+            ChannelSpec(m=1.0, omega=math.inf)
 
     def test_network_builders(self):
         net = NetworkSpec.rayleigh(3)
@@ -62,6 +66,8 @@ class TestSpecs:
             PowerSpec.from_alpha(1.0, 10.0)
         with pytest.raises(ValueError):
             PowerSpec(source_power=0.0)
+        with pytest.raises(ValueError):
+            PowerSpec(relay_power=math.inf)
 
     def test_direct_power_switch(self):
         pw = PowerSpec(source_power=2.0, relay_power=8.0)

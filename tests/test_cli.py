@@ -180,19 +180,56 @@ class TestExitCodes:
             'coupled: "false"', "coupled: 'False'", "coupled: 'off'", "coupled: 0",
             "trials: 2500.7", "trials: '2500'", "trials: true",
             "seed: 12.5", "seed: '7'",
+            "direct: {m: yes, omega: 1.0}", "direct: {m: 0.8, omega: .inf}",
+            "rate: {rate: true}", "rate: {rate: 600}", "power: {source_power: .inf}",
+            "snr_grid_db: {start: 0, stop: .inf, step: 5}",
         ],
     )
     def test_mistyped_scenario_value_is_config_error(self, capsys, tmp_path, line):
-        # a quoted "false" used to run a coupled scenario, and a fractional
-        # trial count was truncated; each is refused before anything runs
+        # a quoted "false" used to run a coupled scenario, a fractional
+        # trial count was truncated, m: yes ran a Rayleigh link, an
+        # infinite spread or power wrote zero outages, and a rate whose
+        # threshold overflows crashed; each is refused before anything runs
         key = line.split(":")[0]
         text = (SCENARIO_DIR / "fig4_K1.yaml").read_text()
+        text = re.sub(rf"^( *){key}: .*$", rf"\g<1>{line}", text, flags=re.M)
+        assert line in text
         path = tmp_path / "typed.yaml"
-        path.write_text(re.sub(rf"^{key}: .*$", line, text, flags=re.M))
-        code, out, err = run_cli(capsys, "analytic", "--scenario", str(path))
+        path.write_text(text)
+        target = tmp_path / "curve.csv"
+        code, out, err = run_cli(capsys, "analytic", "--scenario", str(path), "--out", str(target))
         assert code == EXIT_CONFIG
         assert out == ""
         assert "configuration error" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "command, name, old, new, word",
+        [
+            ("sweep-alpha", "fig8_alpha_sweep", "total_power: 10.0", "total_power: .inf",
+             "total_power"),
+            ("fit-diversity", "fig6_diversity_surface", "relays: []",
+             "relays: [{first_hop: {m: 4.0}, second_hop: {m: 4.0}}]", "relays: []"),
+        ],
+        ids=["infinite_total_power", "surface_with_relay"],
+    )
+    def test_unusable_table_scenario_is_config_error(
+        self, capsys, tmp_path, command, name, old, new, word
+    ):
+        # an infinite total power wrote zero outages, and a surface ran
+        # its own two relays whatever the network named
+        text = (SCENARIO_DIR / f"{name}.yaml").read_text()
+        assert old in text
+        path = tmp_path / "edited.yaml"
+        path.write_text(text.replace(old, new))
+        target = tmp_path / "table.csv"
+        code, out, err = run_cli(
+            capsys, command, "--scenario", str(path), "--trials", "20000", "--out", str(target)
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert word in err
+        assert not target.exists()
 
     @pytest.mark.parametrize(
         "grid, word",

@@ -426,9 +426,11 @@ class TestScenarioFiles:
         assert s.snr_grid_db == (0.0, 5.0, 10.0)
 
     def test_whole_floats_and_yaml_booleans_parse(self, tmp_path):
-        # the checks that refuse fractions and quoted booleans still take
-        # a whole float and YAML's unquoted off
+        # the checks that refuse fractions and booleans still take a whole
+        # float, YAML's unquoted off, and an unquoted 1e-3, which PyYAML
+        # loads as a string
         text = (SCENARIO_DIR / "fig7_mrc_compare.yaml").read_text()
+        text = text.replace("direct: {m: 0.5, omega: 1.0}", "direct: {m: 0.5, omega: 1e-3}")
         text = text.replace("coupled: true", "coupled: off")
         text = text.replace("trials: 1000000", "trials: 2.0e+4")
         path = tmp_path / "typed.yaml"
@@ -437,6 +439,7 @@ class TestScenarioFiles:
         assert s.coupled is False
         assert (s.trials, s.seed) == (20_000, 7)
         assert type(s.trials) is int and type(s.seed) is int
+        assert s.network.direct.omega == 0.001
 
     def test_minimal_config_takes_dataclass_defaults(self):
         s = scenario_from_dict(

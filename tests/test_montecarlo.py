@@ -25,6 +25,7 @@ from opprelay.montecarlo import (
     Combiner,
     Scheme,
     _combined_snrs,
+    _Workspace,
     estimate_outage_coupled,
     wilson_interval,
 )
@@ -60,7 +61,8 @@ def kernel(gamma0, gamma1, gamma2, scheme, combiner=Combiner.SC):
     g0 = np.array(gamma0, dtype=float)
     g1 = np.array(gamma1, dtype=float).reshape(len(gamma1), len(g0))
     g2 = np.array(gamma2, dtype=float).reshape(len(gamma2), len(g0))
-    return _combined_snrs(g0, zip(g1, g2), RS, (scheme,), combiner)[scheme]
+    ws = _Workspace.allocate(len(g0), (scheme,))
+    return _combined_snrs(g0, zip(g1, g2), RS, combiner, ws)[scheme]
 
 
 def first_block(seed, n, block=0):
