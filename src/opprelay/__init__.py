@@ -3,16 +3,12 @@ exact closed forms, high-SNR asymptotics, and protocol-level Monte Carlo."""
 
 from .analytic import (
     AfBounds,
-    AsymptoticResult,
-    ClosedFormUnavailableError,
     QuadratureError,
     RateSpec,
     Scheme,
     af_bounds,
-    af_path_cdf_closed,
     af_path_cdf_quadrature,
     asymptotic_outage_dfaf,
-    coding_gain_dfaf,
     diversity_order_dfaf,
     outage_sc,
 )
@@ -27,7 +23,6 @@ from .channel import (
     snr_cdf,
 )
 from .experiments import (
-    DiversityFit,
     Scenario,
     ScenarioError,
     ZeroOutageError,

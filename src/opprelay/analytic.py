@@ -1,7 +1,7 @@
 """Exact and high-SNR closed-form outage probabilities for the three
-opportunistic relaying schemes under selection combining, plus coding
-gain, diversity order, and the asymptotic sandwich bounds for the
-amplify-and-forward path.
+opportunistic relaying schemes under selection combining, plus diversity
+order and the asymptotic sandwich bounds for the amplify-and-forward
+path; the coding gain is the high-SNR law at snr = 1 and PowerSpec().
 
 All outage expressions, exact and high-SNR, are driven by the per-link
 gamma rate parameters (shape / mean SNR), so they hold at any split of
@@ -14,7 +14,7 @@ and the experiments import it from this module.
 
 The AF path CDF has one route for any shapes, af_path_cdf_quadrature;
 the paper's Bessel sum for integer shapes, af_path_cdf_closed, is its
-reference.
+reference, not exported from the package root.
 
 Maximal ratio combining has no closed form here yet, so those curves come
 from the Monte Carlo engine.  Relay selection ignores the direct link, so
@@ -26,8 +26,8 @@ Every scalar CDF factor (direct link, decode failure, second hop, the
 AF path's first-hop head) is channel.snr_cdf of the link laws that
 channel.network_link_snrs builds for the grid point.  scipy.special loads
 on the first exact value, inside snr_cdf, the quadrature's node array or
-the Bessel reference: the high-SNR law, the coding gain and the AF bounds
-need only math, and Monte Carlo runs import numpy alone.
+the Bessel reference: the high-SNR law and the AF bounds need only
+math, and Monte Carlo runs import numpy alone.
 """
 
 from __future__ import annotations
@@ -84,12 +84,6 @@ class RateSpec:
             object.__setattr__(self, "gamma_th", self.delta)
         if not 0.0 < self.gamma_th < math.inf:
             raise ValueError(f"gamma_th must be positive and finite, got {self.gamma_th}")
-
-
-@dataclass(frozen=True)
-class AsymptoticResult:
-    coding_gain: float
-    diversity_order: float
 
 
 @dataclass(frozen=True)
@@ -260,46 +254,23 @@ def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     return value
 
 
-def _leading_product(
-    direct: LinkSnr, relays: tuple[tuple[LinkSnr, LinkSnr], ...], rs: RateSpec
-) -> float:
-    # The exact DFAF product of outage_sc with each CDF factor replaced by
-    # its leading small-argument term, at the given link descriptors: a
-    # relay fails when the first hop misses delta or the second gamma_th.
-    g = _power_law(direct.m, direct.rate * rs.gamma_th)
-    for first, second in relays:
-        g *= _leading_term(
-            ((first.m, first.rate * rs.delta), (second.m, second.rate * rs.gamma_th))
-        )[1]
-    return g
-
-
 def asymptotic_outage_dfaf(
     net: NetworkSpec, power: PowerSpec, rs: RateSpec, snr: float
 ) -> float:
     """High-SNR power law for the adaptive scheme: each CDF factor of the
     exact expression is replaced by its leading small-argument term at the
     point's link SNRs, so the product decays like snr**(-d) with the
-    network diversity order d, at any power split."""
-    return _leading_product(*network_link_snrs(net, power, snr), rs)
-
-
-def coding_gain_dfaf(net: NetworkSpec, rs: RateSpec) -> AsymptoticResult:
-    """SNR-independent coefficient g and exponent d of the high-SNR law
-    outage ~ g * snr**(-d), where snr is the equal transmit SNR and each
-    link's mean SNR is its spread times snr.
-
-    Each relay contributes the leading small-argument terms of the hops
-    with its smaller shape: P(m1, a1 delta) for the first hop, and
-    P(m2, a2 gamma_th) for the second.  With equal shapes both terms add;
-    at the default binding a1 delta = a2 gamma_th that is twice either one.
+    network diversity order d, at any power split.  A relay contributes
+    the terms of its hops with the smaller shape, both when they are equal.
+    At snr = 1 with PowerSpec() it is the coding gain g of g * snr**(-d).
     """
-    # Unit-SNR link descriptors make rate = m / omega, which is exactly
-    # the snr-free coefficient the coding gain needs.
-    return AsymptoticResult(
-        coding_gain=_leading_product(*network_link_snrs(net, PowerSpec.equal()), rs),
-        diversity_order=diversity_order_dfaf(net),
-    )
+    direct, relays = network_link_snrs(net, power, snr)
+    g = _power_law(direct.m, direct.rate * rs.gamma_th)
+    for first, second in relays:
+        g *= _leading_term(
+            ((first.m, first.rate * rs.delta), (second.m, second.rate * rs.gamma_th))
+        )[1]
+    return g
 
 
 def diversity_order_dfaf(net: NetworkSpec) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -48,35 +47,6 @@ class NetworkSpec:
             if len(pair) != 2:
                 raise ValueError("each relay entry must be a (first_hop, second_hop) pair")
 
-    @property
-    def num_relays(self) -> int:
-        return len(self.relays)
-
-    @classmethod
-    def rayleigh(cls, num_relays: int) -> "NetworkSpec":
-        """All links Rayleigh (m = 1) with unit spread."""
-        ch = ChannelSpec(m=1.0)
-        return cls(direct=ch, relays=tuple((ch, ch) for _ in range(num_relays)))
-
-    @classmethod
-    def from_shapes(
-        cls,
-        m_direct: float,
-        m_first: Sequence[float],
-        m_second: Sequence[float],
-        omega: float = 1.0,
-    ) -> "NetworkSpec":
-        """Build a network from shape lists, one entry per relay."""
-        if len(m_first) != len(m_second):
-            raise ValueError("m_first and m_second must have the same length")
-        return cls(
-            direct=ChannelSpec(m=m_direct, omega=omega),
-            relays=tuple(
-                (ChannelSpec(m=a, omega=omega), ChannelSpec(m=b, omega=omega))
-                for a, b in zip(m_first, m_second)
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class PowerSpec:
@@ -102,10 +72,6 @@ class PowerSpec:
     @property
     def effective_direct_power(self) -> float:
         return self.source_power if self.direct_power is None else self.direct_power
-
-    @classmethod
-    def equal(cls, power: float = 1.0, noise_variance: float = 1.0) -> "PowerSpec":
-        return cls(source_power=power, relay_power=power, noise_variance=noise_variance)
 
     @classmethod
     def from_alpha(

@@ -154,22 +154,12 @@ class BoundsRow:
     af_path_cdf: float
 
 
-@dataclass(frozen=True)
-class DiversityFit:
-    fitted_slope: float
-    theoretical_d: float
-    snr_window_db: tuple[float, float]
-    residual: float
-    n_points: int
-
-
 def fit_diversity(
-    curve: Sequence[tuple[float, float]],
-    window_db: tuple[float, float],
-    theoretical_d: float = math.nan,
-) -> DiversityFit:
+    curve: Sequence[tuple[float, float]], window_db: tuple[float, float]
+) -> tuple[float, float, int]:
     """Least-squares slope of log10(outage) against log10(linear SNR) over
-    the dB window, negated so a diversity order comes out positive."""
+    the dB window, negated so a diversity order comes out positive, with
+    its RMS residual and the number of points in the window."""
     lo, hi = window_db
     pts = [(db, p) for db, p in curve if lo <= db <= hi]
     if len(pts) < 3:
@@ -184,13 +174,7 @@ def fit_diversity(
     y = np.log10([p for _, p in pts])
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return DiversityFit(
-        fitted_slope=float(-slope),
-        theoretical_d=theoretical_d,
-        snr_window_db=(lo, hi),
-        residual=resid,
-        n_points=len(pts),
-    )
+    return float(-slope), resid, len(pts)
 
 
 def _db_to_linear(db: float) -> float:
@@ -224,6 +208,8 @@ def _validate_curve_scenario(s: Scenario) -> None:
         raise ScenarioError("every snr_grid_db point must be finite")
     if any(b <= a for a, b in zip(s.snr_grid_db, s.snr_grid_db[1:])):
         raise ScenarioError("snr_grid_db must be strictly increasing")
+    if s.mc_max_snr_db is not None and math.isnan(s.mc_max_snr_db):
+        raise ScenarioError("mc_max_snr_db must be a number or null, not NaN")
     if s.outputs - {"montecarlo"}:
         _require_selection_combining(s, "a closed-form output")
     if "bounds" in s.outputs and Scheme.AF not in s.schemes:
@@ -371,10 +357,10 @@ def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
     ]
 
 
-def _fit_closed_form(s: Scenario, scheme: Scheme, net: NetworkSpec) -> DiversityFit:
-    """Slope fit of the scheme's exact SC curve on net, sampled in 1 dB
+def _fit_closed_form(s: Scenario, scheme: Scheme, net: NetworkSpec) -> tuple:
+    """fit_diversity of the scheme's exact SC curve on net, sampled in 1 dB
     steps from the low end of the scenario's window, none beyond its high
-    end, against the network's diversity order."""
+    end."""
     lo, hi = s.fit_window_db
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ScenarioError(f"fit window [{lo}, {hi}] dB must be finite")
@@ -382,7 +368,7 @@ def _fit_closed_form(s: Scenario, scheme: Scheme, net: NetworkSpec) -> Diversity
         (db, analytic.outage_sc(scheme, net, s.power, s.rate, _db_to_linear(db)))
         for db in (lo + i for i in range(math.floor(hi - lo) + 1))
     ]
-    return fit_diversity(curve, s.fit_window_db, analytic.diversity_order_dfaf(net))
+    return fit_diversity(curve, s.fit_window_db)
 
 
 def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
@@ -404,14 +390,14 @@ def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
             direct=s.network.direct,
             relays=((ChannelSpec(m=g1), ChannelSpec(m=g2)),) * 2,
         )
-        fit = _fit_closed_form(s, Scheme.DFAF, net)
+        slope, residual, _ = _fit_closed_form(s, Scheme.DFAF, net)
         rows.append(
             SurfaceRow(
                 shape_first_hop=g1,
                 shape_second_hop=g2,
-                diversity_theory=fit.theoretical_d,
-                fitted_slope=fit.fitted_slope,
-                residual=fit.residual,
+                diversity_theory=analytic.diversity_order_dfaf(net),
+                fitted_slope=slope,
+                residual=residual,
                 window_lo_db=s.fit_window_db[0],
                 window_hi_db=s.fit_window_db[1],
             )
@@ -426,19 +412,20 @@ def fit_scenario_curves(s: Scenario) -> list[FitRow]:
     _validate_curve_scenario(s)
     _require_selection_combining(s, "a diversity fit")
     window = s.fit_window_db
+    d = analytic.diversity_order_dfaf(s.network)
     rows = []
     for scheme in s.schemes:
-        fit = _fit_closed_form(s, scheme, s.network)
+        slope, residual, n_points = _fit_closed_form(s, scheme, s.network)
         rows.append(
             FitRow(
                 scheme=scheme.value,
                 combiner=s.combiner.value,
                 window_lo_db=window[0],
                 window_hi_db=window[1],
-                fitted_slope=fit.fitted_slope,
-                theoretical_d=fit.theoretical_d,
-                residual=fit.residual,
-                n_points=fit.n_points,
+                fitted_slope=slope,
+                theoretical_d=d,
+                residual=residual,
+                n_points=n_points,
             )
         )
     return rows
@@ -542,6 +529,8 @@ def _flag(value) -> bool:
 
 
 _GRID_KEYS = dict.fromkeys(("start", "stop", "step"), _real)
+# Most points an snr_grid_db mapping may build: 0.01 dB steps over 100 dB.
+MAX_GRID_POINTS = 10_000
 
 
 def _grid_from_config(cfg) -> tuple[float, ...]:
@@ -554,6 +543,8 @@ def _grid_from_config(cfg) -> tuple[float, ...]:
         if not (step > 0 and all(map(math.isfinite, (start, stop, step)))):
             raise ScenarioError("snr grid start, stop and step must be finite, step positive")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        if n > MAX_GRID_POINTS:
+            raise ScenarioError(f"snr_grid_db mapping has {n} points, over {MAX_GRID_POINTS}")
         return tuple(start + i * step for i in range(n))
     return _reals(cfg)
 

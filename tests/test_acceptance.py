@@ -19,7 +19,7 @@ from opprelay.analytic import (
     asymptotic_outage_dfaf,
     outage_sc,
 )
-from opprelay.channel import LinkSnr, NetworkSpec, PowerSpec
+from opprelay.channel import LinkSnr, PowerSpec
 from opprelay.experiments import csv_text, preset, run_scenario, sweep_alpha
 from opprelay.montecarlo import (
     Combiner,
@@ -27,9 +27,11 @@ from opprelay.montecarlo import (
     estimate_outage_coupled,
 )
 
+from nets import from_shapes, rayleigh
+
 RS = RateSpec(rate=1.0)
-PW = PowerSpec.equal()
-FIG3_NET = NetworkSpec.from_shapes(0.5, [1, 1, 2], [1, 1, 1])
+PW = PowerSpec()
+FIG3_NET = from_shapes(0.5, [1, 1, 2], [1, 1, 1])
 
 
 def db(x: float) -> float:
@@ -54,7 +56,7 @@ def test_c1_analytic_mc_agreement_rayleigh():
     covered = 0
     total = 0
     for k in (1, 2, 3):
-        net = NetworkSpec.rayleigh(k)
+        net = rayleigh(k)
         for idx, snr_db in enumerate((0.0, 5.0, 10.0, 15.0, 20.0)):
             exact = outage_sc(Scheme.DFAF, net, PW, RS, db(snr_db))
             est = estimate_outage_coupled(
@@ -74,7 +76,7 @@ def test_c1_analytic_mc_agreement_rayleigh():
 def test_c2_hand_value():
     """Rayleigh K=1 at transmit SNR 10: closed form 0.11694 +- 1e-5 and a
     1e7-trial CI that covers it."""
-    net = NetworkSpec.rayleigh(1)
+    net = rayleigh(1)
     exact = outage_sc(Scheme.DFAF, net, PW, RS, 10.0)
     est = estimate_outage_coupled(
         net, PW, RS, (Scheme.DFAF,), 10**7, seed=7, confidence=0.99, snr=10.0
@@ -109,7 +111,7 @@ def test_c4_diversity_slopes():
     diversity orders: +-0.15 for the adaptive scheme, +-0.2 for AF."""
     checks = []
     for k, d in ((1, 1.8), (2, 2.8), (3, 3.8)):
-        net = NetworkSpec.from_shapes(0.8, [1.0] * k, [1.0] * k)
+        net = from_shapes(0.8, [1.0] * k, [1.0] * k)
         s_adapt = fitted_slope(lambda snr: outage_sc(Scheme.DFAF, net, PW, RS, snr))
         s_af = fitted_slope(lambda snr: outage_sc(Scheme.AF, net, PW, RS, snr))
         checks.append((f"K{k}", s_adapt, d, 0.15))
@@ -128,7 +130,7 @@ def test_c5_asymptotic_validity():
     ratio approaching 1 monotonically from 30 to 50 dB."""
     nets = {"fig3": FIG3_NET}
     for k in (1, 2, 3):
-        nets[f"fig4_K{k}"] = NetworkSpec.from_shapes(0.8, [1.0] * k, [1.0] * k)
+        nets[f"fig4_K{k}"] = from_shapes(0.8, [1.0] * k, [1.0] * k)
     details = []
     ok = True
     for name, net in nets.items():
@@ -161,7 +163,7 @@ def test_c6_scheme_ordering_sc():
                 equal_everywhere &= a == b
     ordered = True
     for k in (1, 2, 3):
-        net = NetworkSpec.rayleigh(k)
+        net = rayleigh(k)
         for snr_db in (30.0, 35.0, 40.0):
             dfaf, af = (outage_sc(x, net, PW, RS, db(snr_db)) for x in (Scheme.DFAF, Scheme.AF))
             ordered &= dfaf <= af

@@ -28,14 +28,15 @@ from opprelay.analytic import (
     af_path_cdf_closed,
     af_path_cdf_quadrature,
     asymptotic_outage_dfaf,
-    coding_gain_dfaf,
     diversity_order_dfaf,
     outage_sc,
 )
 from opprelay.channel import ChannelSpec, LinkSnr, NetworkSpec, PowerSpec, make_stream, sample_snr
 
+from nets import from_shapes, rayleigh
+
 RS = RateSpec(rate=1.0)
-PW = PowerSpec.equal()
+PW = PowerSpec()
 
 
 def db(x: float) -> float:
@@ -66,7 +67,7 @@ class TestExactOutage:
         # direct evaluation with exponential CDFs at transmit SNR 10
         e = math.exp(-0.3)
         hand = (1 - e) * (e * (1 - e) + (1 - e))
-        assert outage_sc(Scheme.DFAF, NetworkSpec.rayleigh(1), PW, RS, 10.0) == pytest.approx(
+        assert outage_sc(Scheme.DFAF, rayleigh(1), PW, RS, 10.0) == pytest.approx(
             hand, abs=1e-15
         )
         assert hand == pytest.approx(0.11694, abs=1e-5)
@@ -78,13 +79,13 @@ class TestExactOutage:
         )
 
     def test_monotone_decreasing_in_snr(self):
-        net = NetworkSpec.rayleigh(2)
+        net = rayleigh(2)
         values = [outage_sc(Scheme.DFAF, net, PW, RS, db(s)) for s in range(0, 61, 5)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-9
 
     def test_monotone_in_gamma_th(self):
-        net = NetworkSpec.from_shapes(0.5, [1.0, 2.0], [1.0, 1.0])
+        net = from_shapes(0.5, [1.0, 2.0], [1.0, 1.0])
         ths = [0.5, 1.0, 2.0, 3.0, 6.0]
         vals = [
             outage_sc(Scheme.DFAF, net, PW, RateSpec(rate=1.0, gamma_th=t), 50.0) for t in ths
@@ -95,7 +96,7 @@ class TestExactOutage:
         rng = np.random.default_rng(23)
         for _ in range(40):
             k = int(rng.integers(0, 4))
-            net = NetworkSpec.from_shapes(
+            net = from_shapes(
                 float(rng.uniform(0.5, 3.0)),
                 list(rng.uniform(0.5, 3.0, k)),
                 list(rng.uniform(0.5, 3.0, k)),
@@ -108,7 +109,7 @@ class TestExactOutage:
         rng = np.random.default_rng(29)
         for _ in range(20):
             k = int(rng.integers(0, 4))
-            net = NetworkSpec.from_shapes(
+            net = from_shapes(
                 float(rng.uniform(0.5, 3.0)),
                 list(rng.uniform(0.5, 3.0, k)),
                 list(rng.uniform(0.5, 3.0, k)),
@@ -329,7 +330,7 @@ class TestAfOutage:
         # Rayleigh direct link times the AF path CDF of AF_CDF_ORACLE's
         # method, whose value (1.7e-17 and 5.5e-18) is beyond what a
         # 1 - sum closed form resolves
-        net = NetworkSpec.from_shapes(1.0, [m], [m])
+        net = from_shapes(1.0, [m], [m])
         got = outage_sc(Scheme.AF, net, PW, RS, db(snr_db))
         assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
@@ -339,7 +340,7 @@ class TestAfOutage:
         assert af == dfaf
 
     def test_single_relay_factorization(self):
-        net = NetworkSpec.rayleigh(1)
+        net = rayleigh(1)
         h = LinkSnr(mean_snr=10.0, m=1.0)
         expected = (1 - math.exp(-0.3)) * af_path_cdf_closed(h, h, 3.0)
         assert outage_sc(Scheme.AF, net, PW, RS, 10.0) == pytest.approx(expected, rel=1e-12)
@@ -347,19 +348,19 @@ class TestAfOutage:
     @pytest.mark.parametrize("snr_db", [30.0, 35.0, 40.0])
     def test_adaptive_beats_af_at_high_snr(self, snr_db):
         for k in (1, 2, 3):
-            net = NetworkSpec.rayleigh(k)
+            net = rayleigh(k)
             x = db(snr_db)
             assert outage_sc(Scheme.DFAF, net, PW, RS, x) <= outage_sc(Scheme.AF, net, PW, RS, x)
 
     def test_af_product_over_relays(self):
-        net2 = NetworkSpec.rayleigh(2)
+        net2 = rayleigh(2)
         h = LinkSnr(mean_snr=10.0, m=1.0)
         f = af_path_cdf_closed(h, h, 3.0)
         expected = (1 - math.exp(-0.3)) * f * f
         assert outage_sc(Scheme.AF, net2, PW, RS, 10.0) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_and_bounded(self):
-        net = NetworkSpec.from_shapes(0.5, [1.0, 2.0], [2.0, 1.0])
+        net = from_shapes(0.5, [1.0, 2.0], [2.0, 1.0])
         values = [outage_sc(Scheme.AF, net, PW, RS, db(s)) for s in range(0, 51, 5)]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -387,7 +388,7 @@ class TestPowerLaw:
 
 class TestAsymptotics:
     def test_ratio_approaches_one_fig3_config(self):
-        net = NetworkSpec.from_shapes(0.5, [1, 1, 2], [1, 1, 1])
+        net = from_shapes(0.5, [1, 1, 2], [1, 1, 1])
         ratios = []
         for snr_db in (30, 35, 40, 45, 50):
             exact = outage_sc(Scheme.DFAF, net, PW, RS, db(snr_db))
@@ -400,28 +401,28 @@ class TestAsymptotics:
     def test_second_hop_limited_branch(self):
         # first hop stronger (m1=2 > m2=1): the second hop's coefficient
         # applies, with gamma_th rather than the decode threshold
-        net = NetworkSpec.from_shapes(1.0, [2.0], [1.0])
+        net = from_shapes(1.0, [2.0], [1.0])
         snr = 1e4
         asym = asymptotic_outage_dfaf(net, PW, RS, snr)
         direct = RS.gamma_th / snr          # (m0 gth / w0)^m0 / (m0 G(m0)) snr^-1
         relay = RS.gamma_th / snr           # same form for the m2=1 hop
         assert asym == pytest.approx(direct * relay, rel=1e-12)
-        gain = coding_gain_dfaf(net, RS).coding_gain
+        gain = asymptotic_outage_dfaf(net, PowerSpec(), RS, 1.0)
         assert gain == pytest.approx(RS.gamma_th * RS.gamma_th, rel=1e-12)
 
     def test_balanced_branch_carries_factor_two(self):
         # equal hop shapes m=1, delta=3, unit spread: relay factor 6/snr
-        net = NetworkSpec.rayleigh(1)
+        net = rayleigh(1)
         snr = 1e4
         asym = asymptotic_outage_dfaf(net, PW, RS, snr)
         assert asym == pytest.approx((3.0 / snr) * (6.0 / snr), rel=1e-12)
-        gain = coding_gain_dfaf(net, RS).coding_gain
+        gain = asymptotic_outage_dfaf(net, PowerSpec(), RS, 1.0)
         assert gain == pytest.approx(RS.gamma_th * (RS.delta + RS.gamma_th), rel=1e-12)
 
     @pytest.mark.parametrize(
         "net,rs",
         [
-            (NetworkSpec.rayleigh(1), RateSpec(rate=1.0, gamma_th=6.0)),
+            (rayleigh(1), RateSpec(rate=1.0, gamma_th=6.0)),
             (
                 NetworkSpec(
                     direct=ChannelSpec(m=1.0),
@@ -439,16 +440,16 @@ class TestAsymptotics:
         assert abs(asym / exact - 1.0) < 1e-2
 
     def test_first_hop_limited_branch(self):
-        net = NetworkSpec.from_shapes(1.0, [1.0], [2.0])
-        result = coding_gain_dfaf(net, RS)
-        assert result.diversity_order == 2.0
+        net = from_shapes(1.0, [1.0], [2.0])
+        assert diversity_order_dfaf(net) == 2.0
         # direct (m gth / w)^1 / (1 * 1) times the relay's (m delta / w)^1 / (1 * 1)
-        assert result.coding_gain == pytest.approx(RS.gamma_th * RS.delta, rel=1e-12)
+        gain = asymptotic_outage_dfaf(net, PowerSpec(), RS, 1.0)
+        assert gain == pytest.approx(RS.gamma_th * RS.delta, rel=1e-12)
 
     def test_unequal_power_uses_each_link_snr(self):
         # second-hop limited relay: direct link at power 4, second hop at
         # relay power 0.5, each leading term at its own link's mean SNR
-        net = NetworkSpec.from_shapes(1.0, [2.0], [1.0])
+        net = from_shapes(1.0, [2.0], [1.0])
         pw = PowerSpec(source_power=2.0, relay_power=0.5, direct_power=4.0)
         snr = 1e4
         asym = asymptotic_outage_dfaf(net, pw, RS, snr)
@@ -490,35 +491,38 @@ class TestAsymptotics:
     def test_decode_failure_term_deep_in_outage(self):
         # at 70 dB the first hop's decode failure P(3, a1 delta) ~ 1e-21
         # is the relay factor's leading term; 1 - Q(3, .) would lose it
-        net = NetworkSpec.from_shapes(1.0, [3.0], [4.0])
+        net = from_shapes(1.0, [3.0], [4.0])
         exact = outage_sc(Scheme.DFAF, net, PW, RS, db(70.0))
         asym = asymptotic_outage_dfaf(net, PW, RS, db(70.0))
         assert abs(asym / exact - 1.0) < 1e-3
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fig4_configs_within_15_percent_at_40db(self, k):
-        net = NetworkSpec.from_shapes(0.8, [1.0] * k, [1.0] * k)
+        net = from_shapes(0.8, [1.0] * k, [1.0] * k)
         exact = outage_sc(Scheme.DFAF, net, PW, RS, db(40.0))
         asym = asymptotic_outage_dfaf(net, PW, RS, db(40.0))
         assert abs(asym / exact - 1.0) < 0.15
 
 
 class TestCodingGainAndDiversity:
+    # The coding gain g of outage ~ g * snr**(-d) is the high-SNR law at
+    # unit SNR and the unit equal power split.
     def test_fig3_diversity(self):
-        net = NetworkSpec.from_shapes(0.5, [1, 1, 2], [1, 1, 1])
-        assert coding_gain_dfaf(net, RS).diversity_order == pytest.approx(3.5)
+        net = from_shapes(0.5, [1, 1, 2], [1, 1, 1])
+        assert diversity_order_dfaf(net) == pytest.approx(3.5)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_rayleigh_relays_add_k(self, k):
-        net = NetworkSpec.from_shapes(0.8, [1.0] * k, [1.0] * k)
-        assert coding_gain_dfaf(net, RS).diversity_order == pytest.approx(0.8 + k)
+        net = from_shapes(0.8, [1.0] * k, [1.0] * k)
+        assert diversity_order_dfaf(net) == pytest.approx(0.8 + k)
 
     def test_no_relays(self):
         net = NetworkSpec(direct=ChannelSpec(m=0.5))
-        result = coding_gain_dfaf(net, RS)
-        assert result.diversity_order == 0.5
+        assert diversity_order_dfaf(net) == 0.5
         expected = (0.5 * 3.0) ** 0.5 / (0.5 * math.gamma(0.5))
-        assert result.coding_gain == pytest.approx(expected, rel=1e-12)
+        assert asymptotic_outage_dfaf(net, PowerSpec(), RS, 1.0) == pytest.approx(
+            expected, rel=1e-12
+        )
         assert asymptotic_outage_dfaf(net, PW, RS, 1e4) == pytest.approx(
             expected * 1e4**-0.5, rel=1e-12
         )
@@ -527,20 +531,22 @@ class TestCodingGainAndDiversity:
         rng = np.random.default_rng(31)
         for _ in range(20):
             k = int(rng.integers(0, 4))
-            net = NetworkSpec.from_shapes(
+            net = from_shapes(
                 float(rng.uniform(0.5, 3.0)),
                 list(rng.uniform(0.5, 3.0, k)),
                 list(rng.uniform(0.5, 3.0, k)),
             )
-            assert diversity_order_dfaf(net) == pytest.approx(
-                coding_gain_dfaf(net, RS).diversity_order
+            # the diversity order is the exponent the law decays with
+            gain = asymptotic_outage_dfaf(net, PowerSpec(), RS, 1.0)
+            assert asymptotic_outage_dfaf(net, PW, RS, 10.0) == pytest.approx(
+                gain * 10.0 ** -diversity_order_dfaf(net), rel=1e-12
             )
 
     def test_asymptote_matches_coding_gain_power_law(self):
-        net = NetworkSpec.from_shapes(0.5, [1, 1, 2], [1, 1, 1])
-        result = coding_gain_dfaf(net, RS)
+        net = from_shapes(0.5, [1, 1, 2], [1, 1, 1])
+        gain = asymptotic_outage_dfaf(net, PowerSpec(), RS, 1.0)
         snr = 1e4
-        predicted = result.coding_gain * snr ** (-result.diversity_order)
+        predicted = gain * snr ** (-diversity_order_dfaf(net))
         assert asymptotic_outage_dfaf(net, PW, RS, snr) == pytest.approx(
             predicted, rel=1e-12
         )
@@ -550,9 +556,9 @@ class TestSlopeLaw:
     @pytest.mark.parametrize(
         "net,d",
         [
-            (NetworkSpec.from_shapes(0.5, [1, 1, 2], [1, 1, 1]), 3.5),
-            (NetworkSpec.from_shapes(0.8, [1, 1], [1, 1]), 2.8),
-            (NetworkSpec.from_shapes(0.5, [1.5, 1.5], [1.0, 1.0]), 2.5),
+            (from_shapes(0.5, [1, 1, 2], [1, 1, 1]), 3.5),
+            (from_shapes(0.8, [1, 1], [1, 1]), 2.8),
+            (from_shapes(0.5, [1.5, 1.5], [1.0, 1.0]), 2.5),
         ],
     )
     def test_fitted_slope_matches_diversity(self, net, d):

@@ -19,6 +19,8 @@ from opprelay.channel import (
 )
 from opprelay.montecarlo import BLOCK_SIZE, CHUNK_SIZE
 
+from nets import from_shapes
+
 
 def upper_gamma_quadrature(a: float, x: float) -> float:
     """Independent oracle: Q(a, x) by adaptive quadrature of the scaled
@@ -45,16 +47,6 @@ class TestSpecs:
             ChannelSpec(m=math.inf)
         with pytest.raises(ValueError):
             ChannelSpec(m=1.0, omega=math.inf)
-
-    def test_network_builders(self):
-        net = NetworkSpec.rayleigh(3)
-        assert net.num_relays == 3
-        assert net.direct.m == 1.0
-        net = NetworkSpec.from_shapes(0.5, [1, 1, 2], [1, 1, 1])
-        assert [f.m for f, _ in net.relays] == [1, 1, 2]
-        assert [s.m for _, s in net.relays] == [1, 1, 1]
-        with pytest.raises(ValueError):
-            NetworkSpec.from_shapes(1.0, [1, 2], [1])
 
     def test_power_spec(self):
         pw = PowerSpec(source_power=4.0, relay_power=6.0)
@@ -133,7 +125,7 @@ class TestLinkSnr:
             link_laws(ChannelSpec(m=1.0), noise_variance=-1.0)
 
     def test_network_link_snrs_power_routing(self):
-        net = NetworkSpec.from_shapes(1.0, [1.0], [1.0])
+        net = from_shapes(1.0, [1.0], [1.0])
         pw = PowerSpec(source_power=2.0, relay_power=8.0)
         direct, relays = network_link_snrs(net, pw, snr=3.0)
         assert direct.mean_snr == pytest.approx(6.0)   # source power scaled

@@ -210,14 +210,17 @@ class TestExitCodes:
              "total_power"),
             ("fit-diversity", "fig6_diversity_surface", "relays: []",
              "relays: [{first_hop: {m: 4.0}, second_hop: {m: 4.0}}]", "relays: []"),
+            ("compare", "fig2_rayleigh_K1", "mc_max_snr_db: 25", "mc_max_snr_db: .nan",
+             "mc_max_snr_db"),
         ],
-        ids=["infinite_total_power", "surface_with_relay"],
+        ids=["infinite_total_power", "surface_with_relay", "nan_mc_cut"],
     )
     def test_unusable_table_scenario_is_config_error(
         self, capsys, tmp_path, command, name, old, new, word
     ):
-        # an infinite total power wrote zero outages, and a surface ran
-        # its own two relays whatever the network named
+        # an infinite total power wrote zero outages, a surface ran its
+        # own two relays whatever the network named, and a NaN Monte Carlo
+        # cut left every Monte Carlo column empty
         text = (SCENARIO_DIR / f"{name}.yaml").read_text()
         assert old in text
         path = tmp_path / "edited.yaml"

@@ -63,7 +63,7 @@ class TestPresets:
     def test_fig2_rayleigh_parameters(self):
         for k in (1, 2, 3):
             (s,) = preset(f"fig2_rayleigh_K{k}")
-            assert s.network.num_relays == k
+            assert len(s.network.relays) == k
             assert s.network.direct.m == 1.0
             assert all(f.m == 1.0 and g.m == 1.0 for f, g in s.network.relays)
             assert all(
@@ -83,7 +83,7 @@ class TestPresets:
         assert [s.name for s in group] == ["fig4_K1", "fig4_K2", "fig4_K3"]
         for i, s in enumerate(group, start=1):
             assert s.network.direct.m == 0.8
-            assert s.network.num_relays == i
+            assert len(s.network.relays) == i
             assert "montecarlo" not in s.outputs
 
     def test_fig7_parameters(self):
@@ -221,9 +221,9 @@ class TestCsv:
 class TestFitDiversity:
     def test_exact_power_law(self):
         curve = [(db, 4.2 * (10.0 ** (db / 10.0)) ** -2.0) for db in range(30, 51, 5)]
-        fit = fit_diversity(curve, (30.0, 50.0))
-        assert fit.fitted_slope == pytest.approx(2.0, abs=1e-12)
-        assert fit.residual == pytest.approx(0.0, abs=1e-12)
+        slope, residual, _ = fit_diversity(curve, (30.0, 50.0))
+        assert slope == pytest.approx(2.0, abs=1e-12)
+        assert residual == pytest.approx(0.0, abs=1e-12)
 
     def test_insufficient_points(self):
         curve = [(35.0, 1e-3), (45.0, 1e-4)]
@@ -237,18 +237,18 @@ class TestFitDiversity:
 
     def test_window_filters_points(self):
         curve = [(db, 10.0 ** (-db / 10.0)) for db in range(0, 51, 5)]
-        fit = fit_diversity(curve, (35.0, 45.0))
-        assert fit.snr_window_db == (35.0, 45.0)
-        assert fit.fitted_slope == pytest.approx(1.0, abs=1e-12)
+        slope, _, n_points = fit_diversity(curve, (35.0, 45.0))
+        assert n_points == 3
+        assert slope == pytest.approx(1.0, abs=1e-12)
 
     def test_fractional_window_stays_inside(self, monkeypatch):
         # both fit entry points sample 1 dB steps from the low end and
         # never evaluate the closed form past the high end
         grids = []
 
-        def recording_fit(curve, window, theoretical_d):
+        def recording_fit(curve, window):
             grids.append([db for db, _ in curve])
-            return fit_diversity(curve, window, theoretical_d)
+            return fit_diversity(curve, window)
 
         monkeypatch.setattr(experiments, "fit_diversity", recording_fit)
         (s,) = preset("fig4_K1")
@@ -425,6 +425,19 @@ class TestScenarioFiles:
         )
         assert s.snr_grid_db == (0.0, 5.0, 10.0)
 
+    def test_grid_mapping_point_count_is_bounded(self):
+        # a million-point mapping was built in full before any check ran
+        cfg = {
+            "name": "t",
+            "network": {"direct": {"m": 1.0}},
+            "schemes": ["dfaf"],
+            "snr_grid_db": {"start": 0, "stop": 1e6, "step": 1},
+        }
+        with pytest.raises(ScenarioError, match="1000001 points"):
+            scenario_from_dict(cfg)
+        cfg["snr_grid_db"] = {"start": 0, "stop": 99.99, "step": 0.01}
+        assert len(scenario_from_dict(cfg).snr_grid_db) == experiments.MAX_GRID_POINTS
+
     def test_whole_floats_and_yaml_booleans_parse(self, tmp_path):
         # the checks that refuse fractions and booleans still take a whole
         # float, YAML's unquoted off, and an unquoted 1e-3, which PyYAML
@@ -448,7 +461,7 @@ class TestScenarioFiles:
         assert s.network.direct == ChannelSpec(m=2.0, omega=1.0)
         assert s.network.relays == ()
         assert s.rate == RateSpec(rate=1.0)
-        assert s.power == PowerSpec.equal()
+        assert s.power == PowerSpec()
         assert s.schemes == (Scheme.DF,)
         assert s.combiner is Combiner.SC
         assert s.outputs == frozenset({"analytic"})

@@ -32,8 +32,10 @@ from opprelay import cli
 print("scipy" in sys.modules)
 # 140000 trials make 3 blocks, so both workers resolve some
 opprelay.estimate_outage_coupled(
-    opprelay.NetworkSpec.from_shapes(1.5, [0.5], [2.0]),
-    opprelay.PowerSpec.equal(10.0),
+    opprelay.NetworkSpec(
+        opprelay.ChannelSpec(1.5), ((opprelay.ChannelSpec(0.5), opprelay.ChannelSpec(2.0)),)
+    ),
+    opprelay.PowerSpec(10.0, 10.0),
     opprelay.RateSpec(1.0),
     tuple(opprelay.Scheme),
     trials=140000,

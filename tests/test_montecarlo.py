@@ -11,13 +11,7 @@ import pytest
 
 from opprelay import montecarlo
 from opprelay.analytic import RateSpec, outage_sc
-from opprelay.channel import (
-    NetworkSpec,
-    PowerSpec,
-    make_stream,
-    network_link_snrs,
-    sample_snr,
-)
+from opprelay.channel import PowerSpec, make_stream, network_link_snrs, sample_snr
 from opprelay.experiments import Scenario, run_scenario
 from opprelay.montecarlo import (
     BLOCK_SIZE,
@@ -30,10 +24,12 @@ from opprelay.montecarlo import (
     wilson_interval,
 )
 
+from nets import from_shapes, rayleigh
+
 RS = RateSpec(rate=1.0)
-PW = PowerSpec.equal()
-NET1 = NetworkSpec.rayleigh(1)
-NET3 = NetworkSpec.from_shapes(0.5, [1, 1, 2], [1, 1, 1])
+PW = PowerSpec()
+NET1 = rayleigh(1)
+NET3 = from_shapes(0.5, [1, 1, 2], [1, 1, 1])
 
 
 def scalar_combined_snr(gamma0, gamma1, gamma2, rs, scheme, combiner=Combiner.SC):
@@ -338,7 +334,7 @@ class TestEstimators:
     def test_coupled_counts_equal_single_scheme_runs(self, combiner, k):
         # the kernel shares each relay's decode mask and amplified SNR
         # between schemes; no scheme's count may depend on the others
-        net = NetworkSpec.from_shapes(0.5, [1, 1.5, 2][:k], [2, 1, 0.5][:k])
+        net = from_shapes(0.5, [1, 1.5, 2][:k], [2, 1, 0.5][:k])
         args = (net, PW, RS)
         kwargs = dict(trials=20_000, seed=8, combiner=combiner, stream_tag=(k, 4), snr=3.0)
         coupled = estimate_outage_coupled(*args, tuple(Scheme), **kwargs)
@@ -353,7 +349,7 @@ class TestEstimators:
             tracemalloc.start()
             try:
                 estimate_outage_coupled(
-                    NetworkSpec.rayleigh(k), PW, RS, tuple(Scheme),
+                    rayleigh(k), PW, RS, tuple(Scheme),
                     BLOCK_SIZE, seed=1, combiner=Combiner.MRC, workers=1, snr=10.0,
                 )
                 return tracemalloc.get_traced_memory()[1]
@@ -454,7 +450,7 @@ class TestCurve:
     def test_relay_count_ordering_at_15db(self):
         estimates = {}
         for k in (1, 2, 3):
-            net = NetworkSpec.rayleigh(k)
+            net = rayleigh(k)
             estimates[k] = estimate_outage_coupled(
                 net, PW, RS, (Scheme.DFAF,),
                 10**6, seed=13, stream_tag=(k,), snr=10.0 ** 1.5,
