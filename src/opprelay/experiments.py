@@ -13,8 +13,11 @@ mc_ci_low, mc_ci_high, trials, failures.  Columns a scenario did not
 request stay empty.  Alpha-sweep, diversity-surface, slope-fit, and AF
 bound tables have their own documented column sets.
 
-Every exact value, in curves and slope fits alike, is analytic.outage_sc
-of the row's scheme.  A dB value too large for a float is a ScenarioError.
+Curves, alpha sweeps and slope fits build their rows with one column
+builder, _table, over a list of operating points: it is the one route
+for every exact (analytic.outage_sc of the row's scheme), asymptotic and
+Monte Carlo value they hold.  A dB value too large for a float is a
+ScenarioError.
 """
 
 from __future__ import annotations
@@ -28,19 +31,14 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import product
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
 from . import analytic
 from .analytic import RateSpec, Scheme
 from .channel import ChannelSpec, NetworkSpec, PowerSpec, network_link_snrs
-from .montecarlo import (
-    MIN_RELIABLE_FAILURES,
-    Combiner,
-    OutageEstimate,
-    estimate_outage_coupled,
-)
+from .montecarlo import MIN_RELIABLE_FAILURES, Combiner, estimate_outage_coupled
 
 if TYPE_CHECKING:
     from importlib.resources.abc import Traversable
@@ -93,6 +91,9 @@ class Scenario:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
         if not self.schemes:
             raise ScenarioError("scenario needs at least one scheme")
+        repeated = sorted({x.value for x in self.schemes if self.schemes.count(x) > 1})
+        if repeated:
+            raise ScenarioError(f"schemes {repeated} listed more than once")
 
 
 @dataclass(frozen=True)
@@ -218,85 +219,70 @@ def _validate_curve_scenario(s: Scenario) -> None:
         raise ScenarioError("bounds output needs at least one relay path")
 
 
-def _mc_points(
+def _grid(s: Scenario, grid_db: Iterable[float]) -> list[tuple]:
+    """(key, label, power, snr, simulated) points at the scenario's power,
+    one per dB value; simulated marks the points up to mc_max_snr_db."""
+    cut = math.inf if s.mc_max_snr_db is None else s.mc_max_snr_db
+    return [(db, f"{db} dB", s.power, _db_to_linear(db), db <= cut) for db in grid_db]
+
+
+def _table(
     s: Scenario,
-    points: Iterable[tuple[int, str, PowerSpec, float]],
+    net: NetworkSpec,
+    points: Sequence[tuple],
+    outputs: Collection[str],
     coupled: bool,
     workers: int,
-) -> dict[tuple[int, Scheme], OutageEstimate]:
-    """Monte Carlo estimate per (point index, scheme) over (point index,
-    label, power, grid SNR) points.  Coupled points share one draw per
-    trial across schemes, under stream tag (idx,); otherwise scheme si
-    draws its own trials under tag (idx, si)."""
-    if coupled:
-        runs = [(s.schemes, ())]
-    else:
-        runs = [((scheme,), (si,)) for si, scheme in enumerate(s.schemes)]
-    estimates = {}
-    for idx, label, power, snr in points:
-        for schemes, sub_tag in runs:
-            result = estimate_outage_coupled(
-                s.network, power, s.rate, schemes,
-                s.trials, s.seed, s.confidence, s.combiner, workers,
-                stream_tag=(idx, *sub_tag), snr=snr,
-            )
-            for scheme, est in result.estimates.items():
-                estimates[(idx, scheme)] = est
+) -> list[tuple[float, Scheme, dict]]:
+    """(key, scheme, columns) per point then scheme, the columns named as
+    CurveRow's and holding the requested outputs: the exact SC outage,
+    the high-SNR law (one value per point, none for AF) and, at simulated
+    points, the Monte Carlo estimate.  Point idx of the list draws under
+    stream tag (idx,) when coupled, all schemes sharing each trial's
+    draw; otherwise scheme si draws its own trials under tag (idx, si)."""
+    runs = [(s.schemes, ())] if coupled else [((x,), (si,)) for si, x in enumerate(s.schemes)]
+    with_asym = "asymptotic" in outputs and any(x is not Scheme.AF for x in s.schemes)
+    table = []
+    for idx, (key, label, power, snr, simulated) in enumerate(points):
+        estimates = {}
+        if "montecarlo" in outputs and simulated:
+            for schemes, sub_tag in runs:
+                result = estimate_outage_coupled(
+                    net, power, s.rate, schemes, s.trials, s.seed, s.confidence,
+                    s.combiner, workers, stream_tag=(idx, *sub_tag), snr=snr,
+                )
+                estimates.update(result.estimates)
+        asym = analytic.asymptotic_outage_dfaf(net, power, s.rate, snr) if with_asym else None
+        for scheme in s.schemes:
+            columns = {}
+            if "analytic" in outputs:
+                columns["outage_analytic"] = analytic.outage_sc(scheme, net, power, s.rate, snr)
+            if "asymptotic" in outputs:
+                columns["outage_asymptotic"] = None if scheme is Scheme.AF else asym
+            est = estimates.get(scheme)
+            if est is not None:
+                columns.update(
+                    outage_mc=est.probability, mc_ci_low=est.ci_low,
+                    mc_ci_high=est.ci_high, trials=est.trials, failures=est.failures,
+                )
                 if est.failures < MIN_RELIABLE_FAILURES:
                     warnings.warn(
                         f"only {est.failures} failures at {label} ({scheme.value}) "
                         f"({est.trials} trials); estimate unreliable",
                         stacklevel=3,
                     )
-    return estimates
-
-
-def _mc_columns(est: OutageEstimate | None) -> dict:
-    if est is None:
-        return {}
-    return {
-        "outage_mc": est.probability,
-        "mc_ci_low": est.ci_low,
-        "mc_ci_high": est.ci_high,
-        "trials": est.trials,
-        "failures": est.failures,
-    }
+            table.append((key, scheme, columns))
+    return table
 
 
 def run_scenario(s: Scenario, workers: int = 1) -> list[CurveRow]:
     """Produce the curve table: one row per (snr_db, scheme)."""
     _validate_curve_scenario(s)
-    snrs = [_db_to_linear(snr_db) for snr_db in s.snr_grid_db]
-    mc_cut = math.inf if s.mc_max_snr_db is None else s.mc_max_snr_db
-    points = [
-        (idx, f"{snr_db} dB", s.power, snrs[idx])
-        for idx, snr_db in enumerate(s.snr_grid_db)
-        if "montecarlo" in s.outputs and snr_db <= mc_cut
+    table = _table(s, s.network, _grid(s, s.snr_grid_db), s.outputs, s.coupled, workers)
+    return [
+        CurveRow(snr_db=db, scheme=x.value, combiner=s.combiner.value, **columns)
+        for db, x, columns in table
     ]
-    estimates = _mc_points(s, points, s.coupled, workers)
-
-    # The high-SNR law is one value per point, shared by the non-AF rows.
-    with_asym = "asymptotic" in s.outputs and any(x is not Scheme.AF for x in s.schemes)
-    rows = []
-    for idx, (snr_db, snr) in enumerate(zip(s.snr_grid_db, snrs)):
-        asym = None
-        if with_asym:
-            asym = analytic.asymptotic_outage_dfaf(s.network, s.power, s.rate, snr)
-        for scheme in s.schemes:
-            exact = None
-            if "analytic" in s.outputs:
-                exact = analytic.outage_sc(scheme, s.network, s.power, s.rate, snr)
-            rows.append(
-                CurveRow(
-                    snr_db=snr_db,
-                    scheme=scheme.value,
-                    combiner=s.combiner.value,
-                    outage_analytic=exact,
-                    outage_asymptotic=None if scheme is Scheme.AF else asym,
-                    **_mc_columns(estimates.get((idx, scheme))),
-                )
-            )
-    return rows
 
 
 def af_bounds_rows(s: Scenario) -> list[BoundsRow]:
@@ -304,8 +290,8 @@ def af_bounds_rows(s: Scenario) -> list[BoundsRow]:
     path's CDF at gamma_th, per grid point."""
     _validate_curve_scenario(s)
     rows = []
-    for snr_db in s.snr_grid_db:
-        _, relays = network_link_snrs(s.network, s.power, _db_to_linear(snr_db))
+    for snr_db, _, power, snr, _ in _grid(s, s.snr_grid_db):
+        _, relays = network_link_snrs(s.network, power, snr)
         for i, (first, second) in enumerate(relays):
             b = analytic.af_bounds(first, second, s.rate)
             rows.append(
@@ -341,34 +327,27 @@ def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
     if s.power != PowerSpec(noise_variance=n0):
         raise ScenarioError(_ALPHA_POWER_KEYS)
     points = [
-        (idx, f"alpha={alpha}", PowerSpec.from_alpha(alpha, s.total_power, n0), 1.0)
-        for idx, alpha in enumerate(s.alphas)
+        (alpha, f"alpha={alpha}", PowerSpec.from_alpha(alpha, s.total_power, n0), 1.0, True)
+        for alpha in s.alphas
     ]
-    estimates = _mc_points(s, points, True, workers)
     return [
-        AlphaRow(
-            alpha=alpha,
-            scheme=scheme.value,
-            combiner=s.combiner.value,
-            **_mc_columns(estimates[(idx, scheme)]),
-        )
-        for idx, alpha in enumerate(s.alphas)
-        for scheme in s.schemes
+        AlphaRow(alpha=alpha, scheme=x.value, combiner=s.combiner.value, **columns)
+        for alpha, x, columns in _table(s, s.network, points, {"montecarlo"}, True, workers)
     ]
 
 
-def _fit_closed_form(s: Scenario, scheme: Scheme, net: NetworkSpec) -> tuple:
-    """fit_diversity of the scheme's exact SC curve on net, sampled in 1 dB
-    steps from the low end of the scenario's window, none beyond its high
-    end."""
+def _fit_closed_form(s: Scenario, net: NetworkSpec) -> dict[Scheme, tuple[float, float, int]]:
+    """fit_diversity of each scheme's exact SC curve on net, sampled in
+    1 dB steps from the low end of the scenario's window, none beyond its
+    high end."""
     lo, hi = s.fit_window_db
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ScenarioError(f"fit window [{lo}, {hi}] dB must be finite")
-    curve = [
-        (db, analytic.outage_sc(scheme, net, s.power, s.rate, _db_to_linear(db)))
-        for db in (lo + i for i in range(math.floor(hi - lo) + 1))
-    ]
-    return fit_diversity(curve, s.fit_window_db)
+    points = _grid(s, [lo + i for i in range(math.floor(hi - lo) + 1)])
+    curves = {x: [] for x in s.schemes}
+    for db, x, columns in _table(s, net, points, {"analytic"}, False, 1):
+        curves[x].append((db, columns["outage_analytic"]))
+    return {x: fit_diversity(curve, s.fit_window_db) for x, curve in curves.items()}
 
 
 def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
@@ -390,7 +369,7 @@ def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
             direct=s.network.direct,
             relays=((ChannelSpec(m=g1), ChannelSpec(m=g2)),) * 2,
         )
-        slope, residual, _ = _fit_closed_form(s, Scheme.DFAF, net)
+        slope, residual, _ = _fit_closed_form(s, net)[Scheme.DFAF]
         rows.append(
             SurfaceRow(
                 shape_first_hop=g1,
@@ -413,22 +392,19 @@ def fit_scenario_curves(s: Scenario) -> list[FitRow]:
     _require_selection_combining(s, "a diversity fit")
     window = s.fit_window_db
     d = analytic.diversity_order_dfaf(s.network)
-    rows = []
-    for scheme in s.schemes:
-        slope, residual, n_points = _fit_closed_form(s, scheme, s.network)
-        rows.append(
-            FitRow(
-                scheme=scheme.value,
-                combiner=s.combiner.value,
-                window_lo_db=window[0],
-                window_hi_db=window[1],
-                fitted_slope=slope,
-                theoretical_d=d,
-                residual=residual,
-                n_points=n_points,
-            )
+    return [
+        FitRow(
+            scheme=scheme.value,
+            combiner=s.combiner.value,
+            window_lo_db=window[0],
+            window_hi_db=window[1],
+            fitted_slope=slope,
+            theoretical_d=d,
+            residual=residual,
+            n_points=n_points,
         )
-    return rows
+        for scheme, (slope, residual, n_points) in _fit_closed_form(s, s.network).items()
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,8 @@ def estimate_outage_coupled(
     _check_run_args(trials, seed, confidence, workers)
     if not schemes:
         raise ValueError("need at least one scheme")
+    if len(set(schemes)) < len(schemes):
+        raise ValueError(f"each scheme at most once, got {[x.value for x in schemes]}")
     failures, violations = _run_counts(
         net, power, snr, rs, tuple(schemes), combiner, trials, seed, stream_tag, workers
     )

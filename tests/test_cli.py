@@ -212,15 +212,18 @@ class TestExitCodes:
              "relays: [{first_hop: {m: 4.0}, second_hop: {m: 4.0}}]", "relays: []"),
             ("compare", "fig2_rayleigh_K1", "mc_max_snr_db: 25", "mc_max_snr_db: .nan",
              "mc_max_snr_db"),
+            ("compare", "fig2_rayleigh_K1", "schemes: [dfaf, df, af]", "schemes: [dfaf, dfaf]",
+             "dfaf"),
         ],
-        ids=["infinite_total_power", "surface_with_relay", "nan_mc_cut"],
+        ids=["infinite_total_power", "surface_with_relay", "nan_mc_cut", "repeated_scheme"],
     )
     def test_unusable_table_scenario_is_config_error(
         self, capsys, tmp_path, command, name, old, new, word
     ):
         # an infinite total power wrote zero outages, a surface ran its
-        # own two relays whatever the network named, and a NaN Monte Carlo
-        # cut left every Monte Carlo column empty
+        # own two relays whatever the network named, a NaN Monte Carlo
+        # cut left every Monte Carlo column empty, and a repeated scheme
+        # doubled its coupled Monte Carlo estimate
         text = (SCENARIO_DIR / f"{name}.yaml").read_text()
         assert old in text
         path = tmp_path / "edited.yaml"

@@ -270,6 +270,21 @@ class TestFitDiversity:
             assert row.theoretical_d == 3.5
 
 
+    def test_fits_read_the_curve_engine(self):
+        # a slope fit is fit_diversity over the exact column of the curve
+        # table on the window's 1 dB grid, bit for bit
+        (s,) = preset("fig3_nakagami_3relay")
+        s = replace(s, fit_window_db=(35.0, 45.0))
+        curve = replace(
+            s, snr_grid_db=tuple(35.0 + i for i in range(11)), outputs=frozenset({"analytic"})
+        )
+        rows = run_scenario(curve)
+        for fit in fit_scenario_curves(s):
+            column = [(r.snr_db, r.outage_analytic) for r in rows if r.scheme == fit.scheme]
+            expected = fit_diversity(column, s.fit_window_db)
+            assert (fit.fitted_slope, fit.residual, fit.n_points) == expected
+
+
 class TestDiversitySurface:
     def test_slope_tracks_weaker_hop(self):
         (s,) = preset("fig6_diversity_surface")

@@ -415,6 +415,10 @@ class TestEstimators:
     def test_coupled_needs_schemes(self):
         with pytest.raises(ValueError):
             estimate_outage_coupled(NET1, PW, RS, (), 10**4, seed=1)
+        # a scheme listed twice had its failures counted twice on the
+        # shared draws, doubling the estimate
+        with pytest.raises(ValueError, match="at most once"):
+            estimate_outage_coupled(NET1, PW, RS, (Scheme.DFAF, Scheme.DFAF), 10**4, seed=1)
 
 
 def curve_scenario(net, grid, trials, seed, outputs=("montecarlo",)):
