@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .analytic import QuadratureError
 from .experiments import (
-    Scenario,
     ScenarioError,
     ZeroOutageError,
     af_bounds_rows,
@@ -85,15 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.confidence is not None:
-        updates["confidence"] = args.confidence
-    return replace(scenario, **updates) if updates else scenario
+_NARROWED_OUTPUTS = {"analytic": "analytic", "asymptotic": "asymptotic", "simulate": "montecarlo"}
 
 
 def _out_path(base: str | None, scenario_name: str, multi: bool) -> Path | None:
@@ -121,9 +112,16 @@ def _run_command(args: argparse.Namespace) -> None:
         return
 
     scenarios = resolve_scenarios(args.scenario)
+    # one replace per scenario applies, and so checks, every override
+    given = {"seed": args.seed, "trials": args.trials, "confidence": args.confidence}
+    updates = {key: value for key, value in given.items() if value is not None}
+    if getattr(args, "window_db", None):
+        updates["fit_window_db"] = tuple(args.window_db)
+    if args.command in _NARROWED_OUTPUTS:
+        updates["outputs"] = frozenset({_NARROWED_OUTPUTS[args.command]})
     multi = len(scenarios) > 1
     for scenario in scenarios:
-        scenario = _apply_overrides(scenario, args)
+        scenario = replace(scenario, **updates)
         path = _out_path(args.out, scenario.name, multi)
         if multi and path is None:
             print(f"# scenario: {scenario.name}", file=sys.stderr)
@@ -131,19 +129,11 @@ def _run_command(args: argparse.Namespace) -> None:
         if args.command == "sweep-alpha":
             rows = sweep_alpha(scenario, workers=args.workers)
         elif args.command == "fit-diversity":
-            if args.window_db:
-                scenario = replace(scenario, fit_window_db=tuple(args.window_db))
             if scenario.kind == "diversity_surface":
                 rows = run_diversity_surface(scenario)
             else:
                 rows = fit_scenario_curves(scenario)
         else:
-            if args.command == "analytic":
-                scenario = replace(scenario, outputs=frozenset({"analytic"}))
-            elif args.command == "asymptotic":
-                scenario = replace(scenario, outputs=frozenset({"asymptotic"}))
-            elif args.command == "simulate":
-                scenario = replace(scenario, outputs=frozenset({"montecarlo"}))
             rows = run_scenario(scenario, workers=args.workers)
 
         _emit(csv_text(rows), path)

@@ -7,6 +7,9 @@ comparative experiments at desk scale; each is an annotated YAML file in
 the package's scenarios/ directory, in the same schema user scenario
 files follow.
 
+Scenario is where the rules live: building one, replace included, checks
+every rule of its kind's table; a table function checks only its kind.
+
 Curve tables use a fixed column set so emitted CSV files are stable:
 snr_db, scheme, combiner, outage_analytic, outage_asymptotic, outage_mc,
 mc_ci_low, mc_ci_high, trials, failures.  Columns a scenario did not
@@ -23,9 +26,11 @@ ScenarioError.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -61,6 +66,11 @@ _KIND_COMMANDS = {
     "diversity_surface": "fit-diversity",
 }
 
+_ALPHA_POWER_KEYS = (
+    "an alpha sweep takes its power split from alphas and total_power; "
+    "its power block may set noise_variance only"
+)
+
 
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
@@ -94,6 +104,45 @@ class Scenario:
         repeated = sorted({x.value for x in self.schemes if self.schemes.count(x) > 1})
         if repeated:
             raise ScenarioError(f"schemes {repeated} listed more than once")
+        if self.kind == "curve":
+            if not self.snr_grid_db:
+                raise ScenarioError(f"scenario {self.name!r} has no SNR grid")
+            if not all(map(math.isfinite, self.snr_grid_db)):
+                raise ScenarioError("every snr_grid_db point must be finite")
+            if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
+                raise ScenarioError("snr_grid_db must be strictly increasing")
+            if self.mc_max_snr_db is not None and math.isnan(self.mc_max_snr_db):
+                raise ScenarioError("mc_max_snr_db must be a number or null, not NaN")
+            if self.outputs - {"montecarlo"}:
+                _require_selection_combining(self, "a closed-form output")
+            if "bounds" in self.outputs and Scheme.AF not in self.schemes:
+                raise ScenarioError("bounds output applies to the AF scheme only")
+            if "bounds" in self.outputs and not self.network.relays:
+                raise ScenarioError("bounds output needs at least one relay path")
+        elif self.kind == "alpha_sweep":
+            if not self.alphas:
+                raise ScenarioError("alpha sweep needs a nonempty alphas list")
+            if any(not 0.0 < a < 1.0 for a in self.alphas):
+                raise ScenarioError("every alpha must lie strictly inside (0, 1)")
+            if self.total_power is None or not 0.0 < self.total_power < math.inf:
+                raise ScenarioError("alpha sweep needs a positive finite total_power")
+            if self.power != PowerSpec(noise_variance=self.power.noise_variance):
+                raise ScenarioError(_ALPHA_POWER_KEYS)
+        else:
+            _require_selection_combining(self, "a diversity fit")
+            if self.schemes != (Scheme.DFAF,):
+                raise ScenarioError(
+                    "a diversity surface fits the adaptive scheme only; set schemes to [dfaf]"
+                )
+            if self.network.relays:
+                raise ScenarioError(
+                    "a surface takes its relays from surface_shapes; set relays: []"
+                )
+            if not self.surface_shapes:
+                raise ScenarioError("diversity surface needs a surface_shapes grid")
+        if self.kind != "alpha_sweep" and not all(map(math.isfinite, self.fit_window_db)):
+            lo, hi = self.fit_window_db
+            raise ScenarioError(f"fit window [{lo}, {hi}] dB must be finite")
 
 
 @dataclass(frozen=True)
@@ -201,24 +250,6 @@ def _require_selection_combining(s: Scenario, what: str) -> None:
         )
 
 
-def _validate_curve_scenario(s: Scenario) -> None:
-    _require_kind(s, "curve", "a curve")
-    if not s.snr_grid_db:
-        raise ScenarioError(f"scenario {s.name!r} has no SNR grid")
-    if not all(map(math.isfinite, s.snr_grid_db)):
-        raise ScenarioError("every snr_grid_db point must be finite")
-    if any(b <= a for a, b in zip(s.snr_grid_db, s.snr_grid_db[1:])):
-        raise ScenarioError("snr_grid_db must be strictly increasing")
-    if s.mc_max_snr_db is not None and math.isnan(s.mc_max_snr_db):
-        raise ScenarioError("mc_max_snr_db must be a number or null, not NaN")
-    if s.outputs - {"montecarlo"}:
-        _require_selection_combining(s, "a closed-form output")
-    if "bounds" in s.outputs and Scheme.AF not in s.schemes:
-        raise ScenarioError("bounds output applies to the AF scheme only")
-    if "bounds" in s.outputs and not s.network.relays:
-        raise ScenarioError("bounds output needs at least one relay path")
-
-
 def _grid(s: Scenario, grid_db: Iterable[float]) -> list[tuple]:
     """(key, label, power, snr, simulated) points at the scenario's power,
     one per dB value; simulated marks the points up to mc_max_snr_db."""
@@ -277,7 +308,7 @@ def _table(
 
 def run_scenario(s: Scenario, workers: int = 1) -> list[CurveRow]:
     """Produce the curve table: one row per (snr_db, scheme)."""
-    _validate_curve_scenario(s)
+    _require_kind(s, "curve", "a curve")
     table = _table(s, s.network, _grid(s, s.snr_grid_db), s.outputs, s.coupled, workers)
     return [
         CurveRow(snr_db=db, scheme=x.value, combiner=s.combiner.value, **columns)
@@ -288,7 +319,7 @@ def run_scenario(s: Scenario, workers: int = 1) -> list[CurveRow]:
 def af_bounds_rows(s: Scenario) -> list[BoundsRow]:
     """Companion table for the AF scheme: asymptotic sandwich of each relay
     path's CDF at gamma_th, per grid point."""
-    _validate_curve_scenario(s)
+    _require_kind(s, "curve", "a curve")
     rows = []
     for snr_db, _, power, snr, _ in _grid(s, s.snr_grid_db):
         _, relays = network_link_snrs(s.network, power, snr)
@@ -307,25 +338,11 @@ def af_bounds_rows(s: Scenario) -> list[BoundsRow]:
     return rows
 
 
-_ALPHA_POWER_KEYS = (
-    "an alpha sweep takes its power split from alphas and total_power; "
-    "its power block may set noise_variance only"
-)
-
-
 def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
     """Monte Carlo outage per (power split alpha, scheme) at fixed total
     power, coupled trials across schemes at each alpha."""
     _require_kind(s, "alpha_sweep", "an alpha sweep")
-    if not s.alphas:
-        raise ScenarioError("alpha sweep needs a nonempty alphas list")
-    if any(not 0.0 < a < 1.0 for a in s.alphas):
-        raise ScenarioError("every alpha must lie strictly inside (0, 1)")
-    if s.total_power is None or not 0.0 < s.total_power < math.inf:
-        raise ScenarioError("alpha sweep needs a positive finite total_power")
     n0 = s.power.noise_variance
-    if s.power != PowerSpec(noise_variance=n0):
-        raise ScenarioError(_ALPHA_POWER_KEYS)
     points = [
         (alpha, f"alpha={alpha}", PowerSpec.from_alpha(alpha, s.total_power, n0), 1.0, True)
         for alpha in s.alphas
@@ -341,8 +358,6 @@ def _fit_closed_form(s: Scenario, net: NetworkSpec) -> dict[Scheme, tuple[float,
     1 dB steps from the low end of the scenario's window, none beyond its
     high end."""
     lo, hi = s.fit_window_db
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ScenarioError(f"fit window [{lo}, {hi}] dB must be finite")
     points = _grid(s, [lo + i for i in range(math.floor(hi - lo) + 1)])
     curves = {x: [] for x in s.schemes}
     for db, x, columns in _table(s, net, points, {"analytic"}, False, 1):
@@ -354,15 +369,6 @@ def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
     """Fitted high-SNR slope of the exact outage for a two-relay symmetric
     network over a grid of hop shapes, against the predicted diversity."""
     _require_kind(s, "diversity_surface", "a diversity surface")
-    _require_selection_combining(s, "a diversity fit")
-    if s.schemes != (Scheme.DFAF,):
-        raise ScenarioError(
-            "a diversity surface fits the adaptive scheme only; set schemes to [dfaf]"
-        )
-    if s.network.relays:
-        raise ScenarioError("a surface takes its relays from surface_shapes; set relays: []")
-    if not s.surface_shapes:
-        raise ScenarioError("diversity surface needs a surface_shapes grid")
     rows = []
     for g1, g2 in product(s.surface_shapes, repeat=2):
         net = NetworkSpec(
@@ -388,7 +394,7 @@ def fit_scenario_curves(s: Scenario) -> list[FitRow]:
     """Diversity fit of each scheme's exact closed-form curve over the
     scenario's fit window; the curve is the selection-combining outage
     whatever the scenario's outputs."""
-    _validate_curve_scenario(s)
+    _require_kind(s, "curve", "a curve")
     _require_selection_combining(s, "a diversity fit")
     window = s.fit_window_db
     d = analytic.diversity_order_dfaf(s.network)
@@ -478,8 +484,8 @@ def _parsed(cfg: dict, parsers: dict[str, Callable]) -> dict:
 
 
 def _real(value) -> float:
-    """A number, not a YAML boolean; float() parses a string such as '1e-3'."""
-    if isinstance(value, bool):
+    """A number; a YAML boolean or a string, even '1.0', is an error."""
+    if isinstance(value, (bool, str)):
         raise ScenarioError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -574,15 +580,26 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     sweep's power block may name noise_variance only, even at a default
     value, since the parsed PowerSpec no longer shows which keys were set."""
     try:
-        s = Scenario(**_parsed(cfg, _SCENARIO_KEYS))
+        parsed = _parsed(cfg, _SCENARIO_KEYS)
+        ignored = sorted(map(str, cfg.get("power", {}).keys() - {"noise_variance"}))
+        if parsed.get("kind") == "alpha_sweep" and ignored:
+            raise ScenarioError(f"{_ALPHA_POWER_KEYS}, not {ignored}")
+        return Scenario(**parsed)
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario config: {exc}") from exc
-    ignored = sorted(map(str, cfg.get("power", {}).keys() - {"noise_variance"}))
-    if s.kind == "alpha_sweep" and ignored:
-        raise ScenarioError(f"{_ALPHA_POWER_KEYS}, not {ignored}")
-    return s
+
+
+@functools.cache
+def _yaml_loader() -> type:
+    """PyYAML's safe loader, reading 1e6 as a float: YAML 1.1 floats need a dot."""
+    import yaml
+
+    loader = type("Loader", (yaml.SafeLoader,), {})
+    exponent = re.compile(r"^[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$")
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", exponent, list("-+0123456789."))
+    return loader
 
 
 def load_scenario(path: str | os.PathLike | Traversable) -> Scenario:
@@ -592,7 +609,7 @@ def load_scenario(path: str | os.PathLike | Traversable) -> Scenario:
 
     if isinstance(path, (str, os.PathLike)):
         path = Path(path)
-    cfg = yaml.safe_load(path.read_text(encoding="utf-8"))
+    cfg = yaml.load(path.read_text(encoding="utf-8"), Loader=_yaml_loader())
     if not isinstance(cfg, dict):
         raise ScenarioError(f"{path} does not contain a scenario mapping")
     return scenario_from_dict(cfg)

@@ -181,15 +181,17 @@ class TestExitCodes:
             "trials: 2500.7", "trials: '2500'", "trials: true",
             "seed: 12.5", "seed: '7'",
             "direct: {m: yes, omega: 1.0}", "direct: {m: 0.8, omega: .inf}",
-            "rate: {rate: true}", "rate: {rate: 600}", "power: {source_power: .inf}",
+            "rate: {rate: true}", "rate: {rate: 600}", "rate: {rate: '1.0'}",
+            "power: {source_power: .inf}",
             "snr_grid_db: {start: 0, stop: .inf, step: 5}",
         ],
     )
     def test_mistyped_scenario_value_is_config_error(self, capsys, tmp_path, line):
         # a quoted "false" used to run a coupled scenario, a fractional
         # trial count was truncated, m: yes ran a Rayleigh link, an
-        # infinite spread or power wrote zero outages, and a rate whose
-        # threshold overflows crashed; each is refused before anything runs
+        # infinite spread or power wrote zero outages, a rate whose
+        # threshold overflows crashed, and a quoted number parsed as one;
+        # each is refused before anything runs
         key = line.split(":")[0]
         text = (SCENARIO_DIR / "fig4_K1.yaml").read_text()
         text = re.sub(rf"^( *){key}: .*$", rf"\g<1>{line}", text, flags=re.M)
@@ -214,8 +216,13 @@ class TestExitCodes:
              "mc_max_snr_db"),
             ("compare", "fig2_rayleigh_K1", "schemes: [dfaf, df, af]", "schemes: [dfaf, dfaf]",
              "dfaf"),
+            ("simulate", "fig7_mrc_compare", "outputs: [montecarlo]",
+             "outputs: [analytic, montecarlo]", "selection-combining only"),
         ],
-        ids=["infinite_total_power", "surface_with_relay", "nan_mc_cut", "repeated_scheme"],
+        ids=[
+            "infinite_total_power", "surface_with_relay", "nan_mc_cut", "repeated_scheme",
+            "simulate_mrc_closed_form",
+        ],
     )
     def test_unusable_table_scenario_is_config_error(
         self, capsys, tmp_path, command, name, old, new, word
@@ -223,7 +230,9 @@ class TestExitCodes:
         # an infinite total power wrote zero outages, a surface ran its
         # own two relays whatever the network named, a NaN Monte Carlo
         # cut left every Monte Carlo column empty, and a repeated scheme
-        # doubled its coupled Monte Carlo estimate
+        # doubled its coupled Monte Carlo estimate; an MRC file that asks
+        # for a closed form is refused even by simulate, which never
+        # writes one
         text = (SCENARIO_DIR / f"{name}.yaml").read_text()
         assert old in text
         path = tmp_path / "edited.yaml"

@@ -3,15 +3,18 @@ slope fitting, the alpha sweep, and scenario file parsing."""
 
 import csv
 import io
+import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
 
 import opprelay
 from opprelay import analytic, experiments
 from opprelay.analytic import RateSpec
-from opprelay.channel import ChannelSpec, PowerSpec
+from opprelay.channel import ChannelSpec, NetworkSpec, PowerSpec
 from opprelay.experiments import (
     CurveRow,
     Scenario,
@@ -143,9 +146,8 @@ class TestRunScenario:
 
     def test_mrc_with_closed_form_outputs_rejected(self):
         (s,) = preset("fig7_mrc_compare")
-        bad = replace(s, outputs=frozenset({"analytic", "montecarlo"}))
         with pytest.raises(ScenarioError, match="selection-combining only"):
-            run_scenario(bad)
+            run_scenario(replace(s, outputs=frozenset({"analytic", "montecarlo"})))
 
     def test_wrong_kind_rejected(self):
         (s,) = preset("fig8_alpha_sweep")
@@ -405,20 +407,69 @@ class TestBoundsTable:
 
     def test_bounds_need_af_scheme(self):
         (s,) = preset("fig4_K1")
-        bad = replace(s, outputs=frozenset({"analytic", "bounds"}))
         with pytest.raises(ScenarioError, match="AF scheme"):
-            run_scenario(bad)
+            run_scenario(replace(s, outputs=frozenset({"analytic", "bounds"})))
 
     def test_bounds_need_a_relay(self):
         (s,) = preset("fig2_rayleigh_K1")
-        bad = replace(
-            s,
-            network=replace(s.network, relays=()),
-            outputs=frozenset({"analytic", "bounds"}),
-        )
+        no_relays = replace(s.network, relays=())
         for table in (run_scenario, af_bounds_rows):
             with pytest.raises(ScenarioError, match="relay"):
-                table(bad)
+                table(replace(s, network=no_relays, outputs=frozenset({"analytic", "bounds"})))
+
+
+# (preset, fields that break one rule, the start of that rule's message)
+SCENARIO_RULES = [
+    ("fig4_K1", {"snr_grid_db": None}, "scenario 'fig4_K1' has no SNR grid"),
+    ("fig4_K1", {"snr_grid_db": (0.0, math.inf)}, "every snr_grid_db point must be finite"),
+    ("fig4_K1", {"snr_grid_db": (10.0, 5.0)}, "snr_grid_db must be strictly increasing"),
+    ("fig2_rayleigh_K1", {"mc_max_snr_db": math.nan},
+     "mc_max_snr_db must be a number or null, not NaN"),
+    ("fig7_mrc_compare", {"outputs": frozenset({"analytic", "montecarlo"})},
+     "a closed-form output is selection-combining only; MRC outage has no closed form"),
+    ("fig4_K1", {"outputs": frozenset({"analytic", "bounds"})},
+     "bounds output applies to the AF scheme only"),
+    ("fig2_rayleigh_K1",
+     {"outputs": frozenset({"bounds"}), "network": NetworkSpec(direct=ChannelSpec(m=1.0))},
+     "bounds output needs at least one relay path"),
+    ("fig8_alpha_sweep", {"alphas": ()}, "alpha sweep needs a nonempty alphas list"),
+    ("fig8_alpha_sweep", {"alphas": (0.5, 1.0)}, "every alpha must lie strictly inside (0, 1)"),
+    ("fig8_alpha_sweep", {"total_power": -1.0}, "alpha sweep needs a positive finite total_power"),
+    ("fig8_alpha_sweep", {"power": PowerSpec(relay_power=2.0)},
+     "an alpha sweep takes its power split from alphas and total_power; "
+     "its power block may set noise_variance only"),
+    ("fig3_nakagami_3relay", {"fit_window_db": (35.0, math.inf)},
+     "fit window [35.0, inf] dB must be finite"),
+    ("fig6_diversity_surface", {"combiner": Combiner.MRC},
+     "a diversity fit is selection-combining only"),
+    ("fig6_diversity_surface", {"schemes": (Scheme.DF,)},
+     "a diversity surface fits the adaptive scheme only; set schemes to [dfaf]"),
+    ("fig6_diversity_surface",
+     {"network": NetworkSpec(direct=ChannelSpec(m=0.5), relays=((ChannelSpec(m=1.0),) * 2,))},
+     "a surface takes its relays from surface_shapes; set relays: []"),
+    ("fig6_diversity_surface", {"surface_shapes": ()},
+     "diversity surface needs a surface_shapes grid"),
+]
+
+
+class TestScenarioRules:
+    @pytest.mark.parametrize(
+        "name, bad, message",
+        SCENARIO_RULES,
+        ids=[
+            "no_grid", "infinite_grid_point", "decreasing_grid", "nan_mc_cut",
+            "mrc_closed_form", "bounds_without_af", "bounds_without_relay",
+            "no_alphas", "alpha_at_one", "negative_total_power", "sweep_power_split",
+            "infinite_fit_window", "mrc_surface", "surface_not_dfaf", "surface_with_relay",
+            "no_surface_shapes",
+        ],
+    )
+    def test_rule_fires_where_the_scenario_is_built(self, name, bad, message):
+        # each table rule used to wait for the table; replace now refuses
+        # the scenario, whatever command or table would have run it
+        (s,) = preset(name)
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            replace(s, **bad)
 
 
 class TestScenarioFiles:
@@ -455,8 +506,8 @@ class TestScenarioFiles:
 
     def test_whole_floats_and_yaml_booleans_parse(self, tmp_path):
         # the checks that refuse fractions and booleans still take a whole
-        # float, YAML's unquoted off, and an unquoted 1e-3, which PyYAML
-        # loads as a string
+        # float, YAML's unquoted off, and an unquoted 1e-3, which YAML 1.1
+        # reads as a string and the scenario loader reads as a float
         text = (SCENARIO_DIR / "fig7_mrc_compare.yaml").read_text()
         text = text.replace("direct: {m: 0.5, omega: 1.0}", "direct: {m: 0.5, omega: 1e-3}")
         text = text.replace("coupled: true", "coupled: off")
@@ -469,9 +520,35 @@ class TestScenarioFiles:
         assert type(s.trials) is int and type(s.seed) is int
         assert s.network.direct.omega == 0.001
 
+    def test_exponent_form_whole_numbers_parse(self, tmp_path):
+        # YAML 1.1 floats need a dot, so PyYAML's own loader reads 1e4 as
+        # a string; the scenario loader reads it as a number
+        text = (SCENARIO_DIR / "fig2_rayleigh_K1.yaml").read_text()
+        assert "trials: 1000000" in text and "seed: 12345" in text
+        text = text.replace("trials: 1000000", "trials: 1e4")
+        path = tmp_path / "exponent.yaml"
+        path.write_text(text.replace("seed: 12345", "seed: 1e3"))
+        s = load_scenario(path)
+        assert (s.trials, s.seed) == (10_000, 1000)
+        assert type(s.trials) is int and type(s.seed) is int
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e6", 1e6), ("1.0e6", 1e6), (".5e1", 5.0), ("-2E-3", -0.002),
+         ("'1e6'", "1e6"), ("1e", "1e"), ("e5", "e5")],
+    )
+    def test_exponent_floats_resolve(self, text, value):
+        loaded = yaml.load(f"x: {text}", Loader=experiments._yaml_loader())["x"]
+        assert (type(loaded), loaded) == (type(value), value)
+
     def test_minimal_config_takes_dataclass_defaults(self):
         s = scenario_from_dict(
-            {"name": "t", "network": {"direct": {"m": 2.0}}, "schemes": ["DF"]}
+            {
+                "name": "t",
+                "network": {"direct": {"m": 2.0}},
+                "schemes": ["DF"],
+                "snr_grid_db": [0.0],
+            }
         )
         assert s.network.direct == ChannelSpec(m=2.0, omega=1.0)
         assert s.network.relays == ()
@@ -483,9 +560,18 @@ class TestScenarioFiles:
         assert (s.kind, s.trials, s.seed, s.confidence, s.coupled) == (
             "curve", 10**6, 12345, 0.99, False,
         )
-        assert (s.snr_grid_db, s.mc_max_snr_db, s.fit_window_db) == (
-            None, 25.0, (35.0, 45.0),
+        assert (s.mc_max_snr_db, s.fit_window_db) == (25.0, (35.0, 45.0))
+        # a curve needs a grid, so the grid's default shows on a surface
+        surface = scenario_from_dict(
+            {
+                "name": "t",
+                "kind": "diversity_surface",
+                "network": {"direct": {"m": 2.0}},
+                "schemes": ["dfaf"],
+                "surface_shapes": [1.0],
+            }
         )
+        assert surface.snr_grid_db is None
 
     def test_malformed_config(self):
         with pytest.raises(ScenarioError):
@@ -519,6 +605,7 @@ class TestScenarioFiles:
             "rate": {"rate": 1.0},
             "power": {"source_power": 1.0},
             "schemes": ["dfaf"],
+            "snr_grid_db": [0.0],
         }
         scenario_from_dict(cfg)
         level = cfg
