@@ -26,12 +26,14 @@ Every scalar CDF factor (direct link, decode failure, second hop, the
 AF path's first-hop head) is channel.snr_cdf of the link laws that
 channel.network_link_snrs builds for the grid point.  scipy.special loads
 on the first exact value, inside snr_cdf, the quadrature's node array or
-the Bessel reference: the high-SNR law and the AF bounds need only
-math, and Monte Carlo runs import numpy alone.
+the Bessel reference, and the quadrature's Gauss-Legendre table (with
+numpy.polynomial) on the first AF path CDF: the high-SNR law and the AF
+bounds need only math, and Monte Carlo runs load neither.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -42,9 +44,6 @@ from .channel import LinkSnr, NetworkSpec, PowerSpec, network_link_snrs, snr_cdf
 
 # Error the AF path CDF quadrature must certify, relative to its value.
 AF_QUAD_TOL = 1e-9
-
-# 16-point Gauss-Legendre nodes and weights on [-1, 1].
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 class Scheme(Enum):
@@ -59,6 +58,18 @@ class ClosedFormUnavailableError(ValueError):
 
 class QuadratureError(RuntimeError):
     """The AF path CDF quadrature could not certify AF_QUAD_TOL."""
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # 16-point Gauss-Legendre nodes and weights on [-1, 1], built on the
+    # first AF quadrature: numpy.polynomial and its eigen-solve stay out of
+    # runs that never take one.
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(16)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every call
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -222,6 +233,7 @@ def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
         raise ValueError(f"y must be nonnegative, got {y}")
     if y == 0.0:
         return 0.0
+    nodes, weights = _gauss_legendre()
     m1, a1 = hop1.m, hop1.rate
     m2, a2 = hop2.m, hop2.rate
     # Far below t = a2 y (y+1) the conditional probability tends to 1, so
@@ -236,14 +248,14 @@ def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     h = min(1.0, 3.0 / math.sqrt(max(m1, m2)))
     n_wide = math.ceil((hi - lo) / (2.0 * h))
     k = h * np.arange(2 * n_wide)[:, None]
-    unit = lo + 0.5 * h + k + 0.5 * h * _GL_NODES
-    wide = lo + h + 2.0 * k[:n_wide] + h * _GL_NODES
+    unit = lo + 0.5 * h + k + 0.5 * h * nodes
+    wide = lo + h + 2.0 * k[:n_wide] + h * nodes
     v = np.concatenate((unit.ravel(), wide.ravel()))
     t = np.exp(v)
     x = y + t
     ln_f1 = m1 * math.log(a1) - math.lgamma(m1) + (m1 - 1.0) * np.log(x) - a1 * x
     f = np.exp(ln_f1 + v) * gammainc(m2, a2 * y * (x + 1.0) / t)
-    panels = f.reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS  # half-widths h/2, h
+    panels = f.reshape(-1, nodes.size) @ weights  # half-widths h/2, h
     tail = 0.5 * h * float(panels[: 2 * n_wide].sum())
     value = min(1.0, snr_cdf(hop1, y) + tail)
     err = abs(tail - h * float(panels[2 * n_wide :].sum()))

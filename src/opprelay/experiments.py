@@ -19,8 +19,8 @@ bound tables have their own documented column sets.
 Curves, alpha sweeps and slope fits build their rows with one column
 builder, _table, over a list of operating points: it is the one route
 for every exact (analytic.outage_sc of the row's scheme), asymptotic and
-Monte Carlo value they hold.  A dB value too large for a float is a
-ScenarioError.
+Monte Carlo value they hold.  A dB value whose linear SNR overflows a
+float, or underflows to zero, is a ScenarioError.
 """
 
 from __future__ import annotations
@@ -59,6 +59,10 @@ class ZeroOutageError(RuntimeError):
 
 
 VALID_OUTPUTS = frozenset({"analytic", "asymptotic", "montecarlo", "bounds"})
+
+# Most points an snr_grid_db mapping or a 1 dB fit grid may build: 0.01 dB
+# steps over 100 dB.
+MAX_GRID_POINTS = 10_000
 
 _KIND_COMMANDS = {
     "curve": "analytic, asymptotic, simulate, compare or fit-diversity",
@@ -104,6 +108,14 @@ class Scenario:
         repeated = sorted({x.value for x in self.schemes if self.schemes.count(x) > 1})
         if repeated:
             raise ScenarioError(f"schemes {repeated} listed more than once")
+        if self.trials < 1000:
+            raise ScenarioError(
+                f"need at least 1000 trials for a usable estimate, got {self.trials}"
+            )
+        if self.seed < 0:
+            raise ScenarioError("seed must be nonnegative")
+        if not 0.0 < self.confidence < 1.0:
+            raise ScenarioError("confidence must lie in (0, 1)")
         if self.kind == "curve":
             if not self.snr_grid_db:
                 raise ScenarioError(f"scenario {self.name!r} has no SNR grid")
@@ -140,9 +152,15 @@ class Scenario:
                 )
             if not self.surface_shapes:
                 raise ScenarioError("diversity surface needs a surface_shapes grid")
-        if self.kind != "alpha_sweep" and not all(map(math.isfinite, self.fit_window_db)):
+        if self.kind != "alpha_sweep":
             lo, hi = self.fit_window_db
-            raise ScenarioError(f"fit window [{lo}, {hi}] dB must be finite")
+            if not all(map(math.isfinite, self.fit_window_db)):
+                raise ScenarioError(f"fit window [{lo}, {hi}] dB must be finite")
+            n = math.floor(hi - lo) + 1
+            if n > MAX_GRID_POINTS:
+                raise ScenarioError(
+                    f"fit window [{lo}, {hi}] dB has {n} 1 dB points, over {MAX_GRID_POINTS}"
+                )
 
 
 @dataclass(frozen=True)
@@ -229,9 +247,12 @@ def fit_diversity(
 
 def _db_to_linear(db: float) -> float:
     try:
-        return 10.0 ** (db / 10.0)
+        linear = 10.0 ** (db / 10.0)
     except OverflowError:
         raise ScenarioError(f"{db} dB overflows a linear SNR") from None
+    if linear == 0.0:
+        raise ScenarioError(f"{db} dB underflows a linear SNR")
+    return linear
 
 
 def _require_kind(s: Scenario, kind: str, what: str) -> None:
@@ -511,8 +532,6 @@ def _flag(value) -> bool:
 
 
 _GRID_KEYS = dict.fromkeys(("start", "stop", "step"), _real)
-# Most points an snr_grid_db mapping may build: 0.01 dB steps over 100 dB.
-MAX_GRID_POINTS = 10_000
 
 
 def _grid_from_config(cfg) -> tuple[float, ...]:

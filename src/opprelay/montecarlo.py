@@ -24,7 +24,7 @@ dispatch on it, and re-exported here.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
@@ -165,9 +165,11 @@ def _run_counts(
     the adaptive scheme's combined SNR fell strictly below another's.
 
     Each worker resolves one contiguous range of blocks in one loop: the
-    calling thread the first range, pool threads the others, so one
-    worker starts no thread.  The gamma draws, most of the work, release
-    the interpreter lock while they fill a strip, so the threads overlap.
+    calling thread the first range, one threading.Thread each the others,
+    so one worker starts no thread.  Every thread is joined before the
+    first range's exception, in range order, is raised.  The gamma draws,
+    most of the work, release the interpreter lock while they fill a
+    strip, so the threads overlap.
 
     BLOCK_SIZE fixes the stream layout: a block opens its 2K+1 streams
     once, keyed (seed, *tag, block, link_id), and pairs each with its
@@ -221,9 +223,27 @@ def _run_counts(
         return failures, violations
 
     ranges = list(zip(bounds[:-1], bounds[1:]))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(range_counts, lo, hi) for lo, hi in ranges[1:]]
-        parts = [range_counts(*ranges[0])] + [f.result() for f in futures]
+    parts: list = [None] * workers
+
+    def resolve(i: int) -> None:
+        try:
+            parts[i] = range_counts(*ranges[i])
+        except BaseException as exc:  # re-raised on the calling thread below
+            parts[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, workers):
+            thread = threading.Thread(target=resolve, args=(i,))
+            thread.start()
+            threads.append(thread)
+        parts[0] = range_counts(*ranges[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    for part in parts[1:]:
+        if isinstance(part, BaseException):
+            raise part
     failures = {s: sum(f[s] for f, _ in parts) for s in schemes}
     violations = {s: sum(v[s] for _, v in parts) for s in parts[0][1]}
     return failures, violations

@@ -206,6 +206,35 @@ class TestExitCodes:
         assert not target.exists()
 
     @pytest.mark.parametrize(
+        "command, line, word",
+        [
+            ("analytic", "trials: 0", "at least 1000 trials"),
+            ("analytic", "confidence: 2", "confidence must lie in (0, 1)"),
+            ("analytic", "seed: -1", "seed must be nonnegative"),
+            ("asymptotic", "trials: 999", "at least 1000 trials"),
+            ("fit-diversity", "confidence: 0", "confidence must lie in (0, 1)"),
+        ],
+    )
+    def test_run_argument_in_file_is_config_error_for_every_command(
+        self, capsys, tmp_path, command, line, word
+    ):
+        # the Monte Carlo arguments used to be checked only by an estimate,
+        # so the closed-form commands wrote a table from a file that
+        # simulate refused
+        key = line.split(":")[0]
+        text = (SCENARIO_DIR / "fig4_K1.yaml").read_text()
+        text = re.sub(rf"^{key}: .*$", line, text, flags=re.M)
+        assert line in text
+        path = tmp_path / "run_args.yaml"
+        path.write_text(text)
+        target = tmp_path / "table.csv"
+        code, out, err = run_cli(capsys, command, "--scenario", str(path), "--out", str(target))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert word in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
         "command, name, old, new, word",
         [
             ("sweep-alpha", "fig8_alpha_sweep", "total_power: 10.0", "total_power: .inf",
@@ -335,6 +364,39 @@ class TestExitCodes:
         assert out == ""
         assert "configuration error" in err
         assert not target.exists()
+
+    def test_unbounded_fit_window_is_refused_at_load(self, capsys, tmp_path):
+        # a 2,000,046-point fit grid used to be built in full, taking
+        # seconds and hundreds of MB, before its first point failed
+        target = tmp_path / "fit.csv"
+        code, out, err = run_cli(
+            capsys, "fit-diversity", "--scenario", "fig4_K1",
+            "--window-db", "-2000000", "45", "--out", str(target),
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "2000046 1 dB points, over 10000" in err
+        assert not target.exists()
+
+    def test_underflowing_db_value_is_config_error(self, capsys, tmp_path):
+        # a linear SNR of 0.0 used to reach the closed forms, which
+        # refused it only as a nonpositive snr
+        code, out, err = run_cli(
+            capsys, "fit-diversity", "--scenario", "fig4_K1", "--window-db", "-4000", "-3990"
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "-4000.0 dB underflows a linear SNR" in err
+        import yaml
+
+        cfg = yaml.safe_load((SCENARIO_DIR / "fig4_K1.yaml").read_text())
+        cfg["snr_grid_db"] = [-4000.0, 10.0]
+        path = tmp_path / "grid.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        code, out, err = run_cli(capsys, "analytic", "--scenario", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "-4000.0 dB underflows a linear SNR" in err
 
     @pytest.mark.parametrize("top", [4000.0, float("inf")], ids=["overflow", "inf"])
     def test_unrepresentable_grid_point_is_config_error(self, capsys, tmp_path, top):

@@ -449,6 +449,13 @@ SCENARIO_RULES = [
      "a surface takes its relays from surface_shapes; set relays: []"),
     ("fig6_diversity_surface", {"surface_shapes": ()},
      "diversity surface needs a surface_shapes grid"),
+    ("fig4_K1", {"trials": 999}, "need at least 1000 trials for a usable estimate, got 999"),
+    ("fig4_K1", {"seed": -1}, "seed must be nonnegative"),
+    ("fig4_K1", {"confidence": 2.0}, "confidence must lie in (0, 1)"),
+    ("fig4_K1", {"fit_window_db": (-2_000_000.0, 45.0)},
+     "fit window [-2000000.0, 45.0] dB has 2000046 1 dB points, over 10000"),
+    ("fig6_diversity_surface", {"fit_window_db": (0.0, 10_000.0)},
+     "fit window [0.0, 10000.0] dB has 10001 1 dB points, over 10000"),
 ]
 
 
@@ -461,15 +468,23 @@ class TestScenarioRules:
             "mrc_closed_form", "bounds_without_af", "bounds_without_relay",
             "no_alphas", "alpha_at_one", "negative_total_power", "sweep_power_split",
             "infinite_fit_window", "mrc_surface", "surface_not_dfaf", "surface_with_relay",
-            "no_surface_shapes",
+            "no_surface_shapes", "too_few_trials", "negative_seed", "confidence_above_one",
+            "unbounded_fit_window", "unbounded_surface_window",
         ],
     )
     def test_rule_fires_where_the_scenario_is_built(self, name, bad, message):
-        # each table rule used to wait for the table; replace now refuses
-        # the scenario, whatever command or table would have run it
+        # each table rule used to wait for the table, and the Monte Carlo
+        # arguments for an estimate; replace now refuses the scenario,
+        # whatever command or table would have run it
         (s,) = preset(name)
         with pytest.raises(ScenarioError, match=re.escape(message)):
             replace(s, **bad)
+
+
+    def test_fit_window_of_max_grid_points_is_accepted(self):
+        (s,) = preset("fig4_K1")
+        window = (0.0, experiments.MAX_GRID_POINTS - 1.0)
+        assert replace(s, fit_window_db=window).fit_window_db == window
 
 
 class TestScenarioFiles:

@@ -1,7 +1,9 @@
-"""scipy.special loads on the first closed-form call, so Monte Carlo runs
-import numpy alone, and PyYAML loads on the first scenario file read.
-Each check runs in a fresh interpreter, because the test process has long
-since loaded scipy."""
+"""scipy.special loads on the first closed-form call and the AF
+quadrature's Gauss-Legendre table (with numpy.polynomial) on the first AF
+path CDF, and block threads come from threading, so Monte Carlo runs load
+neither scipy, numpy.polynomial nor concurrent.futures; PyYAML loads on
+the first scenario file read.  Each check runs in a fresh interpreter,
+because the test process has long since loaded scipy."""
 
 import os
 import subprocess
@@ -23,13 +25,17 @@ def run_fresh(code: str) -> list[str]:
     return out.split()
 
 
-def test_monte_carlo_leaves_scipy_unloaded(tmp_path):
+def monte_carlo_loads(tmp_path, modules: list[str]) -> list[str]:
+    """Whether any of modules is loaded after import opprelay, after a
+    2-worker coupled MRC estimate and after a 2-worker simulate command."""
     out = tmp_path / "fig7.csv"
     code = f"""
 import sys
 import opprelay
 from opprelay import cli
-print("scipy" in sys.modules)
+def loaded():
+    print(any(name in sys.modules for name in {modules!r}))
+loaded()
 # 140000 trials make 3 blocks, so both workers resolve some
 opprelay.estimate_outage_coupled(
     opprelay.NetworkSpec(
@@ -43,13 +49,26 @@ opprelay.estimate_outage_coupled(
     combiner=opprelay.Combiner.MRC,
     workers=2,
 )
-print("scipy" in sys.modules)
+loaded()
 cli.main(["simulate", "--scenario", "fig7_mrc_compare", "--trials", "2000",
           "--workers", "2", "--out", {str(out)!r}])
-print("scipy" in sys.modules)
+loaded()
 """
-    assert run_fresh(code) == ["False", "False", "False"]
+    loads = run_fresh(code)
     assert out.read_text().count("\n") > 1
+    return loads
+
+
+def test_monte_carlo_leaves_scipy_unloaded(tmp_path):
+    assert monte_carlo_loads(tmp_path, ["scipy"]) == ["False", "False", "False"]
+
+
+def test_monte_carlo_leaves_quadrature_table_and_executor_unloaded(tmp_path):
+    # the Gauss-Legendre table was built at import, loading numpy.polynomial
+    # and running an eigen-solve, and the block threads came from a
+    # concurrent.futures pool
+    modules = ["numpy.polynomial", "concurrent.futures"]
+    assert monte_carlo_loads(tmp_path, modules) == ["False", "False", "False"]
 
 
 def test_yaml_loads_on_the_first_scenario_file():
@@ -76,20 +95,18 @@ print(value == float(scipy.special.gammainc(link.m, link.rate * 2.3)))
     assert run_fresh(code) == ["True", "True"]
 
 
-@pytest.mark.parametrize("process", range(3))
-def test_concurrent_first_calls_agree(process):
-    # four threads make the process's first snr_cdf call at once, so all
-    # of them race to import scipy.special
-    code = """
+def assert_first_calls_agree(setup: str, call: str) -> None:
+    """Four threads make the process's first call at once; each must get
+    the value a later call gets."""
+    code = f"""
 import threading
-from opprelay import LinkSnr, snr_cdf
-link = LinkSnr(mean_snr=7.5, m=1.7)
+{setup}
 barrier = threading.Barrier(4)
 results = []
 def first_call():
     barrier.wait()
     try:
-        results.append(repr(snr_cdf(link, 2.3)))
+        results.append(repr({call}))
     except Exception as exc:
         results.append(type(exc).__name__)
 threads = [threading.Thread(target=first_call) for _ in range(4)]
@@ -98,7 +115,25 @@ for t in threads:
 for t in threads:
     t.join()
 print(" ".join(results))
-print(repr(snr_cdf(link, 2.3)))
+print(repr({call}))
 """
     *racing, settled = run_fresh(code)
     assert racing == [settled] * 4
+
+
+@pytest.mark.parametrize("process", range(3))
+def test_concurrent_first_calls_agree(process):
+    # the first snr_cdf calls race to import scipy.special
+    setup = "from opprelay import LinkSnr, snr_cdf\nlink = LinkSnr(mean_snr=7.5, m=1.7)"
+    assert_first_calls_agree(setup, "snr_cdf(link, 2.3)")
+
+
+@pytest.mark.parametrize("process", range(3))
+def test_concurrent_first_quadratures_agree(process):
+    # the first af_path_cdf_quadrature calls race to build the
+    # Gauss-Legendre table
+    setup = (
+        "from opprelay import LinkSnr, af_path_cdf_quadrature\n"
+        "hops = (LinkSnr(mean_snr=7.5, m=1.7), LinkSnr(mean_snr=4.0, m=2.5))"
+    )
+    assert_first_calls_agree(setup, "af_path_cdf_quadrature(*hops, 2.3)")

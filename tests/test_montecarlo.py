@@ -4,6 +4,8 @@ estimator calibration against the closed forms, and reproducibility."""
 import multiprocessing.process
 import os
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -319,6 +321,41 @@ class TestEstimators:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+    def test_worker_thread_exception_reaches_the_caller(self, monkeypatch):
+        # the second block range fails on its own thread; the estimate
+        # raises that exception and leaves no thread running
+        draw = montecarlo.sample_snr
+
+        def fail_off_main_thread(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("draw failed off the main thread")
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "sample_snr", fail_off_main_thread)
+        running = threading.active_count()
+        with pytest.raises(RuntimeError, match="off the main thread"):
+            estimate_outage_coupled(
+                NET1, PW, RS, (Scheme.DFAF,), 2 * BLOCK_SIZE, seed=1, workers=2, snr=10.0
+            )
+        assert threading.active_count() == running
+
+    def test_first_range_exception_wins(self, monkeypatch):
+        # every range fails, the later ones after the first; the first
+        # range's exception is raised once all threads have ended
+        def fail(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                raise ValueError("first range")
+            time.sleep(0.1)
+            raise RuntimeError("later range")
+
+        monkeypatch.setattr(montecarlo, "sample_snr", fail)
+        running = threading.active_count()
+        with pytest.raises(ValueError, match="first range"):
+            estimate_outage_coupled(
+                NET1, PW, RS, (Scheme.DFAF,), 3 * BLOCK_SIZE, seed=1, workers=3, snr=10.0
+            )
+        assert threading.active_count() == running
 
     def test_stream_tags_give_distinct_runs(self):
         a = estimate_outage_coupled(
