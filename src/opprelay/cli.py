@@ -25,6 +25,7 @@ from .experiments import (
     run_scenario,
     sweep_alpha,
 )
+from .montecarlo import check_workers
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,6 +112,7 @@ def _run_command(args: argparse.Namespace) -> None:
             print(f"{name}  [{', '.join(sorted(kinds))}]")
         return
 
+    check_workers(args.workers)
     scenarios = resolve_scenarios(args.scenario)
     # one replace per scenario applies, and so checks, every override
     given = {"seed": args.seed, "trials": args.trials, "confidence": args.confidence}

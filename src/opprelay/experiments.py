@@ -9,15 +9,18 @@ files follow.
 
 Scenario is where the rules live: building one, replace included, checks
 every rule of its kind's table; a table function checks only its kind.
+Loading a file also refuses a key the scenario's kind never reads.
 
 Curve tables use a fixed column set so emitted CSV files are stable:
 snr_db, scheme, combiner, outage_analytic, outage_asymptotic, outage_mc,
 mc_ci_low, mc_ci_high, trials, failures.  Columns a scenario did not
-request stay empty.  Alpha-sweep, diversity-surface, slope-fit, and AF
-bound tables have their own documented column sets.
+request stay empty.  An alpha sweep is a curve over power splits: its
+table has the same columns with alpha in place of snr_db, and it reads
+outputs and coupled as a curve does.  Diversity-surface, slope-fit, and
+AF bound tables have their own documented column sets.
 
-Curves, alpha sweeps and slope fits build their rows with one column
-builder, _table, over a list of operating points: it is the one route
+Curves, alpha sweeps and slope fits build their rows with one table
+engine, _table, over a list of operating points: it is the one route
 for every exact (analytic.outage_sc of the row's scheme), asymptotic and
 Monte Carlo value they hold.  A dB value whose linear SNR overflows a
 float, or underflows to zero, is a ScenarioError.
@@ -43,7 +46,7 @@ import numpy as np
 from . import analytic
 from .analytic import RateSpec, Scheme
 from .channel import ChannelSpec, NetworkSpec, PowerSpec, network_link_snrs
-from .montecarlo import MIN_RELIABLE_FAILURES, Combiner, estimate_outage_coupled
+from .montecarlo import MIN_RELIABLE_FAILURES, Combiner, check_run_args, estimate_outage_coupled
 
 if TYPE_CHECKING:
     from importlib.resources.abc import Traversable
@@ -103,19 +106,13 @@ class Scenario:
             raise ScenarioError(f"unknown outputs {sorted(bad)}; valid: {sorted(VALID_OUTPUTS)}")
         if self.kind not in _KIND_COMMANDS:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
-        if not self.schemes:
-            raise ScenarioError("scenario needs at least one scheme")
-        repeated = sorted({x.value for x in self.schemes if self.schemes.count(x) > 1})
-        if repeated:
-            raise ScenarioError(f"schemes {repeated} listed more than once")
-        if self.trials < 1000:
-            raise ScenarioError(
-                f"need at least 1000 trials for a usable estimate, got {self.trials}"
-            )
-        if self.seed < 0:
-            raise ScenarioError("seed must be nonnegative")
-        if not 0.0 < self.confidence < 1.0:
-            raise ScenarioError("confidence must lie in (0, 1)")
+        try:
+            check_run_args(self.schemes, self.trials, self.seed, self.confidence)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
+        # curves and alpha sweeps read outputs alike; a surface reads none
+        if self.kind != "diversity_surface" and self.outputs - {"montecarlo"}:
+            _require_selection_combining(self, "a closed-form output")
         if self.kind == "curve":
             if not self.snr_grid_db:
                 raise ScenarioError(f"scenario {self.name!r} has no SNR grid")
@@ -123,10 +120,10 @@ class Scenario:
                 raise ScenarioError("every snr_grid_db point must be finite")
             if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
                 raise ScenarioError("snr_grid_db must be strictly increasing")
+            for db in self.snr_grid_db:
+                _db_to_linear(db)
             if self.mc_max_snr_db is not None and math.isnan(self.mc_max_snr_db):
                 raise ScenarioError("mc_max_snr_db must be a number or null, not NaN")
-            if self.outputs - {"montecarlo"}:
-                _require_selection_combining(self, "a closed-form output")
             if "bounds" in self.outputs and Scheme.AF not in self.schemes:
                 raise ScenarioError("bounds output applies to the AF scheme only")
             if "bounds" in self.outputs and not self.network.relays:
@@ -140,6 +137,8 @@ class Scenario:
                 raise ScenarioError("alpha sweep needs a positive finite total_power")
             if self.power != PowerSpec(noise_variance=self.power.noise_variance):
                 raise ScenarioError(_ALPHA_POWER_KEYS)
+            if "bounds" in self.outputs:
+                raise ScenarioError("bounds output applies to curves only, not alpha sweeps")
         else:
             _require_selection_combining(self, "a diversity fit")
             if self.schemes != (Scheme.DFAF,):
@@ -182,11 +181,13 @@ class AlphaRow:
     alpha: float
     scheme: str
     combiner: str
-    outage_mc: float
-    mc_ci_low: float
-    mc_ci_high: float
-    trials: int
-    failures: int
+    outage_analytic: float | None = None
+    outage_asymptotic: float | None = None
+    outage_mc: float | None = None
+    mc_ci_low: float | None = None
+    mc_ci_high: float | None = None
+    trials: int | None = None
+    failures: int | None = None
 
 
 @dataclass(frozen=True)
@@ -279,19 +280,16 @@ def _grid(s: Scenario, grid_db: Iterable[float]) -> list[tuple]:
 
 
 def _table(
-    s: Scenario,
-    net: NetworkSpec,
-    points: Sequence[tuple],
-    outputs: Collection[str],
-    coupled: bool,
-    workers: int,
-) -> list[tuple[float, Scheme, dict]]:
-    """(key, scheme, columns) per point then scheme, the columns named as
-    CurveRow's and holding the requested outputs: the exact SC outage,
-    the high-SNR law (one value per point, none for AF) and, at simulated
-    points, the Monte Carlo estimate.  Point idx of the list draws under
-    stream tag (idx,) when coupled, all schemes sharing each trial's
-    draw; otherwise scheme si draws its own trials under tag (idx, si)."""
+    row: type, s: Scenario, net: NetworkSpec, points: Sequence[tuple],
+    outputs: Collection[str], coupled: bool, workers: int,
+) -> list:
+    """One row(key, scheme, combiner, **columns) per point then scheme,
+    the columns named as CurveRow's and holding the requested outputs:
+    the exact SC outage, the high-SNR law (one value per point, none for
+    AF) and, at simulated points, the Monte Carlo estimate.  Point idx of
+    the list draws under stream tag (idx,) when coupled, all schemes
+    sharing each trial's draw; otherwise scheme si draws its own trials
+    under tag (idx, si)."""
     runs = [(s.schemes, ())] if coupled else [((x,), (si,)) for si, x in enumerate(s.schemes)]
     with_asym = "asymptotic" in outputs and any(x is not Scheme.AF for x in s.schemes)
     table = []
@@ -323,18 +321,14 @@ def _table(
                         f"({est.trials} trials); estimate unreliable",
                         stacklevel=3,
                     )
-            table.append((key, scheme, columns))
+            table.append(row(key, scheme.value, s.combiner.value, **columns))
     return table
 
 
 def run_scenario(s: Scenario, workers: int = 1) -> list[CurveRow]:
     """Produce the curve table: one row per (snr_db, scheme)."""
     _require_kind(s, "curve", "a curve")
-    table = _table(s, s.network, _grid(s, s.snr_grid_db), s.outputs, s.coupled, workers)
-    return [
-        CurveRow(snr_db=db, scheme=x.value, combiner=s.combiner.value, **columns)
-        for db, x, columns in table
-    ]
+    return _table(CurveRow, s, s.network, _grid(s, s.snr_grid_db), s.outputs, s.coupled, workers)
 
 
 def af_bounds_rows(s: Scenario) -> list[BoundsRow]:
@@ -360,18 +354,16 @@ def af_bounds_rows(s: Scenario) -> list[BoundsRow]:
 
 
 def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
-    """Monte Carlo outage per (power split alpha, scheme) at fixed total
-    power, coupled trials across schemes at each alpha."""
+    """The curve table over power splits: one row per (alpha, scheme) at
+    fixed total power, holding the scenario's outputs with the curve's
+    coupling, and alpha in place of snr_db."""
     _require_kind(s, "alpha_sweep", "an alpha sweep")
     n0 = s.power.noise_variance
     points = [
         (alpha, f"alpha={alpha}", PowerSpec.from_alpha(alpha, s.total_power, n0), 1.0, True)
         for alpha in s.alphas
     ]
-    return [
-        AlphaRow(alpha=alpha, scheme=x.value, combiner=s.combiner.value, **columns)
-        for alpha, x, columns in _table(s, s.network, points, {"montecarlo"}, True, workers)
-    ]
+    return _table(AlphaRow, s, s.network, points, s.outputs, s.coupled, workers)
 
 
 def _fit_closed_form(s: Scenario, net: NetworkSpec) -> dict[Scheme, tuple[float, float, int]]:
@@ -380,10 +372,10 @@ def _fit_closed_form(s: Scenario, net: NetworkSpec) -> dict[Scheme, tuple[float,
     high end."""
     lo, hi = s.fit_window_db
     points = _grid(s, [lo + i for i in range(math.floor(hi - lo) + 1)])
-    curves = {x: [] for x in s.schemes}
-    for db, x, columns in _table(s, net, points, {"analytic"}, False, 1):
-        curves[x].append((db, columns["outage_analytic"]))
-    return {x: fit_diversity(curve, s.fit_window_db) for x, curve in curves.items()}
+    curves = {x.value: [] for x in s.schemes}
+    for row in _table(CurveRow, s, net, points, {"analytic"}, False, 1):
+        curves[row.scheme].append((row.snr_db, row.outage_analytic))
+    return {x: fit_diversity(curves[x.value], s.fit_window_db) for x in s.schemes}
 
 
 def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
@@ -550,11 +542,6 @@ def _grid_from_config(cfg) -> tuple[float, ...]:
     return _reals(cfg)
 
 
-def _window(bounds) -> tuple[float, float]:
-    lo, hi = _reals(bounds)
-    return lo, hi
-
-
 def _spec(cls) -> Callable[[dict], object]:
     """Parser of a mapping of the init fields of cls, each a number."""
     keys = {f.name: _real for f in fields(cls) if f.init}
@@ -589,25 +576,38 @@ _SCENARIO_KEYS = {
     "alphas": _reals,
     "total_power": _real,
     "surface_shapes": _reals,
-    "fit_window_db": _window,
+    "fit_window_db": _reals,
+}
+
+
+# Each key that some kind never reads, with the kinds that read it
+_KEY_KINDS = {
+    "snr_grid_db": {"curve"}, "mc_max_snr_db": {"curve"}, "alphas": {"alpha_sweep"},
+    "total_power": {"alpha_sweep"}, "surface_shapes": {"diversity_surface"},
+    "fit_window_db": {"curve", "diversity_surface"},
 }
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
     """Build a scenario from its file schema; absent keys take the
-    defaults of Scenario, RateSpec, PowerSpec and ChannelSpec.  An alpha
-    sweep's power block may name noise_variance only, even at a default
-    value, since the parsed PowerSpec no longer shows which keys were set."""
+    defaults of Scenario, RateSpec, PowerSpec and ChannelSpec, and a key
+    the scenario's kind never reads is an error.  An alpha sweep's power
+    block may name noise_variance only, even at a default value, since
+    the parsed PowerSpec no longer shows which keys were set."""
     try:
         parsed = _parsed(cfg, _SCENARIO_KEYS)
         ignored = sorted(map(str, cfg.get("power", {}).keys() - {"noise_variance"}))
         if parsed.get("kind") == "alpha_sweep" and ignored:
             raise ScenarioError(f"{_ALPHA_POWER_KEYS}, not {ignored}")
-        return Scenario(**parsed)
+        s = Scenario(**parsed)
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario config: {exc}") from exc
+    stray = [key for key in cfg if s.kind not in _KEY_KINDS.get(key, _KIND_COMMANDS)]
+    if stray:
+        raise ScenarioError(f"kind {s.kind!r} never reads {', '.join(stray)}")
+    return s
 
 
 @functools.cache

@@ -249,28 +249,26 @@ def _run_counts(
     return failures, violations
 
 
-def _check_run_args(trials: int, seed: int, confidence: float, workers: int) -> None:
+def check_run_args(
+    schemes: tuple[Scheme, ...], trials: int, seed: int, confidence: float
+) -> None:
+    """The rules an estimate's schemes and run arguments keep; Scenario
+    applies them to every scenario as it is built."""
+    if not schemes:
+        raise ValueError("need at least one scheme")
+    if len(set(schemes)) < len(schemes):
+        raise ValueError(f"each scheme at most once, got {[x.value for x in schemes]}")
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials for a usable estimate, got {trials}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
+
+
+def check_workers(workers: int) -> None:
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-
-
-def _estimate(failures: int, trials: int, confidence: float, seed: int) -> OutageEstimate:
-    lo, hi = wilson_interval(failures, trials, confidence)
-    return OutageEstimate(
-        probability=failures / trials,
-        trials=trials,
-        failures=failures,
-        ci_low=lo,
-        ci_high=hi,
-        confidence=confidence,
-        master_seed=seed,
-    )
 
 
 def estimate_outage_coupled(
@@ -294,20 +292,19 @@ def estimate_outage_coupled(
     so runs that must be independent (different grid points, different
     schemes in uncoupled mode) pass distinct tags.
     """
-    _check_run_args(trials, seed, confidence, workers)
-    if not schemes:
-        raise ValueError("need at least one scheme")
-    if len(set(schemes)) < len(schemes):
-        raise ValueError(f"each scheme at most once, got {[x.value for x in schemes]}")
+    check_run_args(schemes, trials, seed, confidence)
+    check_workers(workers)
     failures, violations = _run_counts(
         net, power, snr, rs, tuple(schemes), combiner, trials, seed, stream_tag, workers
     )
-    return CoupledEstimates(
-        estimates={
-            s: _estimate(failures[s], trials, confidence, seed) for s in schemes
-        },
-        dominance_violations=violations,
-    )
+    estimates = {}
+    for s in schemes:
+        lo, hi = wilson_interval(failures[s], trials, confidence)
+        estimates[s] = OutageEstimate(
+            probability=failures[s] / trials, trials=trials, failures=failures[s],
+            ci_low=lo, ci_high=hi, confidence=confidence, master_seed=seed,
+        )
+    return CoupledEstimates(estimates=estimates, dominance_violations=violations)
 
 
 MIN_RELIABLE_FAILURES = 30

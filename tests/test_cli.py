@@ -71,7 +71,7 @@ class TestBasics:
             "--trials", "5000",
         )
         assert code == EXIT_OK
-        assert out.splitlines()[0].startswith("alpha,scheme,combiner,outage_mc")
+        assert out.splitlines()[0] == CURVE_HEADER.replace("snr_db", "alpha")
         assert len(out.splitlines()) == 1 + 27  # 9 alphas x 3 schemes
 
 
@@ -213,6 +213,8 @@ class TestExitCodes:
             ("analytic", "seed: -1", "seed must be nonnegative"),
             ("asymptotic", "trials: 999", "at least 1000 trials"),
             ("fit-diversity", "confidence: 0", "confidence must lie in (0, 1)"),
+            ("analytic", "snr_grid_db: [0, 10, 4000]", "4000.0 dB overflows a linear SNR"),
+            ("fit-diversity", "snr_grid_db: [0, 10, 4000]", "4000.0 dB overflows a linear SNR"),
         ],
     )
     def test_run_argument_in_file_is_config_error_for_every_command(
@@ -247,10 +249,18 @@ class TestExitCodes:
              "dfaf"),
             ("simulate", "fig7_mrc_compare", "outputs: [montecarlo]",
              "outputs: [analytic, montecarlo]", "selection-combining only"),
+            ("sweep-alpha", "fig8_alpha_sweep", "outputs: [montecarlo]",
+             "outputs: [analytic, montecarlo]", "selection-combining only"),
+            ("analytic", "fig4_K1", "coupled: false", "coupled: false\nalphas: [0.5]",
+             "kind 'curve' never reads alphas"),
+            ("sweep-alpha", "fig8_alpha_sweep", "total_power: 10.0",
+             "total_power: 10.0\nsnr_grid_db: [0, 10]",
+             "kind 'alpha_sweep' never reads snr_grid_db"),
         ],
         ids=[
             "infinite_total_power", "surface_with_relay", "nan_mc_cut", "repeated_scheme",
-            "simulate_mrc_closed_form",
+            "simulate_mrc_closed_form", "mrc_sweep_closed_form", "curve_with_alphas",
+            "sweep_with_grid",
         ],
     )
     def test_unusable_table_scenario_is_config_error(
@@ -299,6 +309,42 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "configuration error" in err and "worker" in err
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("analytic", "fig4_K1"), ("asymptotic", "fig4_K1"), ("compare", "fig4_K1"),
+         ("fit-diversity", "fig4_K1"), ("sweep-alpha", "fig8_alpha_sweep")],
+    )
+    def test_nonpositive_workers_is_config_error_for_every_command(self, capsys, command, name):
+        # only the Monte Carlo estimator refused it, so a closed-form run
+        # took any worker count
+        code, out, err = run_cli(
+            capsys, command, "--scenario", name, "--trials", "20000", "--workers", "0"
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "need at least one worker, got 0" in err
+
+    def test_sweep_reads_outputs_and_coupled(self, capsys, tmp_path):
+        # a sweep ran coupled Monte Carlo alone, whatever the file asked for
+        text = (SCENARIO_DIR / "fig8_alpha_sweep.yaml").read_text()
+        edits = {
+            "combiner: mrc": "combiner: sc",
+            "outputs: [montecarlo]": "outputs: [analytic, montecarlo]",
+            "coupled: true": "coupled: false",
+        }
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "sc_sweep.yaml"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "sweep-alpha", "--scenario", str(path), "--trials", "20000")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == CURVE_HEADER.replace("snr_db", "alpha")
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 27
+        assert all(row[3] and not row[4] and row[5] for row in rows)
 
     @pytest.mark.parametrize("to_file", [True, False])
     def test_bounds_without_relays_is_config_error(self, capsys, tmp_path, to_file):

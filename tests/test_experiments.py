@@ -2,6 +2,7 @@
 slope fitting, the alpha sweep, and scenario file parsing."""
 
 import csv
+import importlib.util
 import io
 import math
 import re
@@ -33,7 +34,7 @@ from opprelay.experiments import (
     scenario_from_dict,
     sweep_alpha,
 )
-from opprelay.montecarlo import Combiner, Scheme
+from opprelay.montecarlo import Combiner, Scheme, estimate_outage_coupled
 
 SCENARIO_DIR = Path(opprelay.__file__).parent / "scenarios"
 
@@ -51,6 +52,13 @@ SPEC_PRESETS = [
 
 def small(scenario: Scenario, **extra) -> Scenario:
     return replace(scenario, trials=20_000, **extra)
+
+
+def sc_sweep(**extra) -> Scenario:
+    # fig8 under selection combining, asking for every output a sweep takes
+    (s,) = preset("fig8_alpha_sweep")
+    outputs = frozenset({"analytic", "asymptotic", "montecarlo"})
+    return replace(s, **{"combiner": Combiner.SC, "outputs": outputs, **extra})
 
 
 class TestPresets:
@@ -367,6 +375,57 @@ class TestSweepAlpha:
         with pytest.raises(ScenarioError, match="alphas and total_power"):
             sweep_alpha(small(s, alphas=(0.5,), power=power))
 
+    def test_closed_form_inside_the_interval(self):
+        # the exact column is the curve's outage_sc at the alpha's power
+        # split; 1e6 coupled trials cover it at the C1 rate, 14 points in 15
+        rows = sweep_alpha(sc_sweep(trials=10**6))
+        assert len(rows) == 27
+        covered = sum(r.mc_ci_low <= r.outage_analytic <= r.mc_ci_high for r in rows)
+        assert 15 * covered >= 14 * len(rows)
+
+    def test_asymptote_approaches_exact_as_total_power_grows(self):
+        s = sc_sweep(outputs=frozenset({"analytic", "asymptotic"}))
+        gaps = {alpha: [] for alpha in s.alphas}
+        for total_power in (10.0, 1e3, 1e5, 1e7):
+            for r in sweep_alpha(replace(s, total_power=total_power)):
+                if r.scheme == "dfaf":
+                    gaps[r.alpha].append(abs(r.outage_asymptotic / r.outage_analytic - 1.0))
+        for alpha, gap in gaps.items():
+            assert gap == sorted(gap, reverse=True), alpha
+            assert gap[-1] < 1e-4, alpha
+        assert gaps[0.5][0] > 1.0  # 3.06 at total power 10
+
+    def test_uncoupled_sweep_equals_per_scheme_runs(self):
+        # alpha idx and scheme si draw under stream tag (idx, si), as on a
+        # curve; the sweep used to run coupled whatever the file said
+        s = sc_sweep(outputs=frozenset({"montecarlo"}), coupled=False, trials=20_000,
+                     alphas=(0.3, 0.7))
+        rows = iter(sweep_alpha(s))
+        for idx, alpha in enumerate(s.alphas):
+            power = PowerSpec.from_alpha(alpha, s.total_power, s.power.noise_variance)
+            for si, scheme in enumerate(s.schemes):
+                est = estimate_outage_coupled(
+                    s.network, power, s.rate, (scheme,), s.trials, s.seed, s.confidence,
+                    s.combiner, stream_tag=(idx, si),
+                ).estimates[scheme]
+                row = next(rows)
+                assert (row.alpha, row.scheme) == (alpha, scheme.value)
+                assert (row.failures, row.mc_ci_low, row.mc_ci_high) == (
+                    est.failures, est.ci_low, est.ci_high,
+                )
+        assert next(rows, None) is None
+
+    def test_closed_form_sweep_draws_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew trials for a sweep without the montecarlo output")
+
+        monkeypatch.setattr(experiments, "estimate_outage_coupled", refuse)
+        rows = sweep_alpha(sc_sweep(outputs=frozenset({"analytic"})))
+        assert len(rows) == 27
+        assert all(r.outage_analytic is not None for r in rows)
+        mc = ("outage_asymptotic", "outage_mc", "mc_ci_low", "mc_ci_high", "trials", "failures")
+        assert all(getattr(r, column) is None for r in rows for column in mc)
+
     def test_validation(self):
         (s,) = preset("fig8_alpha_sweep")
         with pytest.raises(ScenarioError, match="alpha"):
@@ -456,6 +515,15 @@ SCENARIO_RULES = [
      "fit window [-2000000.0, 45.0] dB has 2000046 1 dB points, over 10000"),
     ("fig6_diversity_surface", {"fit_window_db": (0.0, 10_000.0)},
      "fit window [0.0, 10000.0] dB has 10001 1 dB points, over 10000"),
+    ("fig2_rayleigh_K1", {"schemes": ()}, "need at least one scheme"),
+    ("fig2_rayleigh_K1", {"schemes": (Scheme.DF, Scheme.DF)},
+     "each scheme at most once, got ['df', 'df']"),
+    ("fig4_K1", {"snr_grid_db": (0.0, 10.0, 4000.0)}, "4000.0 dB overflows a linear SNR"),
+    ("fig4_K1", {"snr_grid_db": (-4000.0, 0.0)}, "-4000.0 dB underflows a linear SNR"),
+    ("fig8_alpha_sweep", {"outputs": frozenset({"analytic", "montecarlo"})},
+     "a closed-form output is selection-combining only"),
+    ("fig8_alpha_sweep", {"combiner": Combiner.SC, "outputs": frozenset({"bounds"})},
+     "bounds output applies to curves only, not alpha sweeps"),
 ]
 
 
@@ -469,7 +537,9 @@ class TestScenarioRules:
             "no_alphas", "alpha_at_one", "negative_total_power", "sweep_power_split",
             "infinite_fit_window", "mrc_surface", "surface_not_dfaf", "surface_with_relay",
             "no_surface_shapes", "too_few_trials", "negative_seed", "confidence_above_one",
-            "unbounded_fit_window", "unbounded_surface_window",
+            "unbounded_fit_window", "unbounded_surface_window", "no_scheme",
+            "repeated_scheme", "overflowing_grid_point", "underflowing_grid_point",
+            "mrc_sweep_closed_form", "sweep_bounds",
         ],
     )
     def test_rule_fires_where_the_scenario_is_built(self, name, bad, message):
@@ -494,6 +564,42 @@ class TestScenarioFiles:
         s = load_scenario(str(SCENARIO_DIR / f"{name}.yaml"))
         assert s.name == name
         assert preset(name) == (s,)
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("fig4_K1", "alphas", [0.5]),
+            ("fig4_K1", "total_power", 3.0),
+            ("fig4_K1", "surface_shapes", [1.0]),
+            ("fig8_alpha_sweep", "snr_grid_db", [0, 10]),
+            ("fig8_alpha_sweep", "mc_max_snr_db", 25),
+            ("fig8_alpha_sweep", "fit_window_db", [35, 45]),
+            ("fig8_alpha_sweep", "surface_shapes", [1.0]),
+            ("fig6_diversity_surface", "snr_grid_db", [0, 10]),
+            ("fig6_diversity_surface", "mc_max_snr_db", None),
+            ("fig6_diversity_surface", "alphas", [0.5]),
+            ("fig6_diversity_surface", "total_power", 3.0),
+        ],
+    )
+    def test_key_the_kind_never_reads_is_refused(self, name, key, value):
+        # such a key used to load and do nothing
+        cfg = yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text())
+        scenario_from_dict(cfg)
+        cfg[key] = value
+        with pytest.raises(ScenarioError, match=f"kind '{cfg['kind']}' never reads {key}$"):
+            scenario_from_dict(cfg)
+
+    @pytest.mark.parametrize("workload", ["mc_sc", "mc_mrc_pool", "closed_form"])
+    def test_benchmark_workloads_load(self, workload):
+        # the benchmark builds every scenario it times or probes from these
+        # dicts, through scenario_from_dict
+        path = Path(__file__).parents[1] / "benchmark" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for seed in (1, 2):
+            for cfg in workloads.generate(workload, seed) + workloads.probe(workload, seed):
+                scenario_from_dict(cfg)
 
     def test_grid_shorthand(self):
         s = scenario_from_dict(
