@@ -23,8 +23,11 @@ from .channel import (
     snr_cdf,
 )
 from .experiments import (
+    AlphaSweep,
+    Curve,
     Scenario,
     ScenarioError,
+    Surface,
     ZeroOutageError,
     fit_diversity,
     load_scenario,

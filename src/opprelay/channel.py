@@ -148,10 +148,10 @@ def sample_snr(
     Draws size values, or fills out (a contiguous float64 array of that
     size, when both are given) in place and returns it.  Standard gamma
     variates scaled in place are bit for bit numpy's gamma(m, mean/m),
-    which draws the same variates and multiplies by the scale.  numpy's
-    generator handles shape < 1 via the boosted rejection sampler (draw at
-    shape m+1, multiply by U^(1/m)), which the half-integer shapes here
-    need.
+    which draws the same variates and multiplies by the scale.  For
+    shape < 1, which the half-integer shapes here need, numpy's generator
+    runs a rejection loop that takes one uniform and one exponential per
+    try, not a draw at shape m+1 times U^(1/m).
     """
     x = rng_stream.standard_gamma(link.m, size=size, out=out)
     x *= link.mean_snr / link.m

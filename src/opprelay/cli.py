@@ -87,6 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _NARROWED_OUTPUTS = {"analytic": "analytic", "asymptotic": "asymptotic", "simulate": "montecarlo"}
 
+# The commands that run each scenario kind
+_KIND_COMMANDS = {
+    "curve": ("analytic", "asymptotic", "simulate", "compare", "fit-diversity"),
+    "alpha_sweep": ("sweep-alpha",),
+    "diversity_surface": ("fit-diversity",),
+}
+
 
 def _out_path(base: str | None, scenario_name: str, multi: bool) -> Path | None:
     if base is None:
@@ -114,7 +121,15 @@ def _run_command(args: argparse.Namespace) -> None:
 
     check_workers(args.workers)
     scenarios = resolve_scenarios(args.scenario)
-    # one replace per scenario applies, and so checks, every override
+    for scenario in scenarios:
+        runs = _KIND_COMMANDS[scenario.kind]
+        if args.command not in runs:
+            raise ScenarioError(
+                f"scenario {scenario.name!r} is kind {scenario.kind!r}; "
+                f"run it with {' or '.join(runs)}"
+            )
+    # one replace per scenario applies, and so checks, every override; the
+    # command's kinds all have the fields it overrides
     given = {"seed": args.seed, "trials": args.trials, "confidence": args.confidence}
     updates = {key: value for key, value in given.items() if value is not None}
     if getattr(args, "window_db", None):

@@ -7,9 +7,9 @@ comparative experiments at desk scale; each is an annotated YAML file in
 the package's scenarios/ directory, in the same schema user scenario
 files follow.
 
-Scenario is where the rules live: building one, replace included, checks
-every rule of its kind's table; a table function checks only its kind.
-Loading a file also refuses a key the scenario's kind never reads.
+Each table kind has its own Scenario class, Curve, AlphaSweep or Surface,
+holding only that kind's fields and rules: building one, replace included,
+checks them all.  A file's kind key picks the class, whose fields it sets.
 
 Curve tables use a fixed column set so emitted CSV files are stable:
 snr_db, scheme, combiner, outage_analytic, outage_asymptotic, outage_mc,
@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import product
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -63,15 +63,8 @@ class ZeroOutageError(RuntimeError):
 
 VALID_OUTPUTS = frozenset({"analytic", "asymptotic", "montecarlo", "bounds"})
 
-# Most points an snr_grid_db mapping or a 1 dB fit grid may build: 0.01 dB
-# steps over 100 dB.
+# Most points an snr_grid_db mapping may build: 0.01 dB steps over 100 dB.
 MAX_GRID_POINTS = 10_000
-
-_KIND_COMMANDS = {
-    "curve": "analytic, asymptotic, simulate, compare or fit-diversity",
-    "alpha_sweep": "sweep-alpha",
-    "diversity_surface": "fit-diversity",
-}
 
 _ALPHA_POWER_KEYS = (
     "an alpha sweep takes its power split from alphas and total_power; "
@@ -81,6 +74,10 @@ _ALPHA_POWER_KEYS = (
 
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
+    """The fields every kind reads; Curve, AlphaSweep and Surface add
+    their kind's own fields and rules."""
+
+    kind: ClassVar[str]
     name: str
     network: NetworkSpec
     rate: RateSpec = RateSpec(rate=1.0)
@@ -88,78 +85,100 @@ class Scenario:
     schemes: tuple[Scheme, ...]
     combiner: Combiner = Combiner.SC
     outputs: frozenset[str] = frozenset({"analytic"})
-    snr_grid_db: tuple[float, ...] | None = None
     trials: int = 10**6
     seed: int = 12345
     confidence: float = 0.99
     coupled: bool = False
-    mc_max_snr_db: float | None = 25.0
-    kind: str = "curve"  # curve | alpha_sweep | diversity_surface
-    alphas: tuple[float, ...] | None = None
-    total_power: float | None = None
-    surface_shapes: tuple[float, ...] | None = None
-    fit_window_db: tuple[float, float] = (35.0, 45.0)
 
     def __post_init__(self) -> None:
         bad = set(self.outputs) - VALID_OUTPUTS
         if bad:
             raise ScenarioError(f"unknown outputs {sorted(bad)}; valid: {sorted(VALID_OUTPUTS)}")
-        if self.kind not in _KIND_COMMANDS:
-            raise ScenarioError(f"unknown scenario kind {self.kind!r}")
         try:
             check_run_args(self.schemes, self.trials, self.seed, self.confidence)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
-        # curves and alpha sweeps read outputs alike; a surface reads none
-        if self.kind != "diversity_surface" and self.outputs - {"montecarlo"}:
+        if self.outputs - {"montecarlo"}:
             _require_selection_combining(self, "a closed-form output")
-        if self.kind == "curve":
-            if not self.snr_grid_db:
-                raise ScenarioError(f"scenario {self.name!r} has no SNR grid")
-            if not all(map(math.isfinite, self.snr_grid_db)):
-                raise ScenarioError("every snr_grid_db point must be finite")
-            if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
-                raise ScenarioError("snr_grid_db must be strictly increasing")
-            for db in self.snr_grid_db:
-                _db_to_linear(db)
-            if self.mc_max_snr_db is not None and math.isnan(self.mc_max_snr_db):
-                raise ScenarioError("mc_max_snr_db must be a number or null, not NaN")
-            if "bounds" in self.outputs and Scheme.AF not in self.schemes:
-                raise ScenarioError("bounds output applies to the AF scheme only")
-            if "bounds" in self.outputs and not self.network.relays:
-                raise ScenarioError("bounds output needs at least one relay path")
-        elif self.kind == "alpha_sweep":
-            if not self.alphas:
-                raise ScenarioError("alpha sweep needs a nonempty alphas list")
-            if any(not 0.0 < a < 1.0 for a in self.alphas):
-                raise ScenarioError("every alpha must lie strictly inside (0, 1)")
-            if self.total_power is None or not 0.0 < self.total_power < math.inf:
-                raise ScenarioError("alpha sweep needs a positive finite total_power")
-            if self.power != PowerSpec(noise_variance=self.power.noise_variance):
-                raise ScenarioError(_ALPHA_POWER_KEYS)
-            if "bounds" in self.outputs:
-                raise ScenarioError("bounds output applies to curves only, not alpha sweeps")
-        else:
-            _require_selection_combining(self, "a diversity fit")
-            if self.schemes != (Scheme.DFAF,):
-                raise ScenarioError(
-                    "a diversity surface fits the adaptive scheme only; set schemes to [dfaf]"
-                )
-            if self.network.relays:
-                raise ScenarioError(
-                    "a surface takes its relays from surface_shapes; set relays: []"
-                )
-            if not self.surface_shapes:
-                raise ScenarioError("diversity surface needs a surface_shapes grid")
-        if self.kind != "alpha_sweep":
-            lo, hi = self.fit_window_db
-            if not all(map(math.isfinite, self.fit_window_db)):
-                raise ScenarioError(f"fit window [{lo}, {hi}] dB must be finite")
-            n = math.floor(hi - lo) + 1
-            if n > MAX_GRID_POINTS:
-                raise ScenarioError(
-                    f"fit window [{lo}, {hi}] dB has {n} 1 dB points, over {MAX_GRID_POINTS}"
-                )
+
+
+@dataclass(frozen=True, kw_only=True)
+class Curve(Scenario):
+    """Outage over a dB grid, Monte Carlo up to mc_max_snr_db (everywhere
+    when None); a fit reads its exact curve over fit_window_db."""
+
+    kind: ClassVar[str] = "curve"
+    snr_grid_db: tuple[float, ...]
+    mc_max_snr_db: float | None = 25.0
+    fit_window_db: tuple[float, float] = (35.0, 45.0)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.snr_grid_db:
+            raise ScenarioError(f"scenario {self.name!r} has no SNR grid")
+        if not all(map(math.isfinite, self.snr_grid_db)):
+            raise ScenarioError("every snr_grid_db point must be finite")
+        if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
+            raise ScenarioError("snr_grid_db must be strictly increasing")
+        for db in self.snr_grid_db:
+            _db_to_linear(db)
+        if self.mc_max_snr_db is not None and math.isnan(self.mc_max_snr_db):
+            raise ScenarioError("mc_max_snr_db must be a number or null, not NaN")
+        if "bounds" in self.outputs and Scheme.AF not in self.schemes:
+            raise ScenarioError("bounds output applies to the AF scheme only")
+        if "bounds" in self.outputs and not self.network.relays:
+            raise ScenarioError("bounds output needs at least one relay path")
+        _check_fit_window(self.fit_window_db)
+
+
+@dataclass(frozen=True, kw_only=True)
+class AlphaSweep(Scenario):
+    """The curve table over source shares alpha of total_power."""
+
+    kind: ClassVar[str] = "alpha_sweep"
+    alphas: tuple[float, ...]
+    total_power: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.alphas:
+            raise ScenarioError("alpha sweep needs a nonempty alphas list")
+        if any(not 0.0 < a < 1.0 for a in self.alphas):
+            raise ScenarioError("every alpha must lie strictly inside (0, 1)")
+        if self.total_power is None or not 0.0 < self.total_power < math.inf:
+            raise ScenarioError("alpha sweep needs a positive finite total_power")
+        if self.power != PowerSpec(noise_variance=self.power.noise_variance):
+            raise ScenarioError(_ALPHA_POWER_KEYS)
+        if "bounds" in self.outputs:
+            raise ScenarioError("bounds output applies to curves only, not alpha sweeps")
+
+
+@dataclass(frozen=True, kw_only=True)
+class Surface(Scenario):
+    """DFAF slope fits over the hop-shape pairs of two symmetric relays."""
+
+    kind: ClassVar[str] = "diversity_surface"
+    surface_shapes: tuple[float, ...]
+    fit_window_db: tuple[float, float] = (35.0, 45.0)
+
+    def __post_init__(self) -> None:
+        # first, or the outputs rule would blame outputs a surface never reads
+        _require_selection_combining(self, "a diversity fit")
+        super().__post_init__()
+        if self.schemes != (Scheme.DFAF,):
+            raise ScenarioError(
+                "a diversity surface fits the adaptive scheme only; set schemes to [dfaf]"
+            )
+        if self.network.relays:
+            raise ScenarioError("a surface takes its relays from surface_shapes; set relays: []")
+        if not self.surface_shapes:
+            raise ScenarioError("diversity surface needs a surface_shapes grid")
+        try:
+            for m in self.surface_shapes:
+                ChannelSpec(m=m)
+        except ValueError as exc:
+            raise ScenarioError(f"surface_shapes: {exc}") from None
+        _check_fit_window(self.fit_window_db)
 
 
 @dataclass(frozen=True)
@@ -256,12 +275,16 @@ def _db_to_linear(db: float) -> float:
     return linear
 
 
-def _require_kind(s: Scenario, kind: str, what: str) -> None:
-    if s.kind != kind:
-        raise ScenarioError(
-            f"scenario {s.name!r} is not {what} but kind {s.kind!r}; run it "
-            f"with {_KIND_COMMANDS[s.kind]}"
-        )
+def _check_fit_window(window: tuple[float, float]) -> None:
+    """A fit needs 3 points, 1 dB apart from lo, with linear SNRs."""
+    lo, hi = window
+    if not all(map(math.isfinite, window)):
+        raise ScenarioError(f"fit window [{lo}, {hi}] dB must be finite")
+    _db_to_linear(lo)
+    _db_to_linear(hi)
+    # the third fit point, lo + 2 as rounded, can pass hi where hi - lo reads 2
+    if not lo + 2.0 <= hi:
+        raise ScenarioError(f"fit window [{lo}, {hi}] dB must span at least 2 dB for a 3-point fit")
 
 
 def _require_selection_combining(s: Scenario, what: str) -> None:
@@ -272,11 +295,11 @@ def _require_selection_combining(s: Scenario, what: str) -> None:
         )
 
 
-def _grid(s: Scenario, grid_db: Iterable[float]) -> list[tuple]:
-    """(key, label, power, snr, simulated) points at the scenario's power,
-    one per dB value; simulated marks the points up to mc_max_snr_db."""
-    cut = math.inf if s.mc_max_snr_db is None else s.mc_max_snr_db
-    return [(db, f"{db} dB", s.power, _db_to_linear(db), db <= cut) for db in grid_db]
+def _grid(power: PowerSpec, grid_db: Iterable[float], cut: float | None = None) -> list[tuple]:
+    """(key, label, power, snr, simulated) points at one power, one per dB
+    value; simulated marks the points up to cut, every point when None."""
+    cut = math.inf if cut is None else cut
+    return [(db, f"{db} dB", power, _db_to_linear(db), db <= cut) for db in grid_db]
 
 
 def _table(
@@ -325,18 +348,17 @@ def _table(
     return table
 
 
-def run_scenario(s: Scenario, workers: int = 1) -> list[CurveRow]:
+def run_scenario(s: Curve, workers: int = 1) -> list[CurveRow]:
     """Produce the curve table: one row per (snr_db, scheme)."""
-    _require_kind(s, "curve", "a curve")
-    return _table(CurveRow, s, s.network, _grid(s, s.snr_grid_db), s.outputs, s.coupled, workers)
+    points = _grid(s.power, s.snr_grid_db, s.mc_max_snr_db)
+    return _table(CurveRow, s, s.network, points, s.outputs, s.coupled, workers)
 
 
-def af_bounds_rows(s: Scenario) -> list[BoundsRow]:
+def af_bounds_rows(s: Curve) -> list[BoundsRow]:
     """Companion table for the AF scheme: asymptotic sandwich of each relay
     path's CDF at gamma_th, per grid point."""
-    _require_kind(s, "curve", "a curve")
     rows = []
-    for snr_db, _, power, snr, _ in _grid(s, s.snr_grid_db):
+    for snr_db, _, power, snr, _ in _grid(s.power, s.snr_grid_db):
         _, relays = network_link_snrs(s.network, power, snr)
         for i, (first, second) in enumerate(relays):
             b = analytic.af_bounds(first, second, s.rate)
@@ -353,11 +375,10 @@ def af_bounds_rows(s: Scenario) -> list[BoundsRow]:
     return rows
 
 
-def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
+def sweep_alpha(s: AlphaSweep, workers: int = 1) -> list[AlphaRow]:
     """The curve table over power splits: one row per (alpha, scheme) at
     fixed total power, holding the scenario's outputs with the curve's
     coupling, and alpha in place of snr_db."""
-    _require_kind(s, "alpha_sweep", "an alpha sweep")
     n0 = s.power.noise_variance
     points = [
         (alpha, f"alpha={alpha}", PowerSpec.from_alpha(alpha, s.total_power, n0), 1.0, True)
@@ -366,22 +387,23 @@ def sweep_alpha(s: Scenario, workers: int = 1) -> list[AlphaRow]:
     return _table(AlphaRow, s, s.network, points, s.outputs, s.coupled, workers)
 
 
-def _fit_closed_form(s: Scenario, net: NetworkSpec) -> dict[Scheme, tuple[float, float, int]]:
+def _fit_closed_form(
+    s: Curve | Surface, net: NetworkSpec
+) -> dict[Scheme, tuple[float, float, int]]:
     """fit_diversity of each scheme's exact SC curve on net, sampled in
     1 dB steps from the low end of the scenario's window, none beyond its
     high end."""
     lo, hi = s.fit_window_db
-    points = _grid(s, [lo + i for i in range(math.floor(hi - lo) + 1)])
+    points = _grid(s.power, [lo + i for i in range(math.floor(hi - lo) + 1)])
     curves = {x.value: [] for x in s.schemes}
     for row in _table(CurveRow, s, net, points, {"analytic"}, False, 1):
         curves[row.scheme].append((row.snr_db, row.outage_analytic))
     return {x: fit_diversity(curves[x.value], s.fit_window_db) for x in s.schemes}
 
 
-def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
+def run_diversity_surface(s: Surface) -> list[SurfaceRow]:
     """Fitted high-SNR slope of the exact outage for a two-relay symmetric
     network over a grid of hop shapes, against the predicted diversity."""
-    _require_kind(s, "diversity_surface", "a diversity surface")
     rows = []
     for g1, g2 in product(s.surface_shapes, repeat=2):
         net = NetworkSpec(
@@ -403,11 +425,10 @@ def run_diversity_surface(s: Scenario) -> list[SurfaceRow]:
     return rows
 
 
-def fit_scenario_curves(s: Scenario) -> list[FitRow]:
+def fit_scenario_curves(s: Curve) -> list[FitRow]:
     """Diversity fit of each scheme's exact closed-form curve over the
     scenario's fit window; the curve is the selection-combining outage
     whatever the scenario's outputs."""
-    _require_kind(s, "curve", "a curve")
     _require_selection_combining(s, "a diversity fit")
     window = s.fit_window_db
     d = analytic.diversity_order_dfaf(s.network)
@@ -484,15 +505,17 @@ def preset(name: str) -> tuple[Scenario, ...]:
 # Scenario files (YAML)
 
 
-def _parsed(cfg: dict, parsers: dict[str, Callable]) -> dict:
+def _parsed(cfg: dict, parsers: dict[str, Callable], owner: str | None = None) -> dict:
     """Parse the keys present in cfg; absent keys keep the defaults of the
     class the result is passed to, and a key outside the table is an
-    error, so a misspelt key cannot silently leave a default in place."""
+    error, naming its owner if given, so a misspelt key cannot silently
+    leave a default in place."""
     if not isinstance(cfg, dict):
         raise ScenarioError(f"expected a mapping, got {cfg!r}")
     if not cfg.keys() <= parsers.keys():
         unknown = sorted(map(str, cfg.keys() - parsers.keys()))
-        raise ScenarioError(f"unknown keys {unknown}; valid: {sorted(parsers)}")
+        what = f"{owner} never reads {', '.join(unknown)}" if owner else f"unknown keys {unknown}"
+        raise ScenarioError(f"{what}; valid: {sorted(parsers)}")
     return {key: parsers[key](value) for key, value in cfg.items()}
 
 
@@ -542,13 +565,15 @@ def _grid_from_config(cfg) -> tuple[float, ...]:
     return _reals(cfg)
 
 
-def _spec(cls) -> Callable[[dict], object]:
-    """Parser of a mapping of the init fields of cls, each a number."""
-    keys = {f.name: _real for f in fields(cls) if f.init}
-    return lambda cfg: cls(**_parsed(cfg, keys))
+def _spec(cls, parsers: dict[str, Callable] | None = None, owner: str | None = None):
+    """Parser of a mapping of the init fields of cls, each parsed by its
+    entry in parsers, or as a number."""
+    keys = {f.name: (parsers or {}).get(f.name, _real) for f in fields(cls) if f.init}
+    return lambda cfg: cls(**_parsed(cfg, keys, owner))
 
 
 _channel = _spec(ChannelSpec)
+_power = _spec(PowerSpec)
 _RELAY_KEYS = {"first_hop": _channel, "second_hop": _channel}
 
 
@@ -558,12 +583,12 @@ def _relays(cfgs) -> tuple[tuple[ChannelSpec, ChannelSpec], ...]:
 
 
 _NETWORK_KEYS = {"direct": _channel, "relays": _relays}
+# The parser of each scenario field that is not a plain number
 _SCENARIO_KEYS = {
     "name": str,
-    "kind": str,
     "network": lambda cfg: NetworkSpec(**_parsed(cfg, _NETWORK_KEYS)),
     "rate": _spec(RateSpec),
-    "power": _spec(PowerSpec),
+    "power": _power,
     "schemes": lambda names: tuple(Scheme(str(x).lower()) for x in names),
     "combiner": lambda name: Combiner(str(name).lower()),
     "outputs": lambda names: frozenset(str(x).lower() for x in names),
@@ -571,43 +596,44 @@ _SCENARIO_KEYS = {
     "mc_max_snr_db": lambda v: None if v is None else _real(v),
     "trials": _integral,
     "seed": _integral,
-    "confidence": _real,
     "coupled": _flag,
     "alphas": _reals,
-    "total_power": _real,
     "surface_shapes": _reals,
     "fit_window_db": _reals,
 }
 
 
-# Each key that some kind never reads, with the kinds that read it
-_KEY_KINDS = {
-    "snr_grid_db": {"curve"}, "mc_max_snr_db": {"curve"}, "alphas": {"alpha_sweep"},
-    "total_power": {"alpha_sweep"}, "surface_shapes": {"diversity_surface"},
-    "fit_window_db": {"curve", "diversity_surface"},
+def _sweep_power(cfg) -> PowerSpec:
+    """A sweep's power block, refusing a split key even at its default
+    value, which the parsed PowerSpec no longer shows."""
+    power = _power(cfg)
+    split = sorted(cfg.keys() - {"noise_variance"})
+    if split:
+        raise ScenarioError(f"{_ALPHA_POWER_KEYS}, not {split}")
+    return power
+
+
+_KINDS = {
+    cls.kind: _spec(cls, {**_SCENARIO_KEYS, **parsers}, f"kind {cls.kind!r}")
+    for cls, parsers in ((Curve, {}), (AlphaSweep, {"power": _sweep_power}), (Surface, {}))
 }
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
-    """Build a scenario from its file schema; absent keys take the
-    defaults of Scenario, RateSpec, PowerSpec and ChannelSpec, and a key
-    the scenario's kind never reads is an error.  An alpha sweep's power
-    block may name noise_variance only, even at a default value, since
-    the parsed PowerSpec no longer shows which keys were set."""
+    """Build the scenario class that the kind key names (curve when
+    absent) from its file schema.  Absent keys take the defaults of that
+    class, RateSpec, PowerSpec and ChannelSpec, and a key outside the
+    class's fields is an error."""
     try:
-        parsed = _parsed(cfg, _SCENARIO_KEYS)
-        ignored = sorted(map(str, cfg.get("power", {}).keys() - {"noise_variance"}))
-        if parsed.get("kind") == "alpha_sweep" and ignored:
-            raise ScenarioError(f"{_ALPHA_POWER_KEYS}, not {ignored}")
-        s = Scenario(**parsed)
+        cfg = dict(cfg)
+        kind = cfg.pop("kind", "curve")
+        if kind not in _KINDS:
+            raise ScenarioError(f"unknown scenario kind {kind!r}; valid: {sorted(_KINDS)}")
+        return _KINDS[kind](cfg)
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario config: {exc}") from exc
-    stray = [key for key in cfg if s.kind not in _KEY_KINDS.get(key, _KIND_COMMANDS)]
-    if stray:
-        raise ScenarioError(f"kind {s.kind!r} never reads {', '.join(stray)}")
-    return s
 
 
 @functools.cache

@@ -156,7 +156,7 @@ def test_c6_scheme_ordering_sc():
         "fig7_mrc_compare", "fig8_alpha_sweep",
     ):
         for s in preset(name):
-            grid = s.snr_grid_db or tuple(float(x) for x in range(0, 51, 5))
+            grid = getattr(s, "snr_grid_db", None) or tuple(float(x) for x in range(0, 51, 5))
             for snr_db in grid:
                 a = outage_sc(Scheme.DFAF, s.network, PW, s.rate, db(snr_db))
                 b = outage_sc(Scheme.DF, s.network, PW, s.rate, db(snr_db))

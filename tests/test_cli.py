@@ -421,8 +421,63 @@ class TestExitCodes:
         )
         assert code == EXIT_CONFIG
         assert out == ""
-        assert "2000046 1 dB points, over 10000" in err
+        assert "-2000000.0 dB underflows a linear SNR" in err
         assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["analytic", "asymptotic", "simulate", "compare", "fit-diversity", "sweep-alpha"]
+    )
+    @pytest.mark.parametrize(
+        "name, old, new, word",
+        [
+            ("fig4_K1", "coupled: false", "coupled: false\nfit_window_db: [45, 35]",
+             "fit window [45.0, 35.0] dB must span at least 2 dB"),
+            ("fig4_K1", "coupled: false", "coupled: false\nfit_window_db: [35, 36]",
+             "fit window [35.0, 36.0] dB must span at least 2 dB"),
+            ("fig4_K1", "coupled: false", "coupled: false\nfit_window_db: [3080, 3090]",
+             "3090.0 dB overflows a linear SNR"),
+            ("fig6_diversity_surface", "surface_shapes: [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]",
+             "surface_shapes: [0.3, 1.0]", "got m=0.3"),
+        ],
+        ids=["reversed_window", "narrow_window", "overflowing_window", "shape_below_half"],
+    )
+    def test_unusable_fit_window_or_shape_is_config_error_for_every_command(
+        self, capsys, tmp_path, command, name, old, new, word
+    ):
+        # these loaded, and the curves ran under analytic, until
+        # fit-diversity or the surface reached them
+        text = (SCENARIO_DIR / f"{name}.yaml").read_text()
+        assert old in text
+        path = tmp_path / "edited.yaml"
+        path.write_text(text.replace(old, new))
+        target = tmp_path / "table.csv"
+        code, out, err = run_cli(
+            capsys, command, "--scenario", str(path), "--trials", "20000", "--out", str(target)
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert word in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv, command",
+        [
+            (["fit-diversity", "--scenario", "fig8_alpha_sweep"], "sweep-alpha"),
+            (["fit-diversity", "--window-db", "30", "40", "--scenario", "fig8_alpha_sweep"],
+             "sweep-alpha"),
+            (["analytic", "--scenario", "fig6_diversity_surface"], "fit-diversity"),
+            (["sweep-alpha", "--scenario", "fig6_diversity_surface"], "fit-diversity"),
+            (["sweep-alpha", "--scenario", "fig4_K1"],
+             "analytic or asymptotic or simulate or compare or fit-diversity"),
+        ],
+        ids=["fit-sweep", "fit-window-sweep", "curve-surface", "sweep-surface", "sweep-curve"],
+    )
+    def test_scenario_of_another_kind_names_its_command(self, capsys, argv, command):
+        # refused before the overrides apply: a sweep has no fit window
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.rstrip().endswith(f"run it with {command}")
 
     def test_underflowing_db_value_is_config_error(self, capsys, tmp_path):
         # a linear SNR of 0.0 used to reach the closed forms, which
@@ -461,8 +516,9 @@ class TestExitCodes:
         assert not target.exists()
 
     def test_alpha_sweep_via_curve_command_is_config_error(self, capsys):
-        code, _, _ = run_cli(capsys, "simulate", "--scenario", "fig8_alpha_sweep")
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "fig8_alpha_sweep")
         assert code == EXIT_CONFIG
+        assert "run it with sweep-alpha" in err
 
     def test_uncertified_af_quadrature_is_numerical_error(self, capsys, monkeypatch):
         # no error estimate is below zero, so every AF path CDF refuses

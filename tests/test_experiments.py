@@ -2,11 +2,11 @@
 slope fitting, the alpha sweep, and scenario file parsing."""
 
 import csv
-import importlib.util
 import io
 import math
 import re
-from dataclasses import replace
+import types
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,9 +17,12 @@ from opprelay import analytic, experiments
 from opprelay.analytic import RateSpec
 from opprelay.channel import ChannelSpec, NetworkSpec, PowerSpec
 from opprelay.experiments import (
+    AlphaSweep,
+    Curve,
     CurveRow,
     Scenario,
     ScenarioError,
+    Surface,
     ZeroOutageError,
     af_bounds_rows,
     csv_text,
@@ -38,6 +41,8 @@ from opprelay.montecarlo import Combiner, Scheme, estimate_outage_coupled
 
 SCENARIO_DIR = Path(opprelay.__file__).parent / "scenarios"
 
+KIND_CLASSES = {"curve": Curve, "alpha_sweep": AlphaSweep, "diversity_surface": Surface}
+
 SPEC_PRESETS = [
     "fig2_rayleigh_K1",
     "fig2_rayleigh_K2",
@@ -54,7 +59,7 @@ def small(scenario: Scenario, **extra) -> Scenario:
     return replace(scenario, trials=20_000, **extra)
 
 
-def sc_sweep(**extra) -> Scenario:
+def sc_sweep(**extra) -> AlphaSweep:
     # fig8 under selection combining, asking for every output a sweep takes
     (s,) = preset("fig8_alpha_sweep")
     outputs = frozenset({"analytic", "asymptotic", "montecarlo"})
@@ -157,11 +162,6 @@ class TestRunScenario:
         with pytest.raises(ScenarioError, match="selection-combining only"):
             run_scenario(replace(s, outputs=frozenset({"analytic", "montecarlo"})))
 
-    def test_wrong_kind_rejected(self):
-        (s,) = preset("fig8_alpha_sweep")
-        with pytest.raises(ScenarioError, match="sweep-alpha"):
-            run_scenario(s)
-
     def test_asymptotic_at_unequal_power(self):
         (s,) = preset("fig3_nakagami_3relay")
         s = replace(
@@ -176,20 +176,6 @@ class TestRunScenario:
                 assert r.outage_asymptotic == analytic.asymptotic_outage_dfaf(
                     s.network, s.power, s.rate, 10.0 ** (r.snr_db / 10.0)
                 )
-
-    @pytest.mark.parametrize(
-        "run,name,command",
-        [
-            ("fit_scenario_curves", "fig8_alpha_sweep", "sweep-alpha"),
-            ("run_scenario", "fig6_diversity_surface", "fit-diversity"),
-            ("sweep_alpha", "fig6_diversity_surface", "fit-diversity"),
-        ],
-        ids=["fit-sweep", "curve-surface", "sweep-surface"],
-    )
-    def test_wrong_kind_names_its_command(self, run, name, command):
-        (s,) = preset(name)
-        with pytest.raises(ScenarioError, match=f"run it with {command}$"):
-            getattr(experiments, run)(s)
 
     def test_coupled_equals_per_scheme_failure_ordering(self):
         (s,) = preset("fig7_mrc_compare")
@@ -305,11 +291,6 @@ class TestDiversitySurface:
             expected = 0.5 + 2.0 * min(r.shape_first_hop, r.shape_second_hop)
             assert r.diversity_theory == pytest.approx(expected)
             assert abs(r.fitted_slope - expected) <= 0.15
-
-    def test_wrong_kind(self):
-        (s,) = preset("fig2_rayleigh_K1")
-        with pytest.raises(ScenarioError):
-            run_diversity_surface(s)
 
     @pytest.mark.parametrize(
         "update,match",
@@ -432,9 +413,6 @@ class TestSweepAlpha:
             sweep_alpha(replace(s, alphas=(0.0, 0.5)))
         with pytest.raises(ScenarioError, match="total_power"):
             sweep_alpha(replace(s, total_power=None))
-        (curve,) = preset("fig2_rayleigh_K1")
-        with pytest.raises(ScenarioError, match="not an alpha sweep"):
-            sweep_alpha(curve)
 
 
 class TestBoundsTable:
@@ -512,9 +490,9 @@ SCENARIO_RULES = [
     ("fig4_K1", {"seed": -1}, "seed must be nonnegative"),
     ("fig4_K1", {"confidence": 2.0}, "confidence must lie in (0, 1)"),
     ("fig4_K1", {"fit_window_db": (-2_000_000.0, 45.0)},
-     "fit window [-2000000.0, 45.0] dB has 2000046 1 dB points, over 10000"),
+     "-2000000.0 dB underflows a linear SNR"),
     ("fig6_diversity_surface", {"fit_window_db": (0.0, 10_000.0)},
-     "fit window [0.0, 10000.0] dB has 10001 1 dB points, over 10000"),
+     "10000.0 dB overflows a linear SNR"),
     ("fig2_rayleigh_K1", {"schemes": ()}, "need at least one scheme"),
     ("fig2_rayleigh_K1", {"schemes": (Scheme.DF, Scheme.DF)},
      "each scheme at most once, got ['df', 'df']"),
@@ -524,6 +502,18 @@ SCENARIO_RULES = [
      "a closed-form output is selection-combining only"),
     ("fig8_alpha_sweep", {"combiner": Combiner.SC, "outputs": frozenset({"bounds"})},
      "bounds output applies to curves only, not alpha sweeps"),
+    ("fig4_K1", {"fit_window_db": (45.0, 35.0)},
+     "fit window [45.0, 35.0] dB must span at least 2 dB for a 3-point fit"),
+    ("fig4_K1", {"fit_window_db": (35.0, 36.0)},
+     "fit window [35.0, 36.0] dB must span at least 2 dB"),
+    ("fig4_K1", {"fit_window_db": (3080.0, 3090.0)}, "3090.0 dB overflows a linear SNR"),
+    # hi - lo is 2.0, but -2.4 + 2 rounds to just above -0.4
+    ("fig4_K1", {"fit_window_db": (-2.4, -0.4)},
+     "fit window [-2.4, -0.4] dB must span at least 2 dB"),
+    ("fig6_diversity_surface", {"fit_window_db": (35.0, 36.5)},
+     "fit window [35.0, 36.5] dB must span at least 2 dB"),
+    ("fig6_diversity_surface", {"surface_shapes": (0.3, 1.0)},
+     "surface_shapes: Nakagami shape must be finite and >= 0.5, got m=0.3"),
 ]
 
 
@@ -539,7 +529,10 @@ class TestScenarioRules:
             "no_surface_shapes", "too_few_trials", "negative_seed", "confidence_above_one",
             "unbounded_fit_window", "unbounded_surface_window", "no_scheme",
             "repeated_scheme", "overflowing_grid_point", "underflowing_grid_point",
-            "mrc_sweep_closed_form", "sweep_bounds",
+            "mrc_sweep_closed_form", "sweep_bounds", "reversed_fit_window",
+            "narrow_fit_window", "overflowing_fit_window", "rounded_fit_window",
+            "narrow_surface_window",
+            "surface_shape_below_half",
         ],
     )
     def test_rule_fires_where_the_scenario_is_built(self, name, bad, message):
@@ -551,19 +544,15 @@ class TestScenarioRules:
             replace(s, **bad)
 
 
-    def test_fit_window_of_max_grid_points_is_accepted(self):
-        (s,) = preset("fig4_K1")
-        window = (0.0, experiments.MAX_GRID_POINTS - 1.0)
-        assert replace(s, fit_window_db=window).fit_window_db == window
-
-
 class TestScenarioFiles:
     @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))
     def test_files_load_by_path(self, name):
         # each preset file is named after the scenario it holds
-        s = load_scenario(str(SCENARIO_DIR / f"{name}.yaml"))
+        path = SCENARIO_DIR / f"{name}.yaml"
+        s = load_scenario(str(path))
         assert s.name == name
         assert preset(name) == (s,)
+        assert type(s) is KIND_CLASSES[yaml.safe_load(path.read_text())["kind"]]
 
     @pytest.mark.parametrize(
         "name, key, value",
@@ -586,20 +575,33 @@ class TestScenarioFiles:
         cfg = yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text())
         scenario_from_dict(cfg)
         cfg[key] = value
-        with pytest.raises(ScenarioError, match=f"kind '{cfg['kind']}' never reads {key}$"):
+        with pytest.raises(ScenarioError, match=f"kind '{cfg['kind']}' never reads {key};"):
             scenario_from_dict(cfg)
 
     @pytest.mark.parametrize("workload", ["mc_sc", "mc_mrc_pool", "closed_form"])
     def test_benchmark_workloads_load(self, workload):
         # the benchmark builds every scenario it times or probes from these
-        # dicts, through scenario_from_dict
+        # dicts, through scenario_from_dict; the module is compiled from its
+        # source so that no bytecode is written next to it
         path = Path(__file__).parents[1] / "benchmark" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-        for seed in (1, 2):
+        workloads = types.ModuleType("workloads")
+        exec(compile(path.read_text(), str(path), "exec"), vars(workloads))
+        for seed in (1, 2, 3):
             for cfg in workloads.generate(workload, seed) + workloads.probe(workload, seed):
-                scenario_from_dict(cfg)
+                assert type(scenario_from_dict(cfg)) is KIND_CLASSES[cfg.get("kind", "curve")]
+
+    def test_readme_lists_each_kind_keys(self):
+        # README's Scenario files section has one YAML key list for the
+        # Scenario base, then one per kind in the order curve, alpha
+        # sweep, surface
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+        blocks = [b.split("```", 1)[0] for b in section.split("```yaml\n")[1:]]
+        listed = [set(yaml.safe_load(b)) - {"kind"} for b in blocks]
+        base = {f.name for f in fields(Scenario)}
+        assert listed == [base] + [
+            {f.name for f in fields(cls)} - base for cls in KIND_CLASSES.values()
+        ]
 
     def test_grid_shorthand(self):
         s = scenario_from_dict(
@@ -682,7 +684,7 @@ class TestScenarioFiles:
             "curve", 10**6, 12345, 0.99, False,
         )
         assert (s.mc_max_snr_db, s.fit_window_db) == (25.0, (35.0, 45.0))
-        # a curve needs a grid, so the grid's default shows on a surface
+        # only a curve has a grid
         surface = scenario_from_dict(
             {
                 "name": "t",
@@ -692,7 +694,7 @@ class TestScenarioFiles:
                 "surface_shapes": [1.0],
             }
         )
-        assert surface.snr_grid_db is None
+        assert not hasattr(surface, "snr_grid_db")
 
     def test_malformed_config(self):
         with pytest.raises(ScenarioError):
@@ -733,7 +735,9 @@ class TestScenarioFiles:
         for step in path:
             level = level[step]
         level[key] = 5
-        with pytest.raises(ScenarioError, match=f"unknown keys \\['{key}'\\]"):
+        # a top-level key is one the curve class has no field for
+        match = f"unknown keys \\['{key}'\\]" if path else f"kind 'curve' never reads {key};"
+        with pytest.raises(ScenarioError, match=match):
             scenario_from_dict(cfg)
 
     def test_resolver(self):

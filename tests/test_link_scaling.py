@@ -29,7 +29,7 @@ from opprelay.analytic import (
     outage_sc,
 )
 from opprelay.channel import ChannelSpec, NetworkSpec, PowerSpec, network_link_snrs
-from opprelay.experiments import Scenario, run_scenario
+from opprelay.experiments import Curve, run_scenario
 from opprelay.montecarlo import Scheme
 
 FROZEN = json.loads(
@@ -81,7 +81,7 @@ def link_mean_snrs(seed: int) -> list[str]:
 
 def mc_failures() -> dict[str, int]:
     net, power, rs = network(MC_SEED)
-    s = Scenario(
+    s = Curve(
         name="link_scaling",
         network=net,
         rate=rs,

@@ -14,7 +14,7 @@ import pytest
 from opprelay import montecarlo
 from opprelay.analytic import RateSpec, outage_sc
 from opprelay.channel import PowerSpec, make_stream, network_link_snrs, sample_snr
-from opprelay.experiments import Scenario, run_scenario
+from opprelay.experiments import Curve, run_scenario
 from opprelay.montecarlo import (
     BLOCK_SIZE,
     CHUNK_SIZE,
@@ -460,7 +460,7 @@ class TestEstimators:
 
 def curve_scenario(net, grid, trials, seed, outputs=("montecarlo",)):
     # one scheme, coupled: grid point idx draws from the streams tagged (idx,)
-    return Scenario(
+    return Curve(
         name="curve",
         network=net,
         rate=RS,
