@@ -29,7 +29,6 @@ from .experiments import (
     ScenarioError,
     Surface,
     ZeroOutageError,
-    fit_diversity,
     load_scenario,
     preset,
     preset_names,

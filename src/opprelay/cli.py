@@ -70,11 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fit = sub.add_parser(
         "fit-diversity", parents=[common],
-        help="log-log slope of the exact curve vs the predicted diversity order",
+        help="secant log-log slope of the exact curve between the window's ends "
+        "vs the predicted diversity order",
     )
     fit.add_argument(
         "--window-db", type=float, nargs=2, metavar=("LO", "HI"),
-        help="fit window in dB (default: the scenario's window)",
+        help="fit window in dB, LO below HI (default: the scenario's window)",
     )
     sub.add_parser(
         "sweep-alpha", parents=[common],
@@ -87,11 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _NARROWED_OUTPUTS = {"analytic": "analytic", "asymptotic": "asymptotic", "simulate": "montecarlo"}
 
-# The commands that run each scenario kind
-_KIND_COMMANDS = {
-    "curve": ("analytic", "asymptotic", "simulate", "compare", "fit-diversity"),
-    "alpha_sweep": ("sweep-alpha",),
-    "diversity_surface": ("fit-diversity",),
+# The table function, of a scenario and a worker count, that each command
+# runs on each scenario kind it accepts
+_TABLES = {
+    **{(c, "curve"): run_scenario for c in ("analytic", "asymptotic", "simulate", "compare")},
+    ("fit-diversity", "curve"): lambda s, workers: fit_scenario_curves(s),
+    ("sweep-alpha", "alpha_sweep"): sweep_alpha,
+    ("fit-diversity", "diversity_surface"): lambda s, workers: run_diversity_surface(s),
 }
 
 
@@ -122,8 +125,8 @@ def _run_command(args: argparse.Namespace) -> None:
     check_workers(args.workers)
     scenarios = resolve_scenarios(args.scenario)
     for scenario in scenarios:
-        runs = _KIND_COMMANDS[scenario.kind]
-        if args.command not in runs:
+        if (args.command, scenario.kind) not in _TABLES:
+            runs = [command for command, kind in _TABLES if kind == scenario.kind]
             raise ScenarioError(
                 f"scenario {scenario.name!r} is kind {scenario.kind!r}; "
                 f"run it with {' or '.join(runs)}"
@@ -142,17 +145,7 @@ def _run_command(args: argparse.Namespace) -> None:
         path = _out_path(args.out, scenario.name, multi)
         if multi and path is None:
             print(f"# scenario: {scenario.name}", file=sys.stderr)
-
-        if args.command == "sweep-alpha":
-            rows = sweep_alpha(scenario, workers=args.workers)
-        elif args.command == "fit-diversity":
-            if scenario.kind == "diversity_surface":
-                rows = run_diversity_surface(scenario)
-            else:
-                rows = fit_scenario_curves(scenario)
-        else:
-            rows = run_scenario(scenario, workers=args.workers)
-
+        rows = _TABLES[args.command, scenario.kind](scenario, args.workers)
         _emit(csv_text(rows), path)
 
         if args.command == "compare" and "bounds" in scenario.outputs:

@@ -1,5 +1,5 @@
-"""Scenario definitions, preset experiment configurations, diversity-slope
-fitting, power-allocation sweeps, and CSV emission.
+"""Scenario definitions, preset experiment configurations, diversity
+slopes, power-allocation sweeps, and CSV emission.
 
 A scenario is a parameter bundle, not code: network shapes, rate, powers,
 SNR grid, schemes, and which outputs to produce.  Presets reproduce the
@@ -22,8 +22,10 @@ AF bound tables have their own documented column sets.
 Curves, alpha sweeps and slope fits build their rows with one table
 engine, _table, over a list of operating points: it is the one route
 for every exact (analytic.outage_sc of the row's scheme), asymptotic and
-Monte Carlo value they hold.  A dB value whose linear SNR overflows a
-float, or underflows to zero, is a ScenarioError.
+Monte Carlo value they hold.  A slope fit is the exact secant
+-ln(P(hi) / P(lo)) / ln(snr_hi / snr_lo) between the two ends of its dB
+window, each scheme's P evaluated there alone.  A dB value whose linear
+SNR overflows a float, or underflows to zero, is a ScenarioError.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from itertools import product
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, ClassVar, Collection, Iterable, Sequence
 
-import numpy as np
-
 from . import analytic
 from .analytic import RateSpec, Scheme
 from .channel import ChannelSpec, NetworkSpec, PowerSpec, network_link_snrs
@@ -58,7 +58,8 @@ class ScenarioError(ValueError):
 
 
 class ZeroOutageError(RuntimeError):
-    """A log-log slope fit hit an outage value of zero inside the window."""
+    """A slope fit met an outage of zero at its window's high end, where
+    the closed form has underflowed, so the secant has no logarithm."""
 
 
 VALID_OUTPUTS = frozenset({"analytic", "asymptotic", "montecarlo", "bounds"})
@@ -105,7 +106,7 @@ class Scenario:
 @dataclass(frozen=True, kw_only=True)
 class Curve(Scenario):
     """Outage over a dB grid, Monte Carlo up to mc_max_snr_db (everywhere
-    when None); a fit reads its exact curve over fit_window_db."""
+    when None); a fit reads its exact curve at the ends of fit_window_db."""
 
     kind: ClassVar[str] = "curve"
     snr_grid_db: tuple[float, ...]
@@ -215,7 +216,6 @@ class SurfaceRow:
     shape_second_hop: float
     diversity_theory: float
     fitted_slope: float
-    residual: float
     window_lo_db: float
     window_hi_db: float
 
@@ -228,8 +228,6 @@ class FitRow:
     window_hi_db: float
     fitted_slope: float
     theoretical_d: float
-    residual: float
-    n_points: int
 
 
 @dataclass(frozen=True)
@@ -240,29 +238,6 @@ class BoundsRow:
     bound_low: float
     bound_high: float
     af_path_cdf: float
-
-
-def fit_diversity(
-    curve: Sequence[tuple[float, float]], window_db: tuple[float, float]
-) -> tuple[float, float, int]:
-    """Least-squares slope of log10(outage) against log10(linear SNR) over
-    the dB window, negated so a diversity order comes out positive, with
-    its RMS residual and the number of points in the window."""
-    lo, hi = window_db
-    pts = [(db, p) for db, p in curve if lo <= db <= hi]
-    if len(pts) < 3:
-        raise ScenarioError(
-            f"need at least 3 curve points inside [{lo}, {hi}] dB, found {len(pts)}"
-        )
-    if any(p <= 0.0 for _, p in pts):
-        raise ZeroOutageError(
-            f"zero outage value inside the fit window [{lo}, {hi}] dB"
-        )
-    x = np.array([db / 10.0 for db, _ in pts])  # log10 of linear SNR
-    y = np.log10([p for _, p in pts])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return float(-slope), resid, len(pts)
 
 
 def _db_to_linear(db: float) -> float:
@@ -276,15 +251,14 @@ def _db_to_linear(db: float) -> float:
 
 
 def _check_fit_window(window: tuple[float, float]) -> None:
-    """A fit needs 3 points, 1 dB apart from lo, with linear SNRs."""
+    """A secant needs finite ends lo < hi with linear SNRs."""
     lo, hi = window
     if not all(map(math.isfinite, window)):
         raise ScenarioError(f"fit window [{lo}, {hi}] dB must be finite")
     _db_to_linear(lo)
     _db_to_linear(hi)
-    # the third fit point, lo + 2 as rounded, can pass hi where hi - lo reads 2
-    if not lo + 2.0 <= hi:
-        raise ScenarioError(f"fit window [{lo}, {hi}] dB must span at least 2 dB for a 3-point fit")
+    if not lo < hi:
+        raise ScenarioError(f"fit window [{lo}, {hi}] dB must have its low end below its high end")
 
 
 def _require_selection_combining(s: Scenario, what: str) -> None:
@@ -387,22 +361,23 @@ def sweep_alpha(s: AlphaSweep, workers: int = 1) -> list[AlphaRow]:
     return _table(AlphaRow, s, s.network, points, s.outputs, s.coupled, workers)
 
 
-def _fit_closed_form(
-    s: Curve | Surface, net: NetworkSpec
-) -> dict[Scheme, tuple[float, float, int]]:
-    """fit_diversity of each scheme's exact SC curve on net, sampled in
-    1 dB steps from the low end of the scenario's window, none beyond its
-    high end."""
+def _window_slopes(s: Curve | Surface, net: NetworkSpec) -> dict[Scheme, float]:
+    """Each scheme's secant slope of its exact SC outage on net between the
+    ends of the scenario's window, both evaluated by the curve engine; the
+    log-SNR span comes from the dB values, so it is never zero."""
     lo, hi = s.fit_window_db
-    points = _grid(s.power, [lo + i for i in range(math.floor(hi - lo) + 1)])
-    curves = {x.value: [] for x in s.schemes}
-    for row in _table(CurveRow, s, net, points, {"analytic"}, False, 1):
-        curves[row.scheme].append((row.snr_db, row.outage_analytic))
-    return {x: fit_diversity(curves[x.value], s.fit_window_db) for x in s.schemes}
+    rows = _table(CurveRow, s, net, _grid(s.power, (lo, hi)), {"analytic"}, False, 1)
+    span = (hi - lo) / 10.0 * math.log(10.0)
+    slopes = {}
+    for scheme, at_lo, at_hi in zip(s.schemes, rows, rows[len(s.schemes):]):
+        if at_hi.outage_analytic == 0.0:
+            raise ZeroOutageError(f"zero outage at the high end of the fit window [{lo}, {hi}] dB")
+        slopes[scheme] = -math.log(at_hi.outage_analytic / at_lo.outage_analytic) / span
+    return slopes
 
 
 def run_diversity_surface(s: Surface) -> list[SurfaceRow]:
-    """Fitted high-SNR slope of the exact outage for a two-relay symmetric
+    """Secant high-SNR slope of the exact outage for a two-relay symmetric
     network over a grid of hop shapes, against the predicted diversity."""
     rows = []
     for g1, g2 in product(s.surface_shapes, repeat=2):
@@ -410,14 +385,12 @@ def run_diversity_surface(s: Surface) -> list[SurfaceRow]:
             direct=s.network.direct,
             relays=((ChannelSpec(m=g1), ChannelSpec(m=g2)),) * 2,
         )
-        slope, residual, _ = _fit_closed_form(s, net)[Scheme.DFAF]
         rows.append(
             SurfaceRow(
                 shape_first_hop=g1,
                 shape_second_hop=g2,
                 diversity_theory=analytic.diversity_order_dfaf(net),
-                fitted_slope=slope,
-                residual=residual,
+                fitted_slope=_window_slopes(s, net)[Scheme.DFAF],
                 window_lo_db=s.fit_window_db[0],
                 window_hi_db=s.fit_window_db[1],
             )
@@ -426,7 +399,7 @@ def run_diversity_surface(s: Surface) -> list[SurfaceRow]:
 
 
 def fit_scenario_curves(s: Curve) -> list[FitRow]:
-    """Diversity fit of each scheme's exact closed-form curve over the
+    """Secant slope of each scheme's exact closed-form curve over the
     scenario's fit window; the curve is the selection-combining outage
     whatever the scenario's outputs."""
     _require_selection_combining(s, "a diversity fit")
@@ -440,10 +413,8 @@ def fit_scenario_curves(s: Curve) -> list[FitRow]:
             window_hi_db=window[1],
             fitted_slope=slope,
             theoretical_d=d,
-            residual=residual,
-            n_points=n_points,
         )
-        for scheme, (slope, residual, n_points) in _fit_closed_form(s, s.network).items()
+        for scheme, slope in _window_slopes(s, s.network).items()
     ]
 
 

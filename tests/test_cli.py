@@ -1,6 +1,9 @@
 """Command-line behaviour: CSV emission, overrides, exit codes, and
 byte-identical reruns."""
 
+import csv
+import io
+import math
 import re
 from pathlib import Path
 
@@ -431,15 +434,13 @@ class TestExitCodes:
         "name, old, new, word",
         [
             ("fig4_K1", "coupled: false", "coupled: false\nfit_window_db: [45, 35]",
-             "fit window [45.0, 35.0] dB must span at least 2 dB"),
-            ("fig4_K1", "coupled: false", "coupled: false\nfit_window_db: [35, 36]",
-             "fit window [35.0, 36.0] dB must span at least 2 dB"),
+             "fit window [45.0, 35.0] dB must have its low end below its high end"),
             ("fig4_K1", "coupled: false", "coupled: false\nfit_window_db: [3080, 3090]",
              "3090.0 dB overflows a linear SNR"),
             ("fig6_diversity_surface", "surface_shapes: [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]",
              "surface_shapes: [0.3, 1.0]", "got m=0.3"),
         ],
-        ids=["reversed_window", "narrow_window", "overflowing_window", "shape_below_half"],
+        ids=["reversed_window", "overflowing_window", "shape_below_half"],
     )
     def test_unusable_fit_window_or_shape_is_config_error_for_every_command(
         self, capsys, tmp_path, command, name, old, new, word
@@ -460,6 +461,35 @@ class TestExitCodes:
         assert not target.exists()
 
     @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("fig4_K1", "coupled: false", "coupled: false\nfit_window_db: [35, 36]"),
+            ("fig4_K1", "coupled: false", "coupled: false\nfit_window_db: [-2.4, -0.4]"),
+            ("fig6_diversity_surface", "fit_window_db: [35, 45]", "fit_window_db: [35, 36.5]"),
+        ],
+        ids=["narrow_window", "rounded_window", "narrow_surface_window"],
+    )
+    def test_narrow_fit_window_loads_and_fits(self, capsys, tmp_path, name, old, new):
+        # a secant needs only the window's two ends, so a window too
+        # narrow for a 1 dB grid of 3 points loads and fits
+        text = (SCENARIO_DIR / f"{name}.yaml").read_text()
+        assert old in text
+        path = tmp_path / "edited.yaml"
+        path.write_text(text.replace(old, new))
+        target = tmp_path / "fit.csv"
+        code, out, _ = run_cli(
+            capsys, "fit-diversity", "--scenario", str(path), "--out", str(target)
+        )
+        assert code == EXIT_OK
+        assert out == ""
+        window = new.rsplit("[", 1)[1].rstrip("]").split(", ")
+        rows = list(csv.DictReader(io.StringIO(target.read_text())))
+        assert rows
+        for row in rows:
+            assert [row["window_lo_db"], row["window_hi_db"]] == [str(float(x)) for x in window]
+            assert 0.0 < float(row["fitted_slope"]) < math.inf
+
+    @pytest.mark.parametrize(
         "argv, command",
         [
             (["fit-diversity", "--scenario", "fig8_alpha_sweep"], "sweep-alpha"),
@@ -478,6 +508,36 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert out == ""
         assert err.rstrip().endswith(f"run it with {command}")
+
+    @pytest.mark.filterwarnings("ignore:only .* failures")
+    @pytest.mark.parametrize(
+        "command", ["analytic", "asymptotic", "simulate", "compare", "fit-diversity", "sweep-alpha"]
+    )
+    @pytest.mark.parametrize(
+        "name, first_column, runs",
+        [
+            ("fig4_K1", {"fit-diversity": "scheme"},
+             "analytic or asymptotic or simulate or compare or fit-diversity"),
+            ("fig8_alpha_sweep", {"sweep-alpha": "alpha"}, "sweep-alpha"),
+            ("fig6_diversity_surface", {"fit-diversity": "shape_first_hop"}, "fit-diversity"),
+        ],
+        ids=["curve", "alpha_sweep", "diversity_surface"],
+    )
+    def test_each_command_runs_its_kinds_and_names_the_others(
+        self, capsys, command, name, first_column, runs
+    ):
+        # every (command, kind) pair either writes that kind's table or
+        # is refused with the commands that run the kind
+        code, out, err = run_cli(capsys, command, "--scenario", name, "--trials", "1000")
+        if command in runs.split(" or "):
+            assert code == EXIT_OK
+            assert out.split(",", 1)[0] == first_column.get(command, "snr_db")
+        else:
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert err == f"configuration error: scenario {name!r} is kind " + (
+                f"{opprelay.preset(name)[0].kind!r}; run it with {runs}\n"
+            )
 
     def test_underflowing_db_value_is_config_error(self, capsys, tmp_path):
         # a linear SNR of 0.0 used to reach the closed forms, which

@@ -1,5 +1,5 @@
 """Scenario machinery: preset pinning, table schemas, CSV round trips,
-slope fitting, the alpha sweep, and scenario file parsing."""
+secant diversity slopes, the alpha sweep, and scenario file parsing."""
 
 import csv
 import io
@@ -26,7 +26,6 @@ from opprelay.experiments import (
     ZeroOutageError,
     af_bounds_rows,
     csv_text,
-    fit_diversity,
     fit_scenario_curves,
     load_scenario,
     preset,
@@ -215,48 +214,74 @@ class TestCsv:
 
 
 class TestFitDiversity:
-    def test_exact_power_law(self):
-        curve = [(db, 4.2 * (10.0 ** (db / 10.0)) ** -2.0) for db in range(30, 51, 5)]
-        slope, residual, _ = fit_diversity(curve, (30.0, 50.0))
-        assert slope == pytest.approx(2.0, abs=1e-12)
-        assert residual == pytest.approx(0.0, abs=1e-12)
+    def test_fits_are_the_secant_of_the_curve_engine(self):
+        # a slope is -ln(P(hi) / P(lo)) / ln(snr_hi / snr_lo) over the
+        # exact column of the two-point curve (lo, hi), bit for bit, for a
+        # curve's schemes and for each network of a surface
+        (s,) = preset("fig3_nakagami_3relay")
+        lo, hi = s.fit_window_db
+        span = (hi - lo) / 10.0 * math.log(10.0)
 
-    def test_insufficient_points(self):
-        curve = [(35.0, 1e-3), (45.0, 1e-4)]
-        with pytest.raises(ScenarioError, match="at least 3"):
-            fit_diversity(curve, (30.0, 50.0))
+        def secant(curve, scheme):
+            two_points = replace(curve, snr_grid_db=(lo, hi), outputs=frozenset({"analytic"}))
+            rows = run_scenario(two_points)
+            p_lo, p_hi = (r.outage_analytic for r in rows if r.scheme == scheme)
+            return -math.log(p_hi / p_lo) / span
 
-    def test_zero_outage_rejected(self):
-        curve = [(35.0, 1e-3), (40.0, 0.0), (45.0, 1e-5)]
-        with pytest.raises(ZeroOutageError):
-            fit_diversity(curve, (30.0, 50.0))
-
-    def test_window_filters_points(self):
-        curve = [(db, 10.0 ** (-db / 10.0)) for db in range(0, 51, 5)]
-        slope, _, n_points = fit_diversity(curve, (35.0, 45.0))
-        assert n_points == 3
-        assert slope == pytest.approx(1.0, abs=1e-12)
-
-    def test_fractional_window_stays_inside(self, monkeypatch):
-        # both fit entry points sample 1 dB steps from the low end and
-        # never evaluate the closed form past the high end
-        grids = []
-
-        def recording_fit(curve, window):
-            grids.append([db for db, _ in curve])
-            return fit_diversity(curve, window)
-
-        monkeypatch.setattr(experiments, "fit_diversity", recording_fit)
-        (s,) = preset("fig4_K1")
-        (row,) = fit_scenario_curves(replace(s, fit_window_db=(35.5, 45.0)))
-        assert row.n_points == 10
+        for fit in fit_scenario_curves(s):
+            assert fit.fitted_slope == secant(s, fit.scheme)
         (surface,) = preset("fig6_diversity_surface")
-        run_diversity_surface(
-            replace(surface, surface_shapes=(1.0,), fit_window_db=(35.5, 45.0))
-        )
-        assert grids == [[35.5 + i for i in range(10)]] * 2
-        fit_scenario_curves(replace(s, fit_window_db=(35.0, 45.0)))
-        assert grids[-1] == [35.0 + i for i in range(11)]
+        surface = replace(surface, surface_shapes=(1.0, 2.5), fit_window_db=(lo, hi))
+        for row in run_diversity_surface(surface):
+            hops = (ChannelSpec(m=row.shape_first_hop), ChannelSpec(m=row.shape_second_hop))
+            net = NetworkSpec(direct=surface.network.direct, relays=(hops,) * 2)
+            curve = replace(s, network=net, schemes=surface.schemes)
+            assert row.fitted_slope == secant(curve, "dfaf")
+
+    def test_decimal_window_evaluates_its_two_ends(self, monkeypatch):
+        # a fit evaluates the closed form at exactly the window's two ends,
+        # once per scheme and network, even where lo + 5 rounds past hi
+        calls = []
+
+        def power_law(scheme, net, power, rs, snr):
+            calls.append((scheme, net, snr))
+            return 4.2 * snr**-2.0
+
+        monkeypatch.setattr(analytic, "outage_sc", power_law)
+        ends = (10.0 ** (-5.1 / 10.0), 10.0 ** (-0.1 / 10.0))
+        (s,) = preset("fig3_nakagami_3relay")
+        for row in fit_scenario_curves(replace(s, fit_window_db=(-5.1, -0.1))):
+            assert row.fitted_slope == pytest.approx(2.0, rel=1e-12, abs=0.0)
+        assert [(x, snr) for x, _, snr in calls] == [(x, snr) for snr in ends for x in s.schemes]
+        calls.clear()
+        (surface,) = preset("fig6_diversity_surface")
+        surface = replace(surface, surface_shapes=(1.0, 2.0), fit_window_db=(-5.1, -0.1))
+        rows = run_diversity_surface(surface)
+        assert [snr for _, _, snr in calls] == [*ends] * len(rows)
+        assert len({net for _, net, _ in calls}) == len(rows) == 4
+
+    def test_underflowed_high_end_is_zero_outage_error(self):
+        # beyond ~1600 dB the closed form underflows to exactly zero, which
+        # has no logarithm
+        (s,) = preset("fig4_K3")
+        with pytest.raises(ZeroOutageError, match=r"\[1600.0, 1610.0\]"):
+            fit_scenario_curves(replace(s, fit_window_db=(1600.0, 1610.0)))
+
+    @pytest.mark.parametrize(
+        "name, window",
+        [("fig4_K1", (35.0, 36.0)), ("fig4_K1", (-2.4, -0.4)),
+         ("fig6_diversity_surface", (35.0, 36.5))],
+        ids=["narrow", "rounded", "narrow_surface"],
+    )
+    def test_narrow_window_loads_and_fits(self, name, window):
+        # a secant needs only the window's two ends, so a window too
+        # narrow for a 1 dB grid of 3 points still fits
+        (s,) = preset(name)
+        s = replace(s, fit_window_db=window)
+        fit = run_diversity_surface if isinstance(s, Surface) else fit_scenario_curves
+        for row in fit(s):
+            assert (row.window_lo_db, row.window_hi_db) == window
+            assert 0.0 < row.fitted_slope < math.inf
 
     def test_scenario_curves_hit_theory(self):
         (s,) = preset("fig3_nakagami_3relay")
@@ -264,21 +289,6 @@ class TestFitDiversity:
             tol = 0.2 if row.scheme == "af" else 0.15
             assert abs(row.fitted_slope - 3.5) <= tol
             assert row.theoretical_d == 3.5
-
-
-    def test_fits_read_the_curve_engine(self):
-        # a slope fit is fit_diversity over the exact column of the curve
-        # table on the window's 1 dB grid, bit for bit
-        (s,) = preset("fig3_nakagami_3relay")
-        s = replace(s, fit_window_db=(35.0, 45.0))
-        curve = replace(
-            s, snr_grid_db=tuple(35.0 + i for i in range(11)), outputs=frozenset({"analytic"})
-        )
-        rows = run_scenario(curve)
-        for fit in fit_scenario_curves(s):
-            column = [(r.snr_db, r.outage_analytic) for r in rows if r.scheme == fit.scheme]
-            expected = fit_diversity(column, s.fit_window_db)
-            assert (fit.fitted_slope, fit.residual, fit.n_points) == expected
 
 
 class TestDiversitySurface:
@@ -503,15 +513,10 @@ SCENARIO_RULES = [
     ("fig8_alpha_sweep", {"combiner": Combiner.SC, "outputs": frozenset({"bounds"})},
      "bounds output applies to curves only, not alpha sweeps"),
     ("fig4_K1", {"fit_window_db": (45.0, 35.0)},
-     "fit window [45.0, 35.0] dB must span at least 2 dB for a 3-point fit"),
-    ("fig4_K1", {"fit_window_db": (35.0, 36.0)},
-     "fit window [35.0, 36.0] dB must span at least 2 dB"),
+     "fit window [45.0, 35.0] dB must have its low end below its high end"),
+    ("fig6_diversity_surface", {"fit_window_db": (35.0, 35.0)},
+     "fit window [35.0, 35.0] dB must have its low end below its high end"),
     ("fig4_K1", {"fit_window_db": (3080.0, 3090.0)}, "3090.0 dB overflows a linear SNR"),
-    # hi - lo is 2.0, but -2.4 + 2 rounds to just above -0.4
-    ("fig4_K1", {"fit_window_db": (-2.4, -0.4)},
-     "fit window [-2.4, -0.4] dB must span at least 2 dB"),
-    ("fig6_diversity_surface", {"fit_window_db": (35.0, 36.5)},
-     "fit window [35.0, 36.5] dB must span at least 2 dB"),
     ("fig6_diversity_surface", {"surface_shapes": (0.3, 1.0)},
      "surface_shapes: Nakagami shape must be finite and >= 0.5, got m=0.3"),
 ]
@@ -530,8 +535,7 @@ class TestScenarioRules:
             "unbounded_fit_window", "unbounded_surface_window", "no_scheme",
             "repeated_scheme", "overflowing_grid_point", "underflowing_grid_point",
             "mrc_sweep_closed_form", "sweep_bounds", "reversed_fit_window",
-            "narrow_fit_window", "overflowing_fit_window", "rounded_fit_window",
-            "narrow_surface_window",
+            "empty_surface_window", "overflowing_fit_window",
             "surface_shape_below_half",
         ],
     )

@@ -3,8 +3,7 @@ at 20,000 trials per point.
 
 Monte Carlo columns must match byte for byte.  Closed-form columns may
 move by floating-point noise only: 1e-12 relative for outage values,
-asymptotes, bounds, AF path CDFs and slopes; 1e-11 absolute for fit
-residuals.
+asymptotes, bounds, AF path CDFs and slopes.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py`, and only
 when a number is meant to change; such a change is a bug fix and is
@@ -62,12 +61,6 @@ def render(command: str, name: str, workdir: Path) -> str:
     return out.read_text(encoding="utf-8")
 
 
-def tolerance(column: str) -> dict:
-    if column == "residual":
-        return {"rel_tol": 0.0, "abs_tol": 1e-11}
-    return {"rel_tol": 1e-12, "abs_tol": 0.0}
-
-
 def assert_tables_match(text: str, expected_text: str) -> None:
     assert text.splitlines()[0] == expected_text.splitlines()[0]
     rows = list(csv.DictReader(io.StringIO(text)))
@@ -80,7 +73,7 @@ def assert_tables_match(text: str, expected_text: str) -> None:
                 continue
             where = f"row {i}, {column}: {got!r} != golden {want!r}"
             assert column not in MC_COLUMNS and got and want, where
-            assert math.isclose(float(got), float(want), **tolerance(column)), where
+            assert math.isclose(float(got), float(want), rel_tol=1e-12), where
 
 
 @pytest.mark.parametrize("command,name", CASES, ids=[f"{c}-{n}" for c, n in CASES])
