@@ -12,9 +12,10 @@ path-failure factor per relay, and only that factor differs between the
 schemes.  The Scheme enum is defined here for it; the Monte Carlo engine
 and the experiments import it from this module.
 
-The AF path CDF has one route for any shapes, af_path_cdf_quadrature;
-the paper's Bessel sum for integer shapes, af_path_cdf_closed, is its
-reference, not exported from the package root.
+One trapezoid rule integrates the amplified path for any shapes: the AF
+path CDF af_path_cdf_quadrature, and DFAF's factor below delta.  The
+paper's Bessel sum for integer shapes, af_path_cdf_closed, is the AF
+path CDF's reference, not exported from the package root.
 
 Maximal ratio combining has no closed form here yet, so those curves come
 from the Monte Carlo engine.  Relay selection ignores the direct link, so
@@ -23,17 +24,15 @@ outage is a one-dimensional integral over the direct-link SNR that is
 not implemented yet.
 
 Every scalar CDF factor (direct link, decode failure, second hop, the
-AF path's first-hop head) is channel.snr_cdf of the link laws that
-channel.network_link_snrs builds for the grid point.  scipy.special loads
-on the first exact value, inside snr_cdf, the quadrature's node array or
-the Bessel reference, and the quadrature's Gauss-Legendre table (with
-numpy.polynomial) on the first AF path CDF: the high-SNR law and the AF
-bounds need only math, and Monte Carlo runs load neither.
+amplified path's first-hop head) is channel.snr_cdf of the link laws
+that channel.network_link_snrs builds for the grid point.  scipy.special
+loads on the first exact value, inside snr_cdf, the trapezoid rule's node
+array or the Bessel reference: the high-SNR law and the AF bounds need
+only math, and Monte Carlo runs do not load it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -58,18 +57,6 @@ class ClosedFormUnavailableError(ValueError):
 
 class QuadratureError(RuntimeError):
     """The AF path CDF quadrature could not certify AF_QUAD_TOL."""
-
-
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    # 16-point Gauss-Legendre nodes and weights on [-1, 1], built on the
-    # first AF quadrature: numpy.polynomial and its eigen-solve stay out of
-    # runs that never take one.
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(16)
-    nodes.flags.writeable = weights.flags.writeable = False  # shared by every call
-    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -127,10 +114,8 @@ def _relay_failure(
 ) -> float:
     # Probability that one relay's path misses gamma_th.  AF: the amplified
     # path's CDF.  DF: the relay fails to decode, or decodes and its second
-    # hop misses gamma_th.  DFAF shares the DF factor only for gamma_th >=
-    # delta, where the amplified path of a relay that cannot decode is
-    # capped by its first hop and misses too; below delta it may not, and
-    # the DF factor is an upper bound.
+    # hop misses gamma_th.  DFAF: a relay that cannot decode amplifies, and
+    # at gamma_th >= delta that path, capped by g1 < delta, always misses.
     if scheme is Scheme.AF:
         return af_path_cdf_quadrature(first, second, rs.gamma_th)
     # The decode failure is the CDF P itself: 1 - Q would lose it deep in
@@ -138,6 +123,11 @@ def _relay_failure(
     # which only ever adds to P.
     decode_fail = snr_cdf(first, rs.delta)
     second_fail = snr_cdf(second, rs.gamma_th)
+    if scheme is Scheme.DFAF and rs.gamma_th < rs.delta:
+        # The amplified miss needs g1 < delta; capping it at the decode
+        # failure absorbs rounding that would lift the factor above 1.
+        amplified_fail = min(decode_fail, _amplified_miss(first, second, rs.gamma_th, rs.delta))
+        return amplified_fail + (1.0 - decode_fail) * second_fail
     return decode_fail + (1.0 - decode_fail) * second_fail
 
 
@@ -148,8 +138,8 @@ def outage_sc(
     selection combining: the direct-link outage times, per relay, the
     probability that the relay path fails (the paths are independent).
 
-    Exact at any gamma_th for DF and AF; for the adaptive scheme DFAF only
-    at gamma_th >= delta, below which it is the DF outage, an upper bound.
+    Exact at any gamma_th for all three schemes.  DFAF equals DF at
+    gamma_th >= delta; below it, a relay that cannot decode amplifies.
     """
     direct, relays = network_link_snrs(net, power, snr)
     p = snr_cdf(direct, rs.gamma_th)
@@ -217,53 +207,57 @@ def af_path_cdf_closed(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     return min(1.0, max(0.0, 1.0 - total))
 
 
-def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
-    """CDF of g1*g2/(g1+g2+1) at y from first principles, for any shapes.
-
-    g1 <= y always fails; for g1 = y + t the path fails when
-    g2 < y(y+t+1)/t.  That tail integral is taken in v = ln t by 16-point
-    Gauss-Legendre on panels of width h = min(1, 3/sqrt(max shape)).  All
-    its terms are positive, so the value keeps its relative accuracy deep
-    in outage.  Raises QuadratureError when the gap to the width-2h rule
-    exceeds AF_QUAD_TOL of the value.
-    """
+def _amplified_miss(hop1: LinkSnr, hop2: LinkSnr, y: float, below: float) -> float:
+    # P(g1 < below and g1 g2 / (g1 + g2 + 1) < y) for 0 < y < below <= inf.
+    # g1 <= y always misses; for g1 = y + t, t < c = below - y, the path
+    # misses when g2 < y (y + t + 1) / t.  That tail is one trapezoid sum in
+    # v on t = e^v / (1 + e^v / c), which maps the real line onto (0, c) and
+    # is e^v at below = inf.  All its terms are positive, so the value keeps
+    # its relative accuracy deep in outage.
     from scipy.special import gammainc
 
-    if y < 0.0:
-        raise ValueError(f"y must be nonnegative, got {y}")
-    if y == 0.0:
-        return 0.0
-    nodes, weights = _gauss_legendre()
-    m1, a1 = hop1.m, hop1.rate
-    m2, a2 = hop2.m, hop2.rate
-    # Far below t = a2 y (y+1) the conditional probability tends to 1, so
-    # the integrand falls like t = e^v: all of it more than 36 e-folds
-    # under that point is e^-36 ~ 2e-16 of its size there.  Beyond
-    # a1 t = e (m1 + 60) the first-hop tail mass Q(m1, a1 t) is below e^-60.
-    lo = math.log(a2 * y * (y + 1.0)) - 36.0
+    (m1, a1), (m2, a2), c = (hop1.m, hop1.rate), (hop2.m, hop2.rate), below - y
+    # Far below t = min(a2 y (y + 1), c) the integrand falls like e^v, so
+    # 36 e-folds under that point leave e^-36 ~ 2e-16 of its size there.
+    # Beyond a1 t = e (m1 + 60) the first-hop tail mass is below e^-60; t
+    # gets there, at v = hi - ln(1 - e^hi / c), only if c lies above it.
+    # Past v = ln c dt/dv falls like e^-v, and 36 e-folds leave e^-36.
+    lo = math.log(min(a2 * y * (y + 1.0), c)) - 36.0
     hi = math.log((m1 + 60.0) / a1) + 1.0
-    # In v, a shape-m factor turns over a width of about 1/sqrt(m), so
-    # above shape 9 the panels narrow like that; the width-2h estimate
-    # then stays inside AF_QUAD_TOL wherever the width-h value is right.
-    h = min(1.0, 3.0 / math.sqrt(max(m1, m2)))
-    n_wide = math.ceil((hi - lo) / (2.0 * h))
-    k = h * np.arange(2 * n_wide)[:, None]
-    unit = lo + 0.5 * h + k + 0.5 * h * nodes
-    wide = lo + h + 2.0 * k[:n_wide] + h * nodes
-    v = np.concatenate((unit.ravel(), wide.ravel()))
-    t = np.exp(v)
+    r = math.exp(hi) / c
+    hi = min(hi - math.log1p(-r) if r < 1.0 else math.inf, math.log(c) + 36.0)
+    # A shape-m factor turns over in v within about 1/sqrt(m); the step keeps
+    # the every-other-node sum inside AF_QUAD_TOL where the full one is right.
+    h = 0.4 / math.sqrt(max(m1, m2, 25.0))
+    v = lo + h * np.arange(math.ceil((hi - lo) / h) + 1)
+    ev = np.exp(v)
+    q = ev / c  # 0 at below = inf; dt/dv = e^v / (1 + q)^2
+    t = ev / (1.0 + q)
     x = y + t
     ln_f1 = m1 * math.log(a1) - math.lgamma(m1) + (m1 - 1.0) * np.log(x) - a1 * x
-    f = np.exp(ln_f1 + v) * gammainc(m2, a2 * y * (x + 1.0) / t)
-    panels = f.reshape(-1, nodes.size) @ weights  # half-widths h/2, h
-    tail = 0.5 * h * float(panels[: 2 * n_wide].sum())
+    f = np.exp(ln_f1 + v - 2.0 * np.log1p(q)) * gammainc(m2, a2 * y * (x + 1.0) / t)
+    tail = h * float(f.sum())
     value = min(1.0, snr_cdf(hop1, y) + tail)
-    err = abs(tail - h * float(panels[2 * n_wide :].sum()))
+    err = abs(tail - 2.0 * h * float(f[::2].sum()))
     if err > AF_QUAD_TOL * value:
         raise QuadratureError(
             f"AF path CDF error estimate {err:.3e} exceeds {AF_QUAD_TOL:.1e} of {value:.3e}"
         )
     return value
+
+
+def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
+    """CDF of g1*g2/(g1+g2+1) at y from first principles, for any shapes:
+    the first-hop head P(m1, a1 y) plus a trapezoid sum in v = ln t over
+    g1 = y + t, with step 0.4/sqrt(max(m1, m2, 25)).  Raises QuadratureError
+    when its gap to the sum over every other node exceeds AF_QUAD_TOL of
+    the value.
+    """
+    if y < 0.0:
+        raise ValueError(f"y must be nonnegative, got {y}")
+    if y == 0.0:
+        return 0.0
+    return _amplified_miss(hop1, hop2, y, math.inf)
 
 
 def asymptotic_outage_dfaf(
@@ -273,14 +267,19 @@ def asymptotic_outage_dfaf(
     exact expression is replaced by its leading small-argument term at the
     point's link SNRs, so the product decays like snr**(-d) with the
     network diversity order d, at any power split.  A relay contributes
-    the terms of its hops with the smaller shape, both when they are equal.
-    At snr = 1 with PowerSpec() it is the coding gain g of g * snr**(-d).
+    the terms of its hops with the smaller shape, both when they are equal,
+    the first hop's at min(delta, gamma_th): below delta a relay that cannot
+    decode amplifies, and its path misses only when g1 < gamma_th.  At
+    snr = 1 with PowerSpec() it is the coding gain g of g * snr**(-d).
     """
     direct, relays = network_link_snrs(net, power, snr)
     g = _power_law(direct.m, direct.rate * rs.gamma_th)
     for first, second in relays:
         g *= _leading_term(
-            ((first.m, first.rate * rs.delta), (second.m, second.rate * rs.gamma_th))
+            (
+                (first.m, first.rate * min(rs.delta, rs.gamma_th)),
+                (second.m, second.rate * rs.gamma_th),
+            )
         )[1]
     return g
 

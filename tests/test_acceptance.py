@@ -90,7 +90,7 @@ def test_c2_hand_value():
 
 
 def test_c3_af_cdf_oracle_equivalence():
-    """Finite Bessel sum vs the Gauss-Legendre quadrature within 1e-8 on the grid."""
+    """Finite Bessel sum vs the trapezoid quadrature within 1e-8 on the grid."""
     worst = 0.0
     for m1 in (1, 2, 3):
         for m2 in (1, 2, 3):

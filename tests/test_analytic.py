@@ -1,12 +1,15 @@
 """Closed-form outage checks: hand-evaluated values, the AF path CDF
 quadrature against frozen 80-digit values and against the paper's Bessel
-sum, asymptotics, coding gain, and bounds.
+sum, the DFAF factor below delta against frozen 40-digit values and
+coupled Monte Carlo, DFAF's dominance over DF and AF, asymptotics, coding
+gain, and bounds.
 
 The frozen AF CDF value 0.5946916379538068 was computed with
 af_path_cdf_quadrature and agrees with the one-term Bessel expression for
 the all-Rayleigh case.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -24,6 +27,7 @@ from opprelay.analytic import (
     RateSpec,
     Scheme,
     _power_law,
+    _relay_failure,
     af_bounds,
     af_path_cdf_closed,
     af_path_cdf_quadrature,
@@ -32,6 +36,7 @@ from opprelay.analytic import (
     outage_sc,
 )
 from opprelay.channel import ChannelSpec, LinkSnr, NetworkSpec, PowerSpec, make_stream, sample_snr
+from opprelay.montecarlo import estimate_outage_coupled
 
 from nets import from_shapes, rayleigh
 
@@ -193,9 +198,9 @@ AF_CDF_ORACLE = [
     (8.0, 20.0, 3.0, 20.0, 0.00013033105692583112464),
     (8.0, 40.0, 3.0, 40.0, 1.2158465116663917493e-10),
     (8.0, 60.0, 3.0, 60.0, 1.215008461642221807e-16),
-    # Large shapes, where the panels narrow below unit width; frozen from
-    # the Bessel sum at 250 digits (in double precision it reads 0.0 at
-    # (20, 20) through its 1 - sum).
+    # Large shapes, whose factors turn over within about 1/sqrt(m) in v;
+    # frozen from the Bessel sum at 250 digits (in double precision it
+    # reads 0.0 at (20, 20) through its 1 - sum).
     (14.0, 32.5, 1.0, 32.5, 0.0016896895357660100707),
     (16.0, 45.0, 1.0, 45.0, 9.4876630120824228664e-05),
     (20.0, 50.0, 1.0, 50.0, 3.0000813166605178624e-05),
@@ -371,6 +376,69 @@ class TestAfOutage:
         assert all(b >= a for a, b in zip(by_th, by_th[1:]))
 
 
+# One relay's DFAF path-failure factor below delta, frozen at 40 digits by
+# tests/dfaf_oracle.py (its docstring says how to rerun it).
+DFAF_ORACLE = json.loads(
+    (Path(__file__).parent / "golden" / "dfaf_below_delta.json").read_text(encoding="utf-8")
+)
+
+
+class TestDfafBelowDelta:
+    # Below delta a relay that cannot decode still amplifies, so the
+    # adaptive scheme's factor is not the DF one.
+
+    @pytest.mark.parametrize(
+        "row",
+        DFAF_ORACLE,
+        ids=[
+            f"{r['m1']}@{r['snr1_db']:g}dB-{r['m2']}@{r['snr2_db']:g}dB"
+            f"-R{r['rate']:g}-th{r['gamma_th']:.10g}"
+            for r in DFAF_ORACLE
+        ],
+    )
+    def test_factor_matches_40_digit_oracle(self, row):
+        first = LinkSnr(mean_snr=db(row["snr1_db"]), m=row["m1"])
+        second = LinkSnr(mean_snr=db(row["snr2_db"]), m=row["m2"])
+        rs = RateSpec(rate=row["rate"], gamma_th=row["gamma_th"])
+        assert rs.gamma_th < rs.delta
+        got = _relay_failure(Scheme.DFAF, first, second, rs)
+        assert got == pytest.approx(float(row["factor"]), rel=1e-12, abs=0)
+
+    def test_rayleigh_point_inside_coupled_interval(self):
+        # Rayleigh K=1 at 10 dB, gamma_th = 1 < delta = 3: the DF outage
+        # 0.03137 lies far outside the adaptive scheme's interval
+        net, rs = rayleigh(1), RateSpec(rate=1.0, gamma_th=1.0)
+        exact = {s: outage_sc(s, net, PW, rs, 10.0) for s in Scheme}
+        assert exact[Scheme.DFAF] == pytest.approx(0.0213262, abs=1e-7)
+        est = estimate_outage_coupled(
+            net, PW, rs, tuple(Scheme), 10**6, seed=2027, snr=10.0
+        ).estimates
+        for s in Scheme:
+            assert est[s].ci_low <= exact[s] <= est[s].ci_high, s
+        assert est[Scheme.DFAF].ci_high < exact[Scheme.DF]
+
+    def test_adaptive_dominates_on_random_networks(self):
+        # selecting DF or AF per relay never does worse than either alone
+        rng = np.random.default_rng(1301)
+
+        def link():
+            omega = float(10.0 ** rng.uniform(-1.0, 1.0))
+            return ChannelSpec(m=float(rng.uniform(0.5, 4.0)), omega=omega)
+
+        below = 0
+        for i in range(200):
+            relays = tuple((link(), link()) for _ in range(1 + i % 4))
+            net = NetworkSpec(direct=link(), relays=relays)
+            source, relay, direct = (float(x) for x in 10.0 ** rng.uniform(-1.0, 1.0, 3))
+            pw = PowerSpec(source, relay, 1.0, direct)
+            rs = RateSpec(rate=1.0, gamma_th=RS.delta * float(3.0 ** rng.uniform(-1.0, 1.0)))
+            below += rs.gamma_th < rs.delta
+            x = db(float(rng.uniform(0.0, 40.0)))
+            p = {s: outage_sc(s, net, pw, rs, x) for s in Scheme}
+            assert p[Scheme.DFAF] <= min(p[Scheme.DF], p[Scheme.AF]) * (1.0 + 1e-12), (i, p)
+        assert 50 <= below <= 150
+
+
 class TestPowerLaw:
     def test_definition(self):
         for m in (0.5, 0.8, 2.0, 3.5):
@@ -439,6 +507,25 @@ class TestAsymptotics:
         asym = asymptotic_outage_dfaf(net, PW, rs, db(70.0))
         assert abs(asym / exact - 1.0) < 1e-2
 
+    @pytest.mark.parametrize(
+        "net",
+        [rayleigh(1), from_shapes(0.5, [1, 1, 2], [1, 1, 1]), from_shapes(1.0, [2.0], [2.0])],
+        ids=["rayleigh-K1", "fig3", "m2-balanced"],
+    )
+    def test_below_delta_first_hop_term_at_gamma_th(self, net):
+        # below delta a relay that cannot decode still amplifies, and its
+        # path misses only when g1 < gamma_th, not whenever g1 < delta
+        rs = RateSpec(rate=1.0, gamma_th=1.0)
+        exact = outage_sc(Scheme.DFAF, net, PW, rs, db(70.0))
+        asym = asymptotic_outage_dfaf(net, PW, rs, db(70.0))
+        assert abs(asym / exact - 1.0) < 1e-5
+
+    def test_below_delta_coding_gain(self):
+        # Rayleigh K=1: direct gamma_th times the relay's gamma_th + gamma_th
+        rs = RateSpec(rate=1.0, gamma_th=1.0)
+        gain = asymptotic_outage_dfaf(rayleigh(1), PowerSpec(), rs, 1.0)
+        assert gain == pytest.approx(rs.gamma_th * 2.0 * rs.gamma_th, rel=1e-12)
+
     def test_first_hop_limited_branch(self):
         net = from_shapes(1.0, [1.0], [2.0])
         assert diversity_order_dfaf(net) == 2.0
@@ -477,7 +564,7 @@ class TestAsymptotics:
             )
             source, relay, direct, n0 = (float(x) for x in rng.uniform(0.3, 3.0, 4))
             pw = PowerSpec(source, relay, n0, direct)
-            rs = RateSpec(rate=1.0, gamma_th=RS.delta * float(rng.uniform(1.0, 3.0)))
+            rs = RateSpec(rate=1.0, gamma_th=RS.delta * float(3.0 ** rng.uniform(-1.0, 1.0)))
             gap = {
                 x: abs(
                     asymptotic_outage_dfaf(net, pw, rs, db(x))

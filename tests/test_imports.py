@@ -1,8 +1,7 @@
-"""scipy.special loads on the first closed-form call and the AF
-quadrature's Gauss-Legendre table (with numpy.polynomial) on the first AF
-path CDF, and block threads come from threading, so Monte Carlo runs load
-neither scipy, numpy.polynomial nor concurrent.futures; PyYAML loads on
-the first scenario file read.  Each check runs in a fresh interpreter,
+"""scipy.special loads on the first closed-form call, nothing loads
+numpy.polynomial, and block threads come from threading, so Monte Carlo
+runs load neither scipy, numpy.polynomial nor concurrent.futures; PyYAML
+loads on the first scenario file read.  Each check runs in a fresh interpreter,
 because the test process has long since loaded scipy."""
 
 import os
@@ -64,9 +63,9 @@ def test_monte_carlo_leaves_scipy_unloaded(tmp_path):
 
 
 def test_monte_carlo_leaves_quadrature_table_and_executor_unloaded(tmp_path):
-    # the Gauss-Legendre table was built at import, loading numpy.polynomial
-    # and running an eigen-solve, and the block threads came from a
-    # concurrent.futures pool
+    # an AF quadrature node table built at import once loaded
+    # numpy.polynomial and ran an eigen-solve, and the block threads came
+    # from a concurrent.futures pool
     modules = ["numpy.polynomial", "concurrent.futures"]
     assert monte_carlo_loads(tmp_path, modules) == ["False", "False", "False"]
 
@@ -130,8 +129,8 @@ def test_concurrent_first_calls_agree(process):
 
 @pytest.mark.parametrize("process", range(3))
 def test_concurrent_first_quadratures_agree(process):
-    # the first af_path_cdf_quadrature calls race to build the
-    # Gauss-Legendre table
+    # the first af_path_cdf_quadrature calls race to import scipy.special
+    # inside the amplified-path trapezoid rule
     setup = (
         "from opprelay import LinkSnr, af_path_cdf_quadrature\n"
         "hops = (LinkSnr(mean_snr=7.5, m=1.7), LinkSnr(mean_snr=4.0, m=2.5))"
