@@ -13,9 +13,13 @@ schemes.  The Scheme enum is defined here for it; the Monte Carlo engine
 and the experiments import it from this module.
 
 One trapezoid rule integrates the amplified path for any shapes: the AF
-path CDF af_path_cdf_quadrature, and DFAF's factor below delta.  The
-paper's Bessel sum for integer shapes, af_path_cdf_closed, is the AF
-path CDF's reference, not exported from the package root.
+path CDF af_path_cdf_quadrature, and DFAF's factor below delta.  Each
+sum is memoised in a process-local cache of 512 entries, so the bounds
+table reuses its curve's AF integrals and identical relays share one;
+the AF_QUAD_TOL certificate is never skipped: it is checked on every
+call, cached or not.  The paper's Bessel sum for integer shapes,
+af_path_cdf_closed, is the AF path CDF's reference, not exported from
+the package root.
 
 Maximal ratio combining has no closed form here yet, so those curves come
 from the Monte Carlo engine.  Relay selection ignores the direct link, so
@@ -33,6 +37,7 @@ only math, and Monte Carlo runs do not load it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -207,13 +212,20 @@ def af_path_cdf_closed(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     return min(1.0, max(0.0, 1.0 - total))
 
 
-def _amplified_miss(hop1: LinkSnr, hop2: LinkSnr, y: float, below: float) -> float:
-    # P(g1 < below and g1 g2 / (g1 + g2 + 1) < y) for 0 < y < below <= inf.
-    # g1 <= y always misses; for g1 = y + t, t < c = below - y, the path
-    # misses when g2 < y (y + t + 1) / t.  That tail is one trapezoid sum in
-    # v on t = e^v / (1 + e^v / c), which maps the real line onto (0, c) and
-    # is e^v at below = inf.  All its terms are positive, so the value keeps
-    # its relative accuracy deep in outage.
+@functools.lru_cache(maxsize=512)
+def _amplified_sum(
+    hop1: LinkSnr, hop2: LinkSnr, y: float, below: float
+) -> tuple[float, float]:
+    # P(g1 < below and g1 g2 / (g1 + g2 + 1) < y) for 0 < y < below <= inf,
+    # and the sum's gap to the every-other-node sum.  g1 <= y always misses;
+    # for g1 = y + t, t < c = below - y, the path misses when
+    # g2 < y (y + t + 1) / t.  That tail is one trapezoid sum in v on
+    # t = e^v / (1 + e^v / c), which maps the real line onto (0, c) and is
+    # e^v at below = inf.  All its terms are positive, so the value keeps
+    # its relative accuracy deep in outage.  Memoised on its exact
+    # arguments (LinkSnr is frozen): a table's repeated integrals, and
+    # identical relays, are summed once; the size holds a 50-point curve's
+    # integrals on 4 relays.
     from scipy.special import gammainc
 
     (m1, a1), (m2, a2), c = (hop1.m, hop1.rate), (hop2.m, hop2.rate), below - y
@@ -238,7 +250,12 @@ def _amplified_miss(hop1: LinkSnr, hop2: LinkSnr, y: float, below: float) -> flo
     f = np.exp(ln_f1 + v - 2.0 * np.log1p(q)) * gammainc(m2, a2 * y * (x + 1.0) / t)
     tail = h * float(f.sum())
     value = min(1.0, snr_cdf(hop1, y) + tail)
-    err = abs(tail - 2.0 * h * float(f[::2].sum()))
+    return value, abs(tail - 2.0 * h * float(f[::2].sum()))
+
+
+def _amplified_miss(hop1: LinkSnr, hop2: LinkSnr, y: float, below: float) -> float:
+    # The memoised sum, certified on every call, cached or not.
+    value, err = _amplified_sum(hop1, hop2, y, below)
     if err > AF_QUAD_TOL * value:
         raise QuadratureError(
             f"AF path CDF error estimate {err:.3e} exceeds {AF_QUAD_TOL:.1e} of {value:.3e}"
@@ -252,6 +269,10 @@ def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     g1 = y + t, with step 0.4/sqrt(max(m1, m2, 25)).  Raises QuadratureError
     when its gap to the sum over every other node exceeds AF_QUAD_TOL of
     the value.
+
+    The sum is memoised per process on (hop1, hop2, y), at most 512
+    entries, and the certificate is never skipped: it is checked on every
+    call, cached or not.
     """
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")

@@ -24,8 +24,10 @@ from scipy.special import gammainc
 import opprelay
 from opprelay.analytic import (
     ClosedFormUnavailableError,
+    QuadratureError,
     RateSpec,
     Scheme,
+    _amplified_sum,
     _power_law,
     _relay_failure,
     af_bounds,
@@ -229,6 +231,17 @@ class TestAfPathCdf:
         h1 = LinkSnr(mean_snr=db(db1), m=m1)
         h2 = LinkSnr(mean_snr=db(db2), m=m2)
         assert af_path_cdf_quadrature(h1, h2, 3.0) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_cached_value_is_still_certified(self, monkeypatch):
+        h1, h2 = LinkSnr(mean_snr=10.0, m=2.0), LinkSnr(mean_snr=20.0, m=1.5)
+        af_path_cdf_quadrature(h1, h2, 3.0)
+        hits = _amplified_sum.cache_info().hits
+        # the sum is memoised, and no error estimate is below zero, so the
+        # cached value must still refuse
+        monkeypatch.setattr("opprelay.analytic.AF_QUAD_TOL", -1.0)
+        with pytest.raises(QuadratureError, match="AF path CDF error estimate"):
+            af_path_cdf_quadrature(h1, h2, 3.0)
+        assert _amplified_sum.cache_info().hits == hits + 1
 
     def test_large_y_saturates(self):
         h = LinkSnr(mean_snr=10.0, m=1.0)

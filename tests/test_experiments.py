@@ -452,6 +452,28 @@ class TestBoundsTable:
         ]
         assert not outside
 
+    def test_bounds_table_reuses_the_curve_integrals(self):
+        # the amplified-path sum is memoised, so the bounds table after its
+        # curve computes no integral
+        (s,) = preset("fig3_nakagami_3relay")
+        s = replace(s, outputs=frozenset({"analytic", "bounds"}))
+        run_scenario(s)
+        before = analytic._amplified_sum.cache_info()
+        rows = af_bounds_rows(s)
+        after = analytic._amplified_sum.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + len(rows)
+
+    def test_identical_relays_share_one_integral(self):
+        # fig2_K3: 11 points x 3 identical relays, AF curve plus bounds
+        (s,) = preset("fig2_rayleigh_K3")
+        s = replace(s, outputs=frozenset({"analytic", "bounds"}))
+        analytic._amplified_sum.cache_clear()
+        run_scenario(s)
+        af_bounds_rows(s)
+        info = analytic._amplified_sum.cache_info()
+        assert (info.misses, info.hits) == (11, 55)
+
     def test_bounds_need_af_scheme(self):
         (s,) = preset("fig4_K1")
         with pytest.raises(ScenarioError, match="AF scheme"):
