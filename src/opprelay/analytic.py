@@ -7,17 +7,23 @@ All outage expressions, exact and high-SNR, are driven by the per-link
 gamma rate parameters (shape / mean SNR), so they hold at any split of
 transmit power between source, relays and the direct link.
 
-outage_sc is the one exact closed form: the direct-link CDF times one
-path-failure factor per relay, and only that factor differs between the
-schemes.  The Scheme enum is defined here for it; the Monte Carlo engine
-and the experiments import it from this module.
+The exact closed form is the direct-link CDF times one path-failure
+factor per relay, and only that factor differs between the schemes.
+outage_sc_point evaluates it for several schemes at one grid point in one
+pass: it builds the point's link laws and the direct-link CDF once, and
+per relay the decode and second-hop CDFs once, which every scheme's
+factor shares; it sums the amplified path only for the schemes that need
+it.  outage_sc is that pass for one scheme.  The Scheme enum is defined
+here for it; the Monte Carlo engine and the experiments import it from
+this module.
 
 One trapezoid rule integrates the amplified path for any shapes: the AF
-path CDF af_path_cdf_quadrature, and DFAF's factor below delta.  Each
-sum is memoised in a process-local cache of 512 entries, so the bounds
-table reuses its curve's AF integrals and identical relays share one;
-the AF_QUAD_TOL certificate is never skipped: it is checked on every
-call, cached or not.  The paper's Bessel sum for integer shapes,
+path CDF af_path_cdf_quadrature, and DFAF's factor below delta.  The
+leading nodes, where the second hop's gammainc is exactly 1.0, skip that
+call.  Each sum is memoised in a process-local cache of 512 entries, so
+the bounds table reuses its curve's AF integrals and identical relays
+share one; the AF_QUAD_TOL certificate is never skipped: it is checked on
+every call, cached or not.  The paper's Bessel sum for integer shapes,
 af_path_cdf_closed, is the AF path CDF's reference, not exported from
 the package root.
 
@@ -28,8 +34,9 @@ outage is a one-dimensional integral over the direct-link SNR that is
 not implemented yet.
 
 Every scalar CDF factor (direct link, decode failure, second hop, the
-amplified path's first-hop head) is channel.snr_cdf of the link laws
-that channel.network_link_snrs builds for the grid point.  scipy.special
+amplified path's first-hop head, which is the decode failure at
+gamma_th = delta) is channel.snr_cdf of the link laws that
+channel.network_link_snrs builds for the grid point.  scipy.special
 loads on the first exact value, inside snr_cdf, the trapezoid rule's node
 array or the Bessel reference: the high-SNR law and the AF bounds need
 only math, and Monte Carlo runs do not load it.
@@ -41,6 +48,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -114,28 +122,6 @@ def _leading_term(hops: tuple[tuple[float, float], ...]) -> tuple[float, float]:
     return m_min, sum(_power_law(m, x) for m, x in hops if m == m_min)
 
 
-def _relay_failure(
-    scheme: Scheme, first: LinkSnr, second: LinkSnr, rs: RateSpec
-) -> float:
-    # Probability that one relay's path misses gamma_th.  AF: the amplified
-    # path's CDF.  DF: the relay fails to decode, or decodes and its second
-    # hop misses gamma_th.  DFAF: a relay that cannot decode amplifies, and
-    # at gamma_th >= delta that path, capped by g1 < delta, always misses.
-    if scheme is Scheme.AF:
-        return af_path_cdf_quadrature(first, second, rs.gamma_th)
-    # The decode failure is the CDF P itself: 1 - Q would lose it deep in
-    # outage, where it is the leading term.  1 - P is exact enough for Q,
-    # which only ever adds to P.
-    decode_fail = snr_cdf(first, rs.delta)
-    second_fail = snr_cdf(second, rs.gamma_th)
-    if scheme is Scheme.DFAF and rs.gamma_th < rs.delta:
-        # The amplified miss needs g1 < delta; capping it at the decode
-        # failure absorbs rounding that would lift the factor above 1.
-        amplified_fail = min(decode_fail, _amplified_miss(first, second, rs.gamma_th, rs.delta))
-        return amplified_fail + (1.0 - decode_fail) * second_fail
-    return decode_fail + (1.0 - decode_fail) * second_fail
-
-
 def outage_sc(
     scheme: Scheme, net: NetworkSpec, power: PowerSpec, rs: RateSpec, snr: float
 ) -> float:
@@ -145,12 +131,48 @@ def outage_sc(
 
     Exact at any gamma_th for all three schemes.  DFAF equals DF at
     gamma_th >= delta; below it, a relay that cannot decode amplifies.
+    The value is outage_sc_point's for this one scheme.
+    """
+    return outage_sc_point((scheme,), net, power, rs, snr)[scheme]
+
+
+def outage_sc_point(
+    schemes: Sequence[Scheme], net: NetworkSpec, power: PowerSpec, rs: RateSpec, snr: float
+) -> dict[Scheme, float]:
+    """outage_sc of each scheme in schemes at one grid point, in one pass:
+    the link laws and the direct-link CDF once, and per relay the decode
+    and second-hop CDFs once, shared by every scheme's path-failure factor.
+
+    AF's factor is the amplified path's CDF.  DF's: the relay fails to
+    decode, or decodes and its second hop misses gamma_th.  DFAF's is DF's
+    at gamma_th >= delta, where the amplified path, capped by g1 < delta,
+    always misses; below delta a relay that cannot decode amplifies.
     """
     direct, relays = network_link_snrs(net, power, snr)
-    p = snr_cdf(direct, rs.gamma_th)
+    outage = dict.fromkeys(schemes, snr_cdf(direct, rs.gamma_th))
+    dfaf_amplifies = Scheme.DFAF in outage and rs.gamma_th < rs.delta
     for first, second in relays:
-        p *= _relay_failure(scheme, first, second, rs)
-    return p
+        # The decode failure is the CDF P itself: 1 - Q would lose it deep
+        # in outage, where it is the leading term.  1 - P is exact enough
+        # for Q, which only ever adds to P.
+        decode_fail = snr_cdf(first, rs.delta)
+        second_fail = snr_cdf(second, rs.gamma_th)
+        decoded_miss = (1.0 - decode_fail) * second_fail
+        if Scheme.AF in outage or dfaf_amplifies:
+            # P(g1 < gamma_th), the amplified path's first-hop head
+            head = decode_fail if rs.gamma_th == rs.delta else snr_cdf(first, rs.gamma_th)
+        for scheme in outage:
+            if scheme is Scheme.AF:
+                outage[scheme] *= _amplified_miss(first, second, rs.gamma_th, math.inf, head)
+            elif scheme is Scheme.DFAF and dfaf_amplifies:
+                # The amplified miss needs g1 < delta; capping it at the
+                # decode failure absorbs rounding that would lift the factor
+                # above 1.
+                amplified = _amplified_miss(first, second, rs.gamma_th, rs.delta, head)
+                outage[scheme] *= min(decode_fail, amplified) + decoded_miss
+            else:
+                outage[scheme] *= decode_fail + decoded_miss
+    return outage
 
 
 def af_path_cdf_closed(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
@@ -212,13 +234,32 @@ def af_path_cdf_closed(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     return min(1.0, max(0.0, 1.0 - total))
 
 
+@functools.lru_cache(maxsize=64)
+def _gammainc_is_one_above(m: float) -> float:
+    # For z > r = max(m - 1, 0) the upper tail is bounded:
+    # Q(m, z) <= z^(m-1) e^-z / Gamma(m) * max(1, z / (z - r)).  The bound's
+    # log falls in z; where it is below 2^-55, 1 - Q rounds to 1.0, so
+    # gammainc(m, z) is exactly 1.0 beyond this root of it, found by
+    # Newton from r + 1 (about 36 at m = 0.5, 48 at 4 and 150 at 60).
+    r = max(m - 1.0, 0.0)
+    base = math.lgamma(m) - 55.0 * math.log(2.0)
+    z = r + 1.0
+    for _ in range(100):
+        g = m * math.log(z) - z - math.log(z - r) - base
+        step = g / (m / z - 1.0 - 1.0 / (z - r))
+        z = max(z - step, r + 1.0)
+        if abs(step) <= 1e-12 * z:
+            break
+    return z
+
+
 @functools.lru_cache(maxsize=512)
 def _amplified_sum(
     hop1: LinkSnr, hop2: LinkSnr, y: float, below: float
 ) -> tuple[float, float]:
-    # P(g1 < below and g1 g2 / (g1 + g2 + 1) < y) for 0 < y < below <= inf,
-    # and the sum's gap to the every-other-node sum.  g1 <= y always misses;
-    # for g1 = y + t, t < c = below - y, the path misses when
+    # P(y < g1 < below and g1 g2 / (g1 + g2 + 1) < y) for
+    # 0 < y < below <= inf, and the sum's gap to the every-other-node sum.
+    # For g1 = y + t, t < c = below - y, the path misses when
     # g2 < y (y + t + 1) / t.  That tail is one trapezoid sum in v on
     # t = e^v / (1 + e^v / c), which maps the real line onto (0, c) and is
     # e^v at below = inf.  All its terms are positive, so the value keeps
@@ -247,15 +288,25 @@ def _amplified_sum(
     t = ev / (1.0 + q)
     x = y + t
     ln_f1 = m1 * math.log(a1) - math.lgamma(m1) + (m1 - 1.0) * np.log(x) - a1 * x
-    f = np.exp(ln_f1 + v - 2.0 * np.log1p(q)) * gammainc(m2, a2 * y * (x + 1.0) / t)
+    f = np.exp(ln_f1 + v - 2.0 * np.log1p(q))
+    # The second hop's argument falls along v, and the nodes where its
+    # gammainc is exactly 1.0 lead: only the rest call it, and a product
+    # with 1.0 is exact, so every bit is kept.
+    z = a2 * y * (x + 1.0) / t
+    k = np.count_nonzero(z > _gammainc_is_one_above(m2))
+    f[k:] *= gammainc(m2, z[k:])
     tail = h * float(f.sum())
-    value = min(1.0, snr_cdf(hop1, y) + tail)
-    return value, abs(tail - 2.0 * h * float(f[::2].sum()))
+    return tail, abs(tail - 2.0 * h * float(f[::2].sum()))
 
 
-def _amplified_miss(hop1: LinkSnr, hop2: LinkSnr, y: float, below: float) -> float:
-    # The memoised sum, certified on every call, cached or not.
-    value, err = _amplified_sum(hop1, hop2, y, below)
+def _amplified_miss(
+    hop1: LinkSnr, hop2: LinkSnr, y: float, below: float, head: float
+) -> float:
+    # P(g1 < below and g1 g2 / (g1 + g2 + 1) < y): the head P(g1 < y),
+    # which always misses, plus the memoised tail sum, certified on every
+    # call, cached or not.
+    tail, err = _amplified_sum(hop1, hop2, y, below)
+    value = min(1.0, head + tail)
     if err > AF_QUAD_TOL * value:
         raise QuadratureError(
             f"AF path CDF error estimate {err:.3e} exceeds {AF_QUAD_TOL:.1e} of {value:.3e}"
@@ -278,7 +329,7 @@ def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
         raise ValueError(f"y must be nonnegative, got {y}")
     if y == 0.0:
         return 0.0
-    return _amplified_miss(hop1, hop2, y, math.inf)
+    return _amplified_miss(hop1, hop2, y, math.inf, snr_cdf(hop1, y))
 
 
 def asymptotic_outage_dfaf(

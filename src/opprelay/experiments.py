@@ -21,11 +21,12 @@ AF bound tables have their own documented column sets.
 
 Curves, alpha sweeps and slope fits build their rows with one table
 engine, _table, over a list of operating points: it is the one route
-for every exact (analytic.outage_sc of the row's scheme), asymptotic and
-Monte Carlo value they hold.  A slope fit is the exact secant
--ln(P(hi) / P(lo)) / ln(snr_hi / snr_lo) between the two ends of its dB
-window, each scheme's P evaluated there alone.  A dB value whose linear
-SNR overflows a float, or underflows to zero, is a ScenarioError.
+for every exact, asymptotic and Monte Carlo value they hold.  A point's
+exact values come from one analytic.outage_sc_point pass over all the
+scenario's schemes, which share its link laws and CDFs.  A slope fit is
+the exact secant -ln(P(hi) / P(lo)) / ln(snr_hi / snr_lo) between the
+two ends of its dB window, P evaluated there alone.  A dB value whose
+linear SNR overflows a float, or underflows to zero, is a ScenarioError.
 """
 
 from __future__ import annotations
@@ -300,10 +301,14 @@ def _table(
                 )
                 estimates.update(result.estimates)
         asym = analytic.asymptotic_outage_dfaf(net, power, s.rate, snr) if with_asym else None
+        exact = (
+            analytic.outage_sc_point(s.schemes, net, power, s.rate, snr)
+            if "analytic" in outputs else None
+        )
         for scheme in s.schemes:
             columns = {}
-            if "analytic" in outputs:
-                columns["outage_analytic"] = analytic.outage_sc(scheme, net, power, s.rate, snr)
+            if exact is not None:
+                columns["outage_analytic"] = exact[scheme]
             if "asymptotic" in outputs:
                 columns["outage_asymptotic"] = None if scheme is Scheme.AF else asym
             est = estimates.get(scheme)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincc
 
 import opprelay
 from opprelay.analytic import (
@@ -28,8 +28,8 @@ from opprelay.analytic import (
     RateSpec,
     Scheme,
     _amplified_sum,
+    _gammainc_is_one_above,
     _power_law,
-    _relay_failure,
     af_bounds,
     af_path_cdf_closed,
     af_path_cdf_quadrature,
@@ -243,6 +243,24 @@ class TestAfPathCdf:
             af_path_cdf_quadrature(h1, h2, 3.0)
         assert _amplified_sum.cache_info().hits == hits + 1
 
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.7, 2.0, 4.0, 10.0, 25.0, 60.0])
+    def test_gammainc_is_exactly_one_past_the_skip(self, m):
+        # the amplified sum skips gammainc(m2, z) at z > z*(m2), so it must
+        # be exactly 1.0 there; z* is where the upper-tail bound
+        # z^(m-1) e^-z / Gamma(m) max(1, z / (z - m + 1)) crosses 2^-55
+        z_star = _gammainc_is_one_above(m)
+        z = np.geomspace(1e-2, 1e4, 6001)
+        assert (gammainc(m, z[z > z_star]) == 1.0).all()
+        z = z[z >= max(m - 1.0, 0.0) + 1.0]
+        bound = np.exp(
+            (m - 1.0) * np.log(z) - z - math.lgamma(m)
+            + np.log(np.maximum(1.0, z / (z - m + 1.0)))
+        )
+        # at m = 1 the bound is e^-z itself, Q's own value
+        slack = 1.0 + 1e-12 if m == 1.0 else 1.0
+        assert (gammaincc(m, z) <= bound * slack).all()
+        np.testing.assert_array_equal(z > z_star, bound < 2.0**-55)
+
     def test_large_y_saturates(self):
         h = LinkSnr(mean_snr=10.0, m=1.0)
         assert af_path_cdf_closed(h, h, 1e4) == pytest.approx(1.0, abs=1e-6)
@@ -410,11 +428,17 @@ class TestDfafBelowDelta:
         ],
     )
     def test_factor_matches_40_digit_oracle(self, row):
-        first = LinkSnr(mean_snr=db(row["snr1_db"]), m=row["m1"])
-        second = LinkSnr(mean_snr=db(row["snr2_db"]), m=row["m2"])
+        # At unit power, noise and snr each hop's spread is its mean SNR,
+        # and a direct link of vanishing power misses with probability
+        # exactly 1.0, so the outage is the relay's factor itself.
+        first = ChannelSpec(m=row["m1"], omega=db(row["snr1_db"]))
+        second = ChannelSpec(m=row["m2"], omega=db(row["snr2_db"]))
+        net = NetworkSpec(direct=ChannelSpec(m=1.0), relays=((first, second),))
+        power = PowerSpec(direct_power=1e-300)
         rs = RateSpec(rate=row["rate"], gamma_th=row["gamma_th"])
         assert rs.gamma_th < rs.delta
-        got = _relay_failure(Scheme.DFAF, first, second, rs)
+        assert outage_sc(Scheme.DFAF, NetworkSpec(direct=net.direct), power, rs, 1.0) == 1.0
+        got = outage_sc(Scheme.DFAF, net, power, rs, 1.0)
         assert got == pytest.approx(float(row["factor"]), rel=1e-12, abs=0)
 
     def test_rayleigh_point_inside_coupled_interval(self):

@@ -15,7 +15,7 @@ import yaml
 import opprelay
 from opprelay import analytic, experiments
 from opprelay.analytic import RateSpec
-from opprelay.channel import ChannelSpec, NetworkSpec, PowerSpec
+from opprelay.channel import ChannelSpec, NetworkSpec, PowerSpec, network_link_snrs, snr_cdf
 from opprelay.experiments import (
     AlphaSweep,
     Curve,
@@ -46,6 +46,7 @@ SPEC_PRESETS = [
     "fig2_rayleigh_K1",
     "fig2_rayleigh_K2",
     "fig2_rayleigh_K3",
+    "below_delta_rayleigh_K3",
     "fig3_nakagami_3relay",
     "fig4_varyK",
     "fig6_diversity_surface",
@@ -86,6 +87,27 @@ class TestPresets:
             )
             assert s.rate.rate == 1.0 and s.rate.delta == 3.0 and s.rate.gamma_th == 3.0
             assert s.combiner is Combiner.SC
+
+    def test_below_delta_parameters(self):
+        # the fig2_rayleigh_K3 network, coupled, with gamma_th = 1 < delta = 3
+        (s,) = preset("below_delta_rayleigh_K3")
+        (fig2,) = preset("fig2_rayleigh_K3")
+        assert s.network == fig2.network and s.power == fig2.power
+        assert (s.rate.delta, s.rate.gamma_th) == (3.0, 1.0)
+        assert s.coupled and s.mc_max_snr_db == 25.0
+        assert s.outputs == {"analytic", "asymptotic", "montecarlo"}
+
+    def test_below_delta_df_over_dfaf_tends_to_eight(self):
+        # each Rayleigh relay's DF factor tends to (delta + gamma_th) / snr
+        # and the adaptive one to 2 gamma_th / snr: three relays give
+        # 2**3 = 8 over the adaptive scheme's high-SNR law
+        (s,) = preset("below_delta_rayleigh_K3")
+        snr = 10.0**8
+        asym = analytic.asymptotic_outage_dfaf(s.network, s.power, s.rate, snr)
+        exact = analytic.outage_sc_point(s.schemes, s.network, s.power, s.rate, snr)
+        assert exact[Scheme.DF] / asym == pytest.approx(8.0, rel=1e-5)
+        assert exact[Scheme.DFAF] / asym == pytest.approx(1.0, rel=1e-5)
+        assert exact[Scheme.AF] / asym == pytest.approx(1.0, rel=1e-5)
 
     def test_fig3_parameters(self):
         (s,) = preset("fig3_nakagami_3relay")
@@ -176,6 +198,33 @@ class TestRunScenario:
                     s.network, s.power, s.rate, 10.0 ** (r.snr_db / 10.0)
                 )
 
+    @pytest.mark.parametrize("schemes", ["dfaf", "af", "dfaf,df", "dfaf,df,af"])
+    def test_one_point_evaluates_each_cdf_once(self, schemes, monkeypatch):
+        # one pass per point: the link laws and the direct-link CDF once, and
+        # per relay the decode and second-hop CDFs once, whichever schemes
+        # share them (at gamma_th = delta the amplified head is the decode CDF)
+        cdfs, laws = [], []
+
+        def counted_cdf(link, y):
+            cdfs.append((link, y))
+            return snr_cdf(link, y)
+
+        def counted_laws(*args):
+            laws.append(args)
+            return network_link_snrs(*args)
+
+        monkeypatch.setattr(analytic, "snr_cdf", counted_cdf)
+        monkeypatch.setattr(analytic, "network_link_snrs", counted_laws)
+        (s,) = preset("fig3_nakagami_3relay")
+        s = replace(
+            s, schemes=tuple(map(Scheme, schemes.split(","))),
+            outputs=frozenset({"analytic"}), snr_grid_db=(10.0,),
+        )
+        rows = run_scenario(s)
+        assert len(rows) == len(s.schemes)
+        assert len(laws) == 1
+        assert len(cdfs) == 1 + 2 * len(s.network.relays)
+
     def test_coupled_equals_per_scheme_failure_ordering(self):
         (s,) = preset("fig7_mrc_compare")
         s = small(s, snr_grid_db=(10.0,))
@@ -240,19 +289,20 @@ class TestFitDiversity:
 
     def test_decimal_window_evaluates_its_two_ends(self, monkeypatch):
         # a fit evaluates the closed form at exactly the window's two ends,
-        # once per scheme and network, even where lo + 5 rounds past hi
+        # once per network, every scheme in one pass, even where lo + 5
+        # rounds past hi
         calls = []
 
-        def power_law(scheme, net, power, rs, snr):
-            calls.append((scheme, net, snr))
-            return 4.2 * snr**-2.0
+        def power_law(schemes, net, power, rs, snr):
+            calls.append((schemes, net, snr))
+            return dict.fromkeys(schemes, 4.2 * snr**-2.0)
 
-        monkeypatch.setattr(analytic, "outage_sc", power_law)
+        monkeypatch.setattr(analytic, "outage_sc_point", power_law)
         ends = (10.0 ** (-5.1 / 10.0), 10.0 ** (-0.1 / 10.0))
         (s,) = preset("fig3_nakagami_3relay")
         for row in fit_scenario_curves(replace(s, fit_window_db=(-5.1, -0.1))):
             assert row.fitted_slope == pytest.approx(2.0, rel=1e-12, abs=0.0)
-        assert [(x, snr) for x, _, snr in calls] == [(x, snr) for snr in ends for x in s.schemes]
+        assert [(x, snr) for x, _, snr in calls] == [(s.schemes, snr) for snr in ends]
         calls.clear()
         (surface,) = preset("fig6_diversity_surface")
         surface = replace(surface, surface_shapes=(1.0, 2.0), fit_window_db=(-5.1, -0.1))

@@ -33,7 +33,7 @@ SC_AF_CURVES = [
 ]
 SC_CURVES = SC_AF_CURVES + ["fig4_K1", "fig4_K2", "fig4_K3"]
 CASES = (
-    [("compare", name) for name in SC_CURVES + ["fig7_mrc_compare"]]
+    [("compare", name) for name in SC_CURVES + ["below_delta_rayleigh_K3", "fig7_mrc_compare"]]
     + [("bounds", name) for name in SC_AF_CURVES]
     + [("fit-diversity", name) for name in SC_CURVES + ["fig6_diversity_surface"]]
     + [("sweep-alpha", "fig8_alpha_sweep")]
