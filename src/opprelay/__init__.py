@@ -8,7 +8,7 @@ from .analytic import (
     Scheme,
     af_bounds,
     af_path_cdf_quadrature,
-    asymptotic_outage_dfaf,
+    asymptotic_outage,
     diversity_order_dfaf,
     outage_sc,
 )

@@ -1,7 +1,8 @@
 """Exact and high-SNR closed-form outage probabilities for the three
 opportunistic relaying schemes under selection combining, plus diversity
 order and the asymptotic sandwich bounds for the amplify-and-forward
-path; the coding gain is the high-SNR law at snr = 1 and PowerSpec().
+path.  outage_sc and asymptotic_outage are both keyed by scheme; the
+coding gain is the high-SNR law at snr = 1 and PowerSpec().
 
 All outage expressions, exact and high-SNR, are driven by the per-link
 gamma rate parameters (shape / mean SNR), so they hold at any split of
@@ -13,9 +14,9 @@ outage_sc_point evaluates it for several schemes at one grid point in one
 pass: it builds the point's link laws and the direct-link CDF once, and
 per relay the decode and second-hop CDFs once, which every scheme's
 factor shares; it sums the amplified path only for the schemes that need
-it.  outage_sc is that pass for one scheme.  The Scheme enum is defined
-here for it; the Monte Carlo engine and the experiments import it from
-this module.
+it.  outage_sc is that pass for one scheme; curve tables and slope fits
+call the pass itself.  The Scheme enum is defined here for it; the
+Monte Carlo engine and the experiments import it from this module.
 
 One trapezoid rule integrates the amplified path for any shapes: the AF
 path CDF af_path_cdf_quadrature, and DFAF's factor below delta.  The
@@ -332,27 +333,28 @@ def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     return _amplified_miss(hop1, hop2, y, math.inf, snr_cdf(hop1, y))
 
 
-def asymptotic_outage_dfaf(
-    net: NetworkSpec, power: PowerSpec, rs: RateSpec, snr: float
-) -> float:
-    """High-SNR power law for the adaptive scheme: each CDF factor of the
-    exact expression is replaced by its leading small-argument term at the
+def asymptotic_outage(
+    scheme: Scheme, net: NetworkSpec, power: PowerSpec, rs: RateSpec, snr: float
+) -> float | None:
+    """High-SNR power law of a scheme: each CDF factor of its exact
+    expression is replaced by its leading small-argument term at the
     point's link SNRs, so the product decays like snr**(-d) with the
-    network diversity order d, at any power split.  A relay contributes
-    the terms of its hops with the smaller shape, both when they are equal,
-    the first hop's at min(delta, gamma_th): below delta a relay that cannot
-    decode amplifies, and its path misses only when g1 < gamma_th.  At
-    snr = 1 with PowerSpec() it is the coding gain g of g * snr**(-d).
+    network diversity order d, at any power split.  A relay adds the terms
+    of its hops with the smaller shape, both when equal: the second hop's
+    at gamma_th, the first hop's at delta for DF, whose relay stays silent
+    when it cannot decode, and at min(delta, gamma_th) for DFAF, whose
+    relay then amplifies.  AF has no single law (None); af_bounds squeezes
+    its path.  At snr = 1 with PowerSpec() it is the coding gain g of
+    g * snr**(-d).
     """
+    if scheme is Scheme.AF:
+        return None
+    miss_below = rs.delta if scheme is Scheme.DF else min(rs.delta, rs.gamma_th)
     direct, relays = network_link_snrs(net, power, snr)
     g = _power_law(direct.m, direct.rate * rs.gamma_th)
     for first, second in relays:
-        g *= _leading_term(
-            (
-                (first.m, first.rate * min(rs.delta, rs.gamma_th)),
-                (second.m, second.rate * rs.gamma_th),
-            )
-        )[1]
+        hops = ((first.m, first.rate * miss_below), (second.m, second.rate * rs.gamma_th))
+        g *= _leading_term(hops)[1]
     return g
 
 

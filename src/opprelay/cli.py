@@ -149,7 +149,6 @@ def _run_command(args: argparse.Namespace) -> None:
         _emit(csv_text(rows), path)
 
         if args.command == "compare" and "bounds" in scenario.outputs:
-            bounds = af_bounds_rows(scenario)
             if path is None:
                 print(
                     "# bounds table skipped on stdout; pass --out to write "
@@ -158,7 +157,7 @@ def _run_command(args: argparse.Namespace) -> None:
                 )
             else:
                 side = path.with_name(f"{path.stem}.bounds{path.suffix or '.csv'}")
-                _emit(csv_text(bounds), side)
+                _emit(csv_text(af_bounds_rows(scenario)), side)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,14 +19,14 @@ table has the same columns with alpha in place of snr_db, and it reads
 outputs and coupled as a curve does.  Diversity-surface, slope-fit, and
 AF bound tables have their own documented column sets.
 
-Curves, alpha sweeps and slope fits build their rows with one table
-engine, _table, over a list of operating points: it is the one route
-for every exact, asymptotic and Monte Carlo value they hold.  A point's
-exact values come from one analytic.outage_sc_point pass over all the
-scenario's schemes, which share its link laws and CDFs.  A slope fit is
-the exact secant -ln(P(hi) / P(lo)) / ln(snr_hi / snr_lo) between the
-two ends of its dB window, P evaluated there alone.  A dB value whose
-linear SNR overflows a float, or underflows to zero, is a ScenarioError.
+Curves and alpha sweeps build their rows with one table engine, _table,
+over a list of operating points; it keys every value by scheme and holds
+no closed-form rule of its own.  A point's exact values come from one
+analytic.outage_sc_point pass over all the scenario's schemes, each
+row's high-SNR law from analytic.asymptotic_outage.  A slope fit reads
+that pass directly at its dB window's two ends: the exact secant
+-ln(P(hi) / P(lo)) / ln(snr_hi / snr_lo).  A dB value whose linear SNR
+overflows a float, or underflows to zero, is a ScenarioError.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import product
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, ClassVar, Collection, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Sequence
 
 from . import analytic
 from .analytic import RateSpec, Scheme
@@ -277,40 +277,36 @@ def _grid(power: PowerSpec, grid_db: Iterable[float], cut: float | None = None) 
     return [(db, f"{db} dB", power, _db_to_linear(db), db <= cut) for db in grid_db]
 
 
-def _table(
-    row: type, s: Scenario, net: NetworkSpec, points: Sequence[tuple],
-    outputs: Collection[str], coupled: bool, workers: int,
-) -> list:
+def _table(row: type, s: Scenario, points: Sequence[tuple], workers: int) -> list:
     """One row(key, scheme, combiner, **columns) per point then scheme,
-    the columns named as CurveRow's and holding the requested outputs:
-    the exact SC outage, the high-SNR law (one value per point, none for
-    AF) and, at simulated points, the Monte Carlo estimate.  Point idx of
-    the list draws under stream tag (idx,) when coupled, all schemes
-    sharing each trial's draw; otherwise scheme si draws its own trials
-    under tag (idx, si)."""
-    runs = [(s.schemes, ())] if coupled else [((x,), (si,)) for si, x in enumerate(s.schemes)]
-    with_asym = "asymptotic" in outputs and any(x is not Scheme.AF for x in s.schemes)
+    the columns named as CurveRow's and holding the scenario's outputs:
+    the exact SC outage, the scheme's high-SNR law and, at simulated
+    points, the Monte Carlo estimate.  Point idx of the list draws under
+    stream tag (idx,) when coupled, all schemes sharing each trial's draw;
+    otherwise scheme si draws its own trials under tag (idx, si)."""
+    runs = [(s.schemes, ())] if s.coupled else [((x,), (si,)) for si, x in enumerate(s.schemes)]
     table = []
     for idx, (key, label, power, snr, simulated) in enumerate(points):
         estimates = {}
-        if "montecarlo" in outputs and simulated:
+        if "montecarlo" in s.outputs and simulated:
             for schemes, sub_tag in runs:
                 result = estimate_outage_coupled(
-                    net, power, s.rate, schemes, s.trials, s.seed, s.confidence,
+                    s.network, power, s.rate, schemes, s.trials, s.seed, s.confidence,
                     s.combiner, workers, stream_tag=(idx, *sub_tag), snr=snr,
                 )
                 estimates.update(result.estimates)
-        asym = analytic.asymptotic_outage_dfaf(net, power, s.rate, snr) if with_asym else None
         exact = (
-            analytic.outage_sc_point(s.schemes, net, power, s.rate, snr)
-            if "analytic" in outputs else None
+            analytic.outage_sc_point(s.schemes, s.network, power, s.rate, snr)
+            if "analytic" in s.outputs else None
         )
         for scheme in s.schemes:
             columns = {}
             if exact is not None:
                 columns["outage_analytic"] = exact[scheme]
-            if "asymptotic" in outputs:
-                columns["outage_asymptotic"] = None if scheme is Scheme.AF else asym
+            if "asymptotic" in s.outputs:
+                columns["outage_asymptotic"] = analytic.asymptotic_outage(
+                    scheme, s.network, power, s.rate, snr
+                )
             est = estimates.get(scheme)
             if est is not None:
                 columns.update(
@@ -330,7 +326,7 @@ def _table(
 def run_scenario(s: Curve, workers: int = 1) -> list[CurveRow]:
     """Produce the curve table: one row per (snr_db, scheme)."""
     points = _grid(s.power, s.snr_grid_db, s.mc_max_snr_db)
-    return _table(CurveRow, s, s.network, points, s.outputs, s.coupled, workers)
+    return _table(CurveRow, s, points, workers)
 
 
 def af_bounds_rows(s: Curve) -> list[BoundsRow]:
@@ -363,21 +359,24 @@ def sweep_alpha(s: AlphaSweep, workers: int = 1) -> list[AlphaRow]:
         (alpha, f"alpha={alpha}", PowerSpec.from_alpha(alpha, s.total_power, n0), 1.0, True)
         for alpha in s.alphas
     ]
-    return _table(AlphaRow, s, s.network, points, s.outputs, s.coupled, workers)
+    return _table(AlphaRow, s, points, workers)
 
 
 def _window_slopes(s: Curve | Surface, net: NetworkSpec) -> dict[Scheme, float]:
     """Each scheme's secant slope of its exact SC outage on net between the
-    ends of the scenario's window, both evaluated by the curve engine; the
-    log-SNR span comes from the dB values, so it is never zero."""
+    ends of the scenario's window, both evaluated by one closed-form pass;
+    the log-SNR span comes from the dB values, so it is never zero."""
     lo, hi = s.fit_window_db
-    rows = _table(CurveRow, s, net, _grid(s.power, (lo, hi)), {"analytic"}, False, 1)
+    at_lo, at_hi = (
+        analytic.outage_sc_point(s.schemes, net, s.power, s.rate, _db_to_linear(db))
+        for db in (lo, hi)
+    )
     span = (hi - lo) / 10.0 * math.log(10.0)
     slopes = {}
-    for scheme, at_lo, at_hi in zip(s.schemes, rows, rows[len(s.schemes):]):
-        if at_hi.outage_analytic == 0.0:
+    for scheme in s.schemes:
+        if at_hi[scheme] == 0.0:
             raise ZeroOutageError(f"zero outage at the high end of the fit window [{lo}, {hi}] dB")
-        slopes[scheme] = -math.log(at_hi.outage_analytic / at_lo.outage_analytic) / span
+        slopes[scheme] = -math.log(at_hi[scheme] / at_lo[scheme]) / span
     return slopes
 
 

@@ -16,7 +16,7 @@ from opprelay.analytic import (
     RateSpec,
     af_path_cdf_closed,
     af_path_cdf_quadrature,
-    asymptotic_outage_dfaf,
+    asymptotic_outage,
     outage_sc,
 )
 from opprelay.channel import LinkSnr, PowerSpec
@@ -70,6 +70,25 @@ def test_c1_analytic_mc_agreement_rayleigh():
         covered >= 14 and total == 15 and elapsed < 120.0,
         "C1 analytic-MC agreement",
         f"{covered}/15 points covered in {elapsed:.1f}s",
+    )
+
+
+@pytest.mark.filterwarnings("ignore:only .* failures")
+def test_c1_below_delta_preset_coverage():
+    """The below_delta_rayleigh_K3 preset at its own 1e6 trials and seed:
+    each scheme's closed form inside its coupled 99% Wilson CI at every
+    simulated point, >= 17 of 18 at C1's rate."""
+    (s,) = preset("below_delta_rayleigh_K3")
+    assert s.trials == 10**6 and s.coupled and s.confidence == 0.99
+    rows = [
+        r for r in run_scenario(replace(s, outputs=frozenset({"analytic", "montecarlo"})))
+        if r.outage_mc is not None
+    ]
+    covered = sum(r.mc_ci_low <= r.outage_analytic <= r.mc_ci_high for r in rows)
+    report(
+        covered >= 17 and len(rows) == 18,
+        "C1 below-delta preset coverage",
+        f"{covered}/{len(rows)} coupled CIs cover the closed forms",
     )
 
 
@@ -136,7 +155,7 @@ def test_c5_asymptotic_validity():
     for name, net in nets.items():
         gaps = []
         for snr_db in (30.0, 35.0, 40.0, 45.0, 50.0):
-            ratio = asymptotic_outage_dfaf(net, PW, RS, db(snr_db)) / outage_sc(
+            ratio = asymptotic_outage(Scheme.DFAF, net, PW, RS, db(snr_db)) / outage_sc(
                 Scheme.DFAF, net, PW, RS, db(snr_db)
             )
             gaps.append(abs(ratio - 1.0))

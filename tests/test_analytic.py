@@ -33,7 +33,7 @@ from opprelay.analytic import (
     af_bounds,
     af_path_cdf_closed,
     af_path_cdf_quadrature,
-    asymptotic_outage_dfaf,
+    asymptotic_outage,
     diversity_order_dfaf,
     outage_sc,
 )
@@ -497,7 +497,7 @@ class TestAsymptotics:
         ratios = []
         for snr_db in (30, 35, 40, 45, 50):
             exact = outage_sc(Scheme.DFAF, net, PW, RS, db(snr_db))
-            asym = asymptotic_outage_dfaf(net, PW, RS, db(snr_db))
+            asym = asymptotic_outage(Scheme.DFAF, net, PW, RS, db(snr_db))
             ratios.append(asym / exact)
         assert abs(ratios[2] - 1.0) < 0.15  # within 15% at 40 dB
         gaps = [abs(r - 1.0) for r in ratios]
@@ -508,20 +508,20 @@ class TestAsymptotics:
         # applies, with gamma_th rather than the decode threshold
         net = from_shapes(1.0, [2.0], [1.0])
         snr = 1e4
-        asym = asymptotic_outage_dfaf(net, PW, RS, snr)
+        asym = asymptotic_outage(Scheme.DFAF, net, PW, RS, snr)
         direct = RS.gamma_th / snr          # (m0 gth / w0)^m0 / (m0 G(m0)) snr^-1
         relay = RS.gamma_th / snr           # same form for the m2=1 hop
         assert asym == pytest.approx(direct * relay, rel=1e-12)
-        gain = asymptotic_outage_dfaf(net, PowerSpec(), RS, 1.0)
+        gain = asymptotic_outage(Scheme.DFAF, net, PowerSpec(), RS, 1.0)
         assert gain == pytest.approx(RS.gamma_th * RS.gamma_th, rel=1e-12)
 
     def test_balanced_branch_carries_factor_two(self):
         # equal hop shapes m=1, delta=3, unit spread: relay factor 6/snr
         net = rayleigh(1)
         snr = 1e4
-        asym = asymptotic_outage_dfaf(net, PW, RS, snr)
+        asym = asymptotic_outage(Scheme.DFAF, net, PW, RS, snr)
         assert asym == pytest.approx((3.0 / snr) * (6.0 / snr), rel=1e-12)
-        gain = asymptotic_outage_dfaf(net, PowerSpec(), RS, 1.0)
+        gain = asymptotic_outage(Scheme.DFAF, net, PowerSpec(), RS, 1.0)
         assert gain == pytest.approx(RS.gamma_th * (RS.delta + RS.gamma_th), rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -541,7 +541,7 @@ class TestAsymptotics:
     def test_balanced_branch_away_from_default_binding(self, net, rs):
         # a1 delta != a2 gamma_th: each hop's own leading term counts
         exact = outage_sc(Scheme.DFAF, net, PW, rs, db(70.0))
-        asym = asymptotic_outage_dfaf(net, PW, rs, db(70.0))
+        asym = asymptotic_outage(Scheme.DFAF, net, PW, rs, db(70.0))
         assert abs(asym / exact - 1.0) < 1e-2
 
     @pytest.mark.parametrize(
@@ -554,20 +554,29 @@ class TestAsymptotics:
         # path misses only when g1 < gamma_th, not whenever g1 < delta
         rs = RateSpec(rate=1.0, gamma_th=1.0)
         exact = outage_sc(Scheme.DFAF, net, PW, rs, db(70.0))
-        asym = asymptotic_outage_dfaf(net, PW, rs, db(70.0))
+        asym = asymptotic_outage(Scheme.DFAF, net, PW, rs, db(70.0))
         assert abs(asym / exact - 1.0) < 1e-5
 
     def test_below_delta_coding_gain(self):
         # Rayleigh K=1: direct gamma_th times the relay's gamma_th + gamma_th
         rs = RateSpec(rate=1.0, gamma_th=1.0)
-        gain = asymptotic_outage_dfaf(rayleigh(1), PowerSpec(), rs, 1.0)
+        gain = asymptotic_outage(Scheme.DFAF, rayleigh(1), PowerSpec(), rs, 1.0)
         assert gain == pytest.approx(rs.gamma_th * 2.0 * rs.gamma_th, rel=1e-12)
+
+    def test_below_delta_df_coding_gain(self):
+        # Rayleigh K=1: a DF relay that cannot decode stays silent, so its
+        # first-hop term stays at delta: gamma_th times delta + gamma_th,
+        # 1 * (3 + 1) = 4 against the adaptive scheme's 2
+        rs = RateSpec(rate=1.0, gamma_th=1.0)
+        gain = asymptotic_outage(Scheme.DF, rayleigh(1), PowerSpec(), rs, 1.0)
+        assert gain == pytest.approx(rs.gamma_th * (rs.delta + rs.gamma_th), rel=1e-12)
+        assert gain == pytest.approx(4.0, rel=1e-12)
 
     def test_first_hop_limited_branch(self):
         net = from_shapes(1.0, [1.0], [2.0])
         assert diversity_order_dfaf(net) == 2.0
         # direct (m gth / w)^1 / (1 * 1) times the relay's (m delta / w)^1 / (1 * 1)
-        gain = asymptotic_outage_dfaf(net, PowerSpec(), RS, 1.0)
+        gain = asymptotic_outage(Scheme.DFAF, net, PowerSpec(), RS, 1.0)
         assert gain == pytest.approx(RS.gamma_th * RS.delta, rel=1e-12)
 
     def test_unequal_power_uses_each_link_snr(self):
@@ -576,18 +585,21 @@ class TestAsymptotics:
         net = from_shapes(1.0, [2.0], [1.0])
         pw = PowerSpec(source_power=2.0, relay_power=0.5, direct_power=4.0)
         snr = 1e4
-        asym = asymptotic_outage_dfaf(net, pw, RS, snr)
+        asym = asymptotic_outage(Scheme.DFAF, net, pw, RS, snr)
         assert asym == pytest.approx(
             (RS.gamma_th / (4.0 * snr)) * (RS.gamma_th / (0.5 * snr)), rel=1e-12
         )
 
-    def test_converges_on_random_networks_at_any_power_split(self):
-        # Not every network is within 1e-2 at 70 dB: when the limiting
-        # hop is ~1e3 times stronger than its partner, the partner's
-        # neglected term, one SNR order smaller, is still comparable
-        # there.  Every neglected term decays at least one SNR order
-        # faster than the law, so 40 dB on the gap must shrink a
-        # hundredfold and be within 1e-2.
+    @pytest.mark.parametrize("scheme", [Scheme.DFAF, Scheme.DF], ids=["dfaf", "df"])
+    def test_converges_on_random_networks_at_any_power_split(self, scheme):
+        # Each scheme's law against its own exact value; gamma_th spans
+        # both sides of delta, where the two laws differ.  Not every
+        # network is within 1e-2 at 70 dB: when the limiting hop is ~1e3
+        # times stronger than its partner, the partner's neglected term,
+        # one SNR order smaller, is still comparable there.  Every
+        # neglected term decays at least one SNR order faster than the
+        # law, so 40 dB on the gap must shrink a hundredfold and be
+        # within 1e-2.
         rng = np.random.default_rng(2013)
 
         def link(shapes):
@@ -604,8 +616,8 @@ class TestAsymptotics:
             rs = RateSpec(rate=1.0, gamma_th=RS.delta * float(3.0 ** rng.uniform(-1.0, 1.0)))
             gap = {
                 x: abs(
-                    asymptotic_outage_dfaf(net, pw, rs, db(x))
-                    / outage_sc(Scheme.DFAF, net, pw, rs, db(x))
+                    asymptotic_outage(scheme, net, pw, rs, db(x))
+                    / outage_sc(scheme, net, pw, rs, db(x))
                     - 1.0
                 )
                 for x in (70.0, 110.0)
@@ -617,14 +629,14 @@ class TestAsymptotics:
         # is the relay factor's leading term; 1 - Q(3, .) would lose it
         net = from_shapes(1.0, [3.0], [4.0])
         exact = outage_sc(Scheme.DFAF, net, PW, RS, db(70.0))
-        asym = asymptotic_outage_dfaf(net, PW, RS, db(70.0))
+        asym = asymptotic_outage(Scheme.DFAF, net, PW, RS, db(70.0))
         assert abs(asym / exact - 1.0) < 1e-3
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fig4_configs_within_15_percent_at_40db(self, k):
         net = from_shapes(0.8, [1.0] * k, [1.0] * k)
         exact = outage_sc(Scheme.DFAF, net, PW, RS, db(40.0))
-        asym = asymptotic_outage_dfaf(net, PW, RS, db(40.0))
+        asym = asymptotic_outage(Scheme.DFAF, net, PW, RS, db(40.0))
         assert abs(asym / exact - 1.0) < 0.15
 
 
@@ -644,10 +656,10 @@ class TestCodingGainAndDiversity:
         net = NetworkSpec(direct=ChannelSpec(m=0.5))
         assert diversity_order_dfaf(net) == 0.5
         expected = (0.5 * 3.0) ** 0.5 / (0.5 * math.gamma(0.5))
-        assert asymptotic_outage_dfaf(net, PowerSpec(), RS, 1.0) == pytest.approx(
+        assert asymptotic_outage(Scheme.DFAF, net, PowerSpec(), RS, 1.0) == pytest.approx(
             expected, rel=1e-12
         )
-        assert asymptotic_outage_dfaf(net, PW, RS, 1e4) == pytest.approx(
+        assert asymptotic_outage(Scheme.DFAF, net, PW, RS, 1e4) == pytest.approx(
             expected * 1e4**-0.5, rel=1e-12
         )
 
@@ -661,17 +673,17 @@ class TestCodingGainAndDiversity:
                 list(rng.uniform(0.5, 3.0, k)),
             )
             # the diversity order is the exponent the law decays with
-            gain = asymptotic_outage_dfaf(net, PowerSpec(), RS, 1.0)
-            assert asymptotic_outage_dfaf(net, PW, RS, 10.0) == pytest.approx(
+            gain = asymptotic_outage(Scheme.DFAF, net, PowerSpec(), RS, 1.0)
+            assert asymptotic_outage(Scheme.DFAF, net, PW, RS, 10.0) == pytest.approx(
                 gain * 10.0 ** -diversity_order_dfaf(net), rel=1e-12
             )
 
     def test_asymptote_matches_coding_gain_power_law(self):
         net = from_shapes(0.5, [1, 1, 2], [1, 1, 1])
-        gain = asymptotic_outage_dfaf(net, PowerSpec(), RS, 1.0)
+        gain = asymptotic_outage(Scheme.DFAF, net, PowerSpec(), RS, 1.0)
         snr = 1e4
         predicted = gain * snr ** (-diversity_order_dfaf(net))
-        assert asymptotic_outage_dfaf(net, PW, RS, snr) == pytest.approx(
+        assert asymptotic_outage(Scheme.DFAF, net, PW, RS, snr) == pytest.approx(
             predicted, rel=1e-12
         )
 

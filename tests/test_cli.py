@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import opprelay
-from opprelay import analytic
+from opprelay import analytic, cli
 from opprelay.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from opprelay.experiments import af_bounds_rows, csv_text, load_scenario
 
 SCENARIO_DIR = Path(opprelay.__file__).parent / "scenarios"
 
@@ -135,6 +136,32 @@ class TestFiles:
         side = tmp_path / "curve.bounds.csv"
         assert side.exists()
         assert side.read_text().startswith("snr_db,relay_index,m_min,bound_low")
+
+    def test_compare_builds_the_bounds_table_only_for_its_file(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # on stdout the companion table is skipped before it is computed, so
+        # an error there cannot fail a command that already printed its curve
+        fig3 = (SCENARIO_DIR / "fig3_nakagami_3relay.yaml").read_text()
+        old = "outputs: [analytic, asymptotic, montecarlo]"
+        assert old in fig3
+        path = tmp_path / "fig3_bounds.yaml"
+        path.write_text(fig3.replace(old, "outputs: [analytic, bounds]"))
+        target = tmp_path / "curve.csv"
+        code, _, _ = run_cli(capsys, "compare", "--scenario", str(path), "--out", str(target))
+        assert code == EXIT_OK
+        scenario = load_scenario(path)
+        side = tmp_path / "curve.bounds.csv"
+        assert side.read_text(encoding="utf-8") == csv_text(af_bounds_rows(scenario))
+
+        def refuse(s):
+            raise AssertionError("bounds table computed for stdout")
+
+        monkeypatch.setattr(cli, "af_bounds_rows", refuse)
+        code, out, err = run_cli(capsys, "compare", "--scenario", str(path))
+        assert code == EXIT_OK
+        assert out == target.read_text(encoding="utf-8")
+        assert "# bounds table skipped on stdout" in err
 
 
 class TestExitCodes:

@@ -100,14 +100,17 @@ class TestPresets:
     def test_below_delta_df_over_dfaf_tends_to_eight(self):
         # each Rayleigh relay's DF factor tends to (delta + gamma_th) / snr
         # and the adaptive one to 2 gamma_th / snr: three relays give
-        # 2**3 = 8 over the adaptive scheme's high-SNR law
+        # 2**3 = 8 over the adaptive scheme's high-SNR law, and DF tends
+        # to its own law, whose first-hop term stays at delta
         (s,) = preset("below_delta_rayleigh_K3")
         snr = 10.0**8
-        asym = analytic.asymptotic_outage_dfaf(s.network, s.power, s.rate, snr)
+        law = {x: analytic.asymptotic_outage(x, s.network, s.power, s.rate, snr) for x in Scheme}
         exact = analytic.outage_sc_point(s.schemes, s.network, s.power, s.rate, snr)
-        assert exact[Scheme.DF] / asym == pytest.approx(8.0, rel=1e-5)
-        assert exact[Scheme.DFAF] / asym == pytest.approx(1.0, rel=1e-5)
-        assert exact[Scheme.AF] / asym == pytest.approx(1.0, rel=1e-5)
+        assert exact[Scheme.DF] / law[Scheme.DFAF] == pytest.approx(8.0, rel=1e-5)
+        assert exact[Scheme.DF] / law[Scheme.DF] == pytest.approx(1.0, rel=1e-5)
+        assert exact[Scheme.DFAF] / law[Scheme.DFAF] == pytest.approx(1.0, rel=1e-5)
+        assert exact[Scheme.AF] / law[Scheme.DFAF] == pytest.approx(1.0, rel=1e-5)
+        assert law[Scheme.AF] is None
 
     def test_fig3_parameters(self):
         (s,) = preset("fig3_nakagami_3relay")
@@ -184,18 +187,19 @@ class TestRunScenario:
             run_scenario(replace(s, outputs=frozenset({"analytic", "montecarlo"})))
 
     def test_asymptotic_at_unequal_power(self):
-        (s,) = preset("fig3_nakagami_3relay")
-        s = replace(
-            s,
-            outputs=frozenset({"asymptotic"}),
-            power=PowerSpec(source_power=2.0, relay_power=0.5, direct_power=1.5),
-        )
-        for r in run_scenario(s):
-            if r.scheme == "af":
-                assert r.outage_asymptotic is None
-            else:
-                assert r.outage_asymptotic == analytic.asymptotic_outage_dfaf(
-                    s.network, s.power, s.rate, 10.0 ** (r.snr_db / 10.0)
+        # every row holds its own scheme's law, AF's None included, at
+        # gamma_th = delta and below it, where DF's law leaves DFAF's
+        (fig3,) = preset("fig3_nakagami_3relay")
+        for rate in (fig3.rate, RateSpec(rate=1.0, gamma_th=1.0)):
+            s = replace(
+                fig3,
+                rate=rate,
+                outputs=frozenset({"asymptotic"}),
+                power=PowerSpec(source_power=2.0, relay_power=0.5, direct_power=1.5),
+            )
+            for r in run_scenario(s):
+                assert r.outage_asymptotic == analytic.asymptotic_outage(
+                    Scheme(r.scheme), s.network, s.power, s.rate, 10.0 ** (r.snr_db / 10.0)
                 )
 
     @pytest.mark.parametrize("schemes", ["dfaf", "af", "dfaf,df", "dfaf,df,af"])

@@ -25,7 +25,7 @@ import scipy
 
 from opprelay.analytic import (
     RateSpec,
-    asymptotic_outage_dfaf,
+    asymptotic_outage,
     outage_sc,
 )
 from opprelay.channel import ChannelSpec, NetworkSpec, PowerSpec, network_link_snrs
@@ -40,10 +40,12 @@ SAME_LIBRARIES = FROZEN["captured_with"] == {
 }
 SEEDS = range(20)
 SNR_DB = (0.0, 15.0, 30.0, 45.0, 60.0)
+# Each key names its frozen list in link_scaling.json, captured under the
+# function names of the day.
 CLOSED_FORMS = {
     "outage_dfaf_sc": lambda *args: outage_sc(Scheme.DFAF, *args),
     "outage_af_sc": lambda *args: outage_sc(Scheme.AF, *args),
-    "asymptotic_outage_dfaf": asymptotic_outage_dfaf,
+    "asymptotic_outage_dfaf": lambda *args: asymptotic_outage(Scheme.DFAF, *args),
 }
 # Coupled failures per scheme at 10 dB on network(3): three relays and a
 # separate direct-link power.
