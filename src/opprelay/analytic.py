@@ -1,8 +1,8 @@
 """Exact and high-SNR closed-form outage probabilities for the three
 opportunistic relaying schemes under selection combining, plus diversity
-order and the asymptotic sandwich bounds for the amplify-and-forward
-path.  outage_sc and asymptotic_outage are both keyed by scheme; the
-coding gain is the high-SNR law at snr = 1 and PowerSpec().
+order and the AF path's asymptotic sandwich, whose low end is AF's law.
+outage_sc and asymptotic_outage (one rule for all three schemes) are keyed
+by scheme; the coding gain is the high-SNR law at snr = 1 and PowerSpec().
 
 All outage expressions, exact and high-SNR, are driven by the per-link
 gamma rate parameters (shape / mean SNR), so they hold at any split of
@@ -112,7 +112,10 @@ class AfBounds:
 
 def _power_law(m: float, x: float) -> float:
     # x**m / (m * Gamma(m)), the small-argument limit of P(m, x).
-    return math.exp(m * math.log(x) - math.log(m) - math.lgamma(m))
+    try:
+        return math.exp(m * math.log(x) - math.log(m) - math.lgamma(m))
+    except OverflowError:
+        raise OverflowError(f"high-SNR term overflows at shape m={m}, argument {x:.6g}") from None
 
 
 def _leading_term(hops: tuple[tuple[float, float], ...]) -> tuple[float, float]:
@@ -335,21 +338,20 @@ def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
 
 def asymptotic_outage(
     scheme: Scheme, net: NetworkSpec, power: PowerSpec, rs: RateSpec, snr: float
-) -> float | None:
-    """High-SNR power law of a scheme: each CDF factor of its exact
-    expression is replaced by its leading small-argument term at the
-    point's link SNRs, so the product decays like snr**(-d) with the
-    network diversity order d, at any power split.  A relay adds the terms
-    of its hops with the smaller shape, both when equal: the second hop's
-    at gamma_th, the first hop's at delta for DF, whose relay stays silent
-    when it cannot decode, and at min(delta, gamma_th) for DFAF, whose
-    relay then amplifies.  AF has no single law (None); af_bounds squeezes
-    its path.  At snr = 1 with PowerSpec() it is the coding gain g of
-    g * snr**(-d).
+) -> float:
+    """High-SNR power law of a scheme at any power split: each CDF factor
+    of its exact expression becomes its leading small-argument term at the
+    point's link SNRs, so it decays like snr**(-d), d the diversity order.
+    A relay adds the terms of its hops with the smaller shape, both when
+    equal, each at the largest SNR at which that hop alone sinks the path:
+    the second hop at gamma_th; the first at delta for DF (a relay that
+    cannot decode stays silent), at gamma_th for AF (the amplified SNR is
+    below g1) and at min(delta, gamma_th) for DFAF.  At snr = 1 with
+    PowerSpec() it is the coding gain g of g * snr**(-d).
     """
-    if scheme is Scheme.AF:
-        return None
-    miss_below = rs.delta if scheme is Scheme.DF else min(rs.delta, rs.gamma_th)
+    miss_below = {
+        Scheme.DF: rs.delta, Scheme.AF: rs.gamma_th, Scheme.DFAF: min(rs.delta, rs.gamma_th)
+    }[scheme]
     direct, relays = network_link_snrs(net, power, snr)
     g = _power_law(direct.m, direct.rate * rs.gamma_th)
     for first, second in relays:
@@ -367,12 +369,12 @@ def diversity_order_dfaf(net: NetworkSpec) -> float:
 def af_bounds(hop1: LinkSnr, hop2: LinkSnr, rs: RateSpec) -> AfBounds:
     """Asymptotic lower/upper bounds on the AF path CDF at gamma_th.
 
-    The amplified path SNR lies between min(g1, g2)/2 and min(g1, g2),
-    so the CDF is squeezed between the leading terms of
-    P(min(g1, g2) < gamma_th) and P(min(g1, g2) < 2 gamma_th): every hop
-    with the smaller shape m_min, both when the shapes are equal, adds
-    its own term.  The ratio is 2**m_min.  The hop SNR descriptors
-    already carry the evaluation SNR.
+    The amplified SNR lies between min(g1, g2)/2 and min(g1, g2), so the
+    CDF is squeezed between the leading terms of P(min(g1, g2) < gamma_th)
+    and P(min(g1, g2) < 2 gamma_th): every hop with the smaller shape
+    m_min, both when the shapes are equal, adds its own term, and the
+    ratio is 2**m_min.  The low end is AF's per-relay term of
+    asymptotic_outage.  The hop SNR descriptors carry the evaluation SNR.
     """
     m, lower = _leading_term(
         ((hop1.m, hop1.rate * rs.gamma_th), (hop2.m, hop2.rate * rs.gamma_th))

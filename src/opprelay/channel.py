@@ -97,11 +97,13 @@ class LinkSnr:
     rate: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.mean_snr > 0.0:
-            raise ValueError(f"mean SNR must be positive, got {self.mean_snr}")
-        if not self.m > 0.0:
-            raise ValueError(f"shape must be positive, got {self.m}")
+        if not 0.0 < self.mean_snr < math.inf:
+            raise ValueError(f"mean SNR must be positive and finite, got {self.mean_snr}")
+        if not 0.0 < self.m < math.inf:
+            raise ValueError(f"shape must be positive and finite, got {self.m}")
         object.__setattr__(self, "rate", self.m / self.mean_snr)
+        if self.rate == math.inf:
+            raise ValueError(f"mean SNR {self.mean_snr} is too small: m / mean SNR overflows")
 
 
 def network_link_snrs(

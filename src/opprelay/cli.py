@@ -164,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _run_command(args)
-    except (QuadratureError, ZeroOutageError) as exc:
+    except (QuadratureError, ZeroOutageError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ScenarioError, ValueError, OSError) as exc:

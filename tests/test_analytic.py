@@ -37,7 +37,15 @@ from opprelay.analytic import (
     diversity_order_dfaf,
     outage_sc,
 )
-from opprelay.channel import ChannelSpec, LinkSnr, NetworkSpec, PowerSpec, make_stream, sample_snr
+from opprelay.channel import (
+    ChannelSpec,
+    LinkSnr,
+    NetworkSpec,
+    PowerSpec,
+    make_stream,
+    network_link_snrs,
+    sample_snr,
+)
 from opprelay.montecarlo import estimate_outage_coupled
 
 from nets import from_shapes, rayleigh
@@ -483,6 +491,19 @@ class TestPowerLaw:
                 expected = x**m / (m * math.gamma(m))
                 assert _power_law(m, x) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=[x.value for x in Scheme])
+    @pytest.mark.parametrize("power", [{"source_power": 1e300}, {"relay_power": 1e300}])
+    def test_overflowing_mean_snr_is_refused(self, scheme, power):
+        # AF's closed form divided by zero, DF's and DFAF's read 0.0, and
+        # the law hit a math domain error
+        for fn in (outage_sc, asymptotic_outage):
+            with pytest.raises(ValueError, match="got inf"):
+                fn(scheme, rayleigh(1), PowerSpec(**power), RS, 1e10)
+
+    def test_overflow_names_shape_and_argument(self):
+        with pytest.raises(OverflowError, match=r"m=20.0, argument 6e\+16"):
+            _power_law(20.0, 6e16)
+
     @pytest.mark.parametrize("m", [0.5, 0.8, 1.0, 2.0, 3.0, 5.0])
     def test_small_argument_limit_of_lower_gamma(self, m):
         # P(m, x) -> x**m / (m Gamma(m)) as x -> 0; this limit is what
@@ -572,6 +593,37 @@ class TestAsymptotics:
         assert gain == pytest.approx(rs.gamma_th * (rs.delta + rs.gamma_th), rel=1e-12)
         assert gain == pytest.approx(4.0, rel=1e-12)
 
+    def test_above_delta_af_coding_gain(self):
+        # Rayleigh K=1 at gamma_th = 2 delta = 6: the amplified SNR is
+        # below g1, so AF's first-hop term sits at gamma_th, 6 * (6 + 6) =
+        # 72 = 2 gamma_th**2; DF's and DFAF's sits at delta, 6 * (3 + 6) = 54
+        rs = RateSpec(rate=1.0, gamma_th=6.0)
+        gain = {x: asymptotic_outage(x, rayleigh(1), PowerSpec(), rs, 1.0) for x in Scheme}
+        assert gain[Scheme.AF] == pytest.approx(2.0 * rs.gamma_th**2, rel=1e-12)
+        assert gain[Scheme.AF] == pytest.approx(72.0, rel=1e-12)
+        assert gain[Scheme.DF] == gain[Scheme.DFAF] == pytest.approx(54.0, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma_th", [1.0, 3.0, 6.0])
+    def test_af_law_is_the_bounds_low_end(self, gamma_th):
+        # AF's law is the direct link's term times each relay's af_bounds
+        # lower end, bit for bit, on either side of delta = 3
+        net = NetworkSpec(
+            direct=ChannelSpec(m=0.8, omega=1.7),
+            relays=(
+                (ChannelSpec(m=1.0, omega=0.6), ChannelSpec(m=2.0, omega=2.5)),
+                (ChannelSpec(m=2.5), ChannelSpec(m=1.5, omega=0.4)),
+                (ChannelSpec(m=2.0, omega=3.0), ChannelSpec(m=2.0, omega=0.9)),
+            ),
+        )
+        pw = PowerSpec(source_power=2.0, relay_power=0.5, noise_variance=1.3, direct_power=1.5)
+        rs = RateSpec(rate=1.0, gamma_th=gamma_th)
+        snr = db(30.0)
+        direct, relays = network_link_snrs(net, pw, snr)
+        law = _power_law(direct.m, direct.rate * rs.gamma_th)
+        for first, second in relays:
+            law *= af_bounds(first, second, rs).lower
+        assert asymptotic_outage(Scheme.AF, net, pw, rs, snr) == law
+
     def test_first_hop_limited_branch(self):
         net = from_shapes(1.0, [1.0], [2.0])
         assert diversity_order_dfaf(net) == 2.0
@@ -590,10 +642,10 @@ class TestAsymptotics:
             (RS.gamma_th / (4.0 * snr)) * (RS.gamma_th / (0.5 * snr)), rel=1e-12
         )
 
-    @pytest.mark.parametrize("scheme", [Scheme.DFAF, Scheme.DF], ids=["dfaf", "df"])
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=[x.value for x in Scheme])
     def test_converges_on_random_networks_at_any_power_split(self, scheme):
         # Each scheme's law against its own exact value; gamma_th spans
-        # both sides of delta, where the two laws differ.  Not every
+        # both sides of delta, where the laws differ.  Not every
         # network is within 1e-2 at 70 dB: when the limiting hop is ~1e3
         # times stronger than its partner, the partner's neglected term,
         # one SNR order smaller, is still comparable there.  Every

@@ -124,6 +124,24 @@ class TestLinkSnr:
         with pytest.raises(ValueError):
             link_laws(ChannelSpec(m=1.0), noise_variance=-1.0)
 
+    @pytest.mark.parametrize("mean_snr, m", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)])
+    def test_law_must_be_finite(self, mean_snr, m):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LinkSnr(mean_snr=mean_snr, m=m)
+
+    def test_rate_must_not_overflow(self):
+        # a subnormal mean SNR leaves m / mean SNR infinite
+        with pytest.raises(ValueError, match="1e-310 is too small"):
+            LinkSnr(mean_snr=1e-310, m=1.0)
+
+    @pytest.mark.parametrize("field", ["source_power", "relay_power", "direct_power"])
+    def test_overflowing_mean_snr_is_refused(self, field):
+        # every power is finite, but omega * power * snr / N0 is not: the
+        # point is refused before any CDF or draw reads an infinite mean
+        net = from_shapes(1.0, [1.0], [1.0])
+        with pytest.raises(ValueError, match="got inf"):
+            network_link_snrs(net, PowerSpec(**{field: 1e300}), snr=1e10)
+
     def test_network_link_snrs_power_routing(self):
         net = from_shapes(1.0, [1.0], [1.0])
         pw = PowerSpec(source_power=2.0, relay_power=8.0)

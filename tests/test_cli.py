@@ -616,6 +616,46 @@ class TestExitCodes:
         assert "numerical error" in err
         assert "AF path CDF error estimate" in err
 
+    @pytest.mark.parametrize("command", ["analytic", "asymptotic", "simulate"])
+    @pytest.mark.parametrize("power", ["source_power", "relay_power"])
+    def test_overflowing_mean_snr_is_config_error(self, capsys, tmp_path, command, power):
+        # at 100 dB a power of 1e300 gives a link mean SNR of inf: AF's
+        # closed form divided by zero, the others read math domain errors
+        # or wrote 0.0, and simulate counted no failures from NaN SNRs
+        text = (SCENARIO_DIR / "fig2_rayleigh_K1.yaml").read_text()
+        edits = {
+            "power: {source_power: 1.0, relay_power: 1.0, noise_variance: 1.0}":
+                f"power: {{{power}: 1.0e300}}",
+            "snr_grid_db: {start: 0, stop: 50, step: 5}": "snr_grid_db: [100]",
+            "mc_max_snr_db: 25": "mc_max_snr_db: 100",
+        }
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "overflow.yaml"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, "--scenario", str(path), "--trials", "20000")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "configuration error: mean SNR must be positive and finite, got inf" in err
+
+    def test_overflowing_law_term_is_numerical_error(self, capsys, tmp_path):
+        # at -150 dB an m = 20 link's leading term x**20 / (20 Gamma(20))
+        # overflows a double; it raised a bare OverflowError
+        path = tmp_path / "m20.yaml"
+        path.write_text(
+            "name: m20\nkind: curve\n"
+            "network:\n  direct: {m: 20.0}\n"
+            "  relays: [{first_hop: {m: 20.0}, second_hop: {m: 20.0}}]\n"
+            "rate: {rate: 1.0}\nschemes: [dfaf, df, af]\ncombiner: sc\n"
+            "outputs: [analytic, asymptotic]\nsnr_grid_db: [-150]\n"
+        )
+        code, out, err = run_cli(capsys, "asymptotic", "--scenario", str(path))
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "numerical error" in err and "overflow" in err
+        assert "m=20.0" in err
+
     def test_underflowed_curve_is_numerical_error(self, capsys):
         # beyond ~1600 dB the closed form underflows to exactly zero, which
         # the slope fit must refuse rather than silently drop

@@ -101,7 +101,9 @@ class TestPresets:
         # each Rayleigh relay's DF factor tends to (delta + gamma_th) / snr
         # and the adaptive one to 2 gamma_th / snr: three relays give
         # 2**3 = 8 over the adaptive scheme's high-SNR law, and DF tends
-        # to its own law, whose first-hop term stays at delta
+        # to its own law, whose first-hop term stays at delta.  Below
+        # delta AF's first-hop term sits at gamma_th, as DFAF's does, so
+        # the two laws are one
         (s,) = preset("below_delta_rayleigh_K3")
         snr = 10.0**8
         law = {x: analytic.asymptotic_outage(x, s.network, s.power, s.rate, snr) for x in Scheme}
@@ -110,7 +112,8 @@ class TestPresets:
         assert exact[Scheme.DF] / law[Scheme.DF] == pytest.approx(1.0, rel=1e-5)
         assert exact[Scheme.DFAF] / law[Scheme.DFAF] == pytest.approx(1.0, rel=1e-5)
         assert exact[Scheme.AF] / law[Scheme.DFAF] == pytest.approx(1.0, rel=1e-5)
-        assert law[Scheme.AF] is None
+        assert law[Scheme.AF] == law[Scheme.DFAF]
+        assert exact[Scheme.AF] / law[Scheme.AF] == pytest.approx(1.0, rel=1e-5)
 
     def test_fig3_parameters(self):
         (s,) = preset("fig3_nakagami_3relay")
@@ -171,15 +174,16 @@ class TestRunScenario:
         for r in rows:
             assert r.mc_ci_low <= r.outage_analytic <= r.mc_ci_high
 
-    def test_af_rows_have_no_asymptotic_column(self):
+    def test_every_row_holds_its_schemes_law(self):
+        # AF's row holds its own law too, not an empty cell
         (s,) = preset("fig3_nakagami_3relay")
         s = replace(s, outputs=frozenset({"analytic", "asymptotic"}))
         rows = run_scenario(s)
+        assert {r.scheme for r in rows} == {"dfaf", "df", "af"}
         for r in rows:
-            if r.scheme == "af":
-                assert r.outage_asymptotic is None
-            else:
-                assert r.outage_asymptotic is not None
+            assert r.outage_asymptotic == analytic.asymptotic_outage(
+                Scheme(r.scheme), s.network, s.power, s.rate, 10.0 ** (r.snr_db / 10.0)
+            )
 
     def test_mrc_with_closed_form_outputs_rejected(self):
         (s,) = preset("fig7_mrc_compare")
@@ -187,7 +191,7 @@ class TestRunScenario:
             run_scenario(replace(s, outputs=frozenset({"analytic", "montecarlo"})))
 
     def test_asymptotic_at_unequal_power(self):
-        # every row holds its own scheme's law, AF's None included, at
+        # every row holds its own scheme's law, AF's included, at
         # gamma_th = delta and below it, where DF's law leaves DFAF's
         (fig3,) = preset("fig3_nakagami_3relay")
         for rate in (fig3.rate, RateSpec(rate=1.0, gamma_th=1.0)):

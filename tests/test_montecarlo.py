@@ -254,6 +254,15 @@ class TestBlockBuffersReused:
 
 
 class TestEstimators:
+    @pytest.mark.parametrize("power", [{"source_power": 1e300}, {"relay_power": 1e300}])
+    def test_overflowing_mean_snr_is_refused(self, power):
+        # an infinite mean drew infinite SNRs, whose amplified ratio inf/inf
+        # is NaN: no scheme ever failed, and the estimate read 0
+        with pytest.raises(ValueError, match="got inf"):
+            estimate_outage_coupled(
+                NET1, PowerSpec(**power), RS, tuple(Scheme), 20_000, seed=1, snr=1e10
+            )
+
     def test_matches_closed_form_rayleigh(self):
         est = estimate_outage_coupled(
             NET1, PW, RS, (Scheme.DFAF,), 10**6, seed=42, snr=10.0
