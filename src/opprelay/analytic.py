@@ -11,12 +11,12 @@ transmit power between source, relays and the direct link.
 The exact closed form is the direct-link CDF times one path-failure
 factor per relay, and only that factor differs between the schemes.
 outage_sc_point evaluates it for several schemes at one grid point in one
-pass: it builds the point's link laws and the direct-link CDF once, and
-per relay the decode and second-hop CDFs once, which every scheme's
+pass over the point's link laws: one gammainc call gives the direct-link
+CDF and per relay the decode and second-hop CDFs, which every scheme's
 factor shares; it sums the amplified path only for the schemes that need
-it.  outage_sc is that pass for one scheme; curve tables and slope fits
-call the pass itself.  The Scheme enum is defined here for it; the
-Monte Carlo engine and the experiments import it from this module.
+it.  asymptotic_outage_point is the high-SNR law's pass over the same
+laws; outage_sc and asymptotic_outage are the one-scheme passes.  The
+Scheme enum is defined here; Monte Carlo and the experiments import it.
 
 One trapezoid rule integrates the amplified path for any shapes: the AF
 path CDF af_path_cdf_quadrature, and DFAF's factor below delta.  The
@@ -36,11 +36,11 @@ not implemented yet.
 
 Every scalar CDF factor (direct link, decode failure, second hop, the
 amplified path's first-hop head, which is the decode failure at
-gamma_th = delta) is channel.snr_cdf of the link laws that
-channel.network_link_snrs builds for the grid point.  scipy.special
-loads on the first exact value, inside snr_cdf, the trapezoid rule's node
-array or the Bessel reference: the high-SNR law and the AF bounds need
-only math, and Monte Carlo runs do not load it.
+gamma_th = delta) is the regularised gamma function of the link laws that
+channel.network_link_snrs builds for the grid point.  scipy.special comes
+from channel.scipy_special and loads on the first exact value: the
+high-SNR law and the AF bounds need only math, and Monte Carlo runs do
+not load it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import LinkSnr, NetworkSpec, PowerSpec, network_link_snrs, snr_cdf
+from .channel import LinkSnr, NetworkSpec, PowerSpec, network_link_snrs, scipy_special, snr_cdf
 
 # Error the AF path CDF quadrature must certify, relative to its value.
 AF_QUAD_TOL = 1e-9
@@ -137,34 +137,41 @@ def outage_sc(
     gamma_th >= delta; below it, a relay that cannot decode amplifies.
     The value is outage_sc_point's for this one scheme.
     """
-    return outage_sc_point((scheme,), net, power, rs, snr)[scheme]
+    return outage_sc_point((scheme,), network_link_snrs(net, power, snr), rs)[scheme]
 
 
-def outage_sc_point(
-    schemes: Sequence[Scheme], net: NetworkSpec, power: PowerSpec, rs: RateSpec, snr: float
-) -> dict[Scheme, float]:
-    """outage_sc of each scheme in schemes at one grid point, in one pass:
-    the link laws and the direct-link CDF once, and per relay the decode
-    and second-hop CDFs once, shared by every scheme's path-failure factor.
+def outage_sc_point(schemes: Sequence[Scheme], laws: tuple, rs: RateSpec) -> dict[Scheme, float]:
+    """outage_sc of each scheme in schemes at one grid point, in one pass
+    over the point's link laws (network_link_snrs): the direct-link CDF
+    once, and per relay the decode and second-hop CDFs once, shared by
+    every scheme's path-failure factor.
 
     AF's factor is the amplified path's CDF.  DF's: the relay fails to
     decode, or decodes and its second hop misses gamma_th.  DFAF's is DF's
     at gamma_th >= delta, where the amplified path, capped by g1 < delta,
     always misses; below delta a relay that cannot decode amplifies.
     """
-    direct, relays = network_link_snrs(net, power, snr)
-    outage = dict.fromkeys(schemes, snr_cdf(direct, rs.gamma_th))
-    dfaf_amplifies = Scheme.DFAF in outage and rs.gamma_th < rs.delta
+    direct, relays = laws
+    dfaf_amplifies = Scheme.DFAF in schemes and rs.gamma_th < rs.delta
+    factors = [(direct, rs.gamma_th)]
     for first, second in relays:
+        factors += (first, rs.delta), (second, rs.gamma_th)
+    if (Scheme.AF in schemes or dfaf_amplifies) and rs.gamma_th != rs.delta:
+        # P(g1 < gamma_th), the amplified path's first-hop head; at
+        # gamma_th = delta it is the decode failure
+        factors += [(first, rs.gamma_th) for first, _ in relays]
+    # One array call, on the scalar call's inner loop: every factor keeps its bits
+    cdf = scipy_special().gammainc(
+        [link.m for link, _ in factors], [link.rate * y for link, y in factors]
+    ).tolist()
+    n = 2 * len(relays) + 1
+    decode, second_hop, heads = cdf[1:n:2], cdf[2:n:2], cdf[n:] or cdf[1:n:2]
+    outage = dict.fromkeys(schemes, cdf[0])
+    for (first, second), decode_fail, second_fail, head in zip(relays, decode, second_hop, heads):
         # The decode failure is the CDF P itself: 1 - Q would lose it deep
         # in outage, where it is the leading term.  1 - P is exact enough
         # for Q, which only ever adds to P.
-        decode_fail = snr_cdf(first, rs.delta)
-        second_fail = snr_cdf(second, rs.gamma_th)
         decoded_miss = (1.0 - decode_fail) * second_fail
-        if Scheme.AF in outage or dfaf_amplifies:
-            # P(g1 < gamma_th), the amplified path's first-hop head
-            head = decode_fail if rs.gamma_th == rs.delta else snr_cdf(first, rs.gamma_th)
         for scheme in outage:
             if scheme is Scheme.AF:
                 outage[scheme] *= _amplified_miss(first, second, rs.gamma_th, math.inf, head)
@@ -188,8 +195,6 @@ def af_path_cdf_closed(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     in log space so shapes up to ~10 stay well inside double range.  The
     result is clamped to [0, 1] only to absorb last-bit rounding.
     """
-    from scipy.special import kve
-
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")
     if y == 0.0:
@@ -207,7 +212,7 @@ def af_path_cdf_closed(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     z = 2.0 * math.sqrt(a1 * a2 * y * (y + 1.0))
     # log K_n(z) for every order the sum uses; K is even in its order, and
     # the exponentially scaled kve keeps large z from underflowing.
-    ln_k = (np.log(kve(np.arange(max(m1, m2) + 1), z)) - z).tolist()
+    ln_k = (np.log(scipy_special().kve(np.arange(max(m1, m2) + 1), z)) - z).tolist()
     ln_a1 = math.log(a1)
     ln_a2 = math.log(a2)
     ln_y = math.log(y)
@@ -271,8 +276,6 @@ def _amplified_sum(
     # arguments (LinkSnr is frozen): a table's repeated integrals, and
     # identical relays, are summed once; the size holds a 50-point curve's
     # integrals on 4 relays.
-    from scipy.special import gammainc
-
     (m1, a1), (m2, a2), c = (hop1.m, hop1.rate), (hop2.m, hop2.rate), below - y
     # Far below t = min(a2 y (y + 1), c) the integrand falls like e^v, so
     # 36 e-folds under that point leave e^-36 ~ 2e-16 of its size there.
@@ -287,18 +290,21 @@ def _amplified_sum(
     # the every-other-node sum inside AF_QUAD_TOL where the full one is right.
     h = 0.4 / math.sqrt(max(m1, m2, 25.0))
     v = lo + h * np.arange(math.ceil((hi - lo) / h) + 1)
-    ev = np.exp(v)
-    q = ev / c  # 0 at below = inf; dt/dv = e^v / (1 + q)^2
-    t = ev / (1.0 + q)
+    t = ev = np.exp(v)  # exact at below = inf, where q = 0 and dt/dv = e^v
+    if below < math.inf:
+        q = ev / c  # dt/dv = e^v / (1 + q)^2
+        t = ev / (1.0 + q)
     x = y + t
-    ln_f1 = m1 * math.log(a1) - math.lgamma(m1) + (m1 - 1.0) * np.log(x) - a1 * x
-    f = np.exp(ln_f1 + v - 2.0 * np.log1p(q))
+    ln_f = m1 * math.log(a1) - math.lgamma(m1) + (m1 - 1.0) * np.log(x) - a1 * x + v
+    if below < math.inf:
+        ln_f -= 2.0 * np.log1p(q)
+    f = np.exp(ln_f)
     # The second hop's argument falls along v, and the nodes where its
     # gammainc is exactly 1.0 lead: only the rest call it, and a product
     # with 1.0 is exact, so every bit is kept.
     z = a2 * y * (x + 1.0) / t
     k = np.count_nonzero(z > _gammainc_is_one_above(m2))
-    f[k:] *= gammainc(m2, z[k:])
+    f[k:] *= scipy_special().gammainc(m2, z[k:])
     tail = h * float(f.sum())
     return tail, abs(tail - 2.0 * h * float(f[::2].sum()))
 
@@ -347,17 +353,29 @@ def asymptotic_outage(
     the second hop at gamma_th; the first at delta for DF (a relay that
     cannot decode stays silent), at gamma_th for AF (the amplified SNR is
     below g1) and at min(delta, gamma_th) for DFAF.  At snr = 1 with
-    PowerSpec() it is the coding gain g of g * snr**(-d).
+    PowerSpec() it is the coding gain g of g * snr**(-d).  The value is
+    asymptotic_outage_point's for this one scheme.
     """
-    miss_below = {
-        Scheme.DF: rs.delta, Scheme.AF: rs.gamma_th, Scheme.DFAF: min(rs.delta, rs.gamma_th)
-    }[scheme]
-    direct, relays = network_link_snrs(net, power, snr)
-    g = _power_law(direct.m, direct.rate * rs.gamma_th)
-    for first, second in relays:
-        hops = ((first.m, first.rate * miss_below), (second.m, second.rate * rs.gamma_th))
-        g *= _leading_term(hops)[1]
-    return g
+    return asymptotic_outage_point((scheme,), network_link_snrs(net, power, snr), rs)[scheme]
+
+
+def asymptotic_outage_point(
+    schemes: Sequence[Scheme], laws: tuple, rs: RateSpec
+) -> dict[Scheme, float]:
+    """asymptotic_outage of each scheme in schemes at one grid point, in
+    one pass over the point's link laws: the direct-link term once, then
+    per relay each scheme's term."""
+    below = {Scheme.DF: rs.delta, Scheme.AF: rs.gamma_th, Scheme.DFAF: min(rs.delta, rs.gamma_th)}
+    direct, relays = laws
+    g_direct = _power_law(direct.m, direct.rate * rs.gamma_th)
+    law = {}
+    for scheme in schemes:
+        g = g_direct
+        for first, second in relays:
+            hops = ((first.m, first.rate * below[scheme]), (second.m, second.rate * rs.gamma_th))
+            g *= _leading_term(hops)[1]
+        law[scheme] = g
+    return law
 
 
 def diversity_order_dfaf(net: NetworkSpec) -> float:

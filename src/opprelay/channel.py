@@ -7,13 +7,15 @@ instantaneous SNR of a link with mean snr gbar has density
 
 network_link_snrs turns a grid point (powers, noise and the swept SNR)
 into these laws for the closed forms and Monte Carlo alike, and snr_cdf is
-the one scalar CDF of a law.  snr_cdf imports scipy.special on its first
-call; drawing variates needs numpy alone, so Monte Carlo runs never load
-scipy.
+the one scalar CDF of a law.  scipy_special is the one place scipy.special
+is imported, on its first call, for snr_cdf and the closed forms in
+analytic; drawing variates needs numpy alone, so Monte Carlo runs never
+load scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -113,8 +115,9 @@ def network_link_snrs(
     every transmit power, and a link's mean SNR is omega * power * snr / N0.
     With the unit equal-power default, snr is exactly the transmit SNR.
 
-    This is the only place the grid SNR enters: the closed forms and the
-    Monte Carlo engine both take their link laws from here."""
+    This is the only place the grid SNR enters: the Monte Carlo engine
+    takes its link laws from here, and a table builds one set per
+    closed-form point, which the exact and the high-SNR passes share."""
     if not snr > 0.0:
         raise ValueError(f"snr must be positive, got {snr}")
     n0 = power.noise_variance
@@ -160,10 +163,16 @@ def sample_snr(
     return x
 
 
+@functools.cache
+def scipy_special():
+    """scipy.special, imported on the first call, never on import."""
+    import scipy.special
+
+    return scipy.special
+
+
 def snr_cdf(link: LinkSnr, y: float) -> float:
     """CDF of the instantaneous SNR: P(m, m y / mean)."""
-    from scipy.special import gammainc
-
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")
-    return float(gammainc(link.m, link.rate * y))
+    return float(scipy_special().gammainc(link.m, link.rate * y))

@@ -21,10 +21,11 @@ AF bound tables have their own documented column sets.
 
 Curves and alpha sweeps build their rows with one table engine, _table,
 over a list of operating points; it keys every value by scheme and holds
-no closed-form rule of its own.  A point's exact values come from one
-analytic.outage_sc_point pass over all the scenario's schemes, each
-row's high-SNR law from analytic.asymptotic_outage.  A slope fit reads
-that pass directly at its dB window's two ends: the exact secant
+no closed-form rule of its own.  A point's link laws are built once, and
+its exact values and high-SNR laws come from one analytic.outage_sc_point
+and one analytic.asymptotic_outage_point pass over them, for all the
+scenario's schemes.  A slope fit reads the exact pass directly at its dB
+window's two ends: the exact secant
 -ln(P(hi) / P(lo)) / ln(snr_hi / snr_lo).  A dB value whose linear SNR
 overflows a float, or underflows to zero, is a ScenarioError.
 """
@@ -35,6 +36,7 @@ import csv
 import functools
 import io
 import math
+import operator
 import os
 import re
 import warnings
@@ -295,18 +297,17 @@ def _table(row: type, s: Scenario, points: Sequence[tuple], workers: int) -> lis
                     s.combiner, workers, stream_tag=(idx, *sub_tag), snr=snr,
                 )
                 estimates.update(result.estimates)
-        exact = (
-            analytic.outage_sc_point(s.schemes, s.network, power, s.rate, snr)
-            if "analytic" in s.outputs else None
-        )
-        for scheme in s.schemes:
-            columns = {}
-            if exact is not None:
-                columns["outage_analytic"] = exact[scheme]
+        closed = {}
+        if s.outputs & {"analytic", "asymptotic"}:
+            laws = network_link_snrs(s.network, power, snr)
+            if "analytic" in s.outputs:
+                closed["outage_analytic"] = analytic.outage_sc_point(s.schemes, laws, s.rate)
             if "asymptotic" in s.outputs:
-                columns["outage_asymptotic"] = analytic.asymptotic_outage(
-                    scheme, s.network, power, s.rate, snr
+                closed["outage_asymptotic"] = analytic.asymptotic_outage_point(
+                    s.schemes, laws, s.rate
                 )
+        for scheme in s.schemes:
+            columns = {column: values[scheme] for column, values in closed.items()}
             est = estimates.get(scheme)
             if est is not None:
                 columns.update(
@@ -368,7 +369,9 @@ def _window_slopes(s: Curve | Surface, net: NetworkSpec) -> dict[Scheme, float]:
     the log-SNR span comes from the dB values, so it is never zero."""
     lo, hi = s.fit_window_db
     at_lo, at_hi = (
-        analytic.outage_sc_point(s.schemes, net, s.power, s.rate, _db_to_linear(db))
+        analytic.outage_sc_point(
+            s.schemes, network_link_snrs(net, s.power, _db_to_linear(db)), s.rate
+        )
         for db in (lo, hi)
     )
     span = (hi - lo) / 10.0 * math.log(10.0)
@@ -426,24 +429,24 @@ def fit_scenario_curves(s: Curve) -> list[FitRow]:
 # CSV emission
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    # str() of a float is the shortest round-trip representation
-    return str(value)
+@functools.cache
+def _columns(row_type: type) -> tuple[list[str], Callable]:
+    names = [f.name for f in fields(row_type)]
+    return names, operator.attrgetter(*names)
 
 
 def csv_text(rows: Iterable) -> str:
-    """Dataclass rows as CSV text; all rows must share one type."""
+    """Dataclass rows as CSV text; all rows must share one type.  The
+    writer writes None as an empty field and a float as its str(), the
+    shortest round-trip representation."""
     rows = list(rows)
     if not rows:
         raise ScenarioError("no rows to write")
-    columns = [f.name for f in fields(rows[0])]
+    columns, values = _columns(type(rows[0]))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(getattr(row, name)) for name in columns])
+    writer.writerows(map(values, rows))
     return buf.getvalue()
 
 

@@ -34,8 +34,10 @@ from opprelay.analytic import (
     af_path_cdf_closed,
     af_path_cdf_quadrature,
     asymptotic_outage,
+    asymptotic_outage_point,
     diversity_order_dfaf,
     outage_sc,
+    outage_sc_point,
 )
 from opprelay.channel import (
     ChannelSpec,
@@ -45,6 +47,7 @@ from opprelay.channel import (
     make_stream,
     network_link_snrs,
     sample_snr,
+    snr_cdf,
 )
 from opprelay.montecarlo import estimate_outage_coupled
 
@@ -809,3 +812,41 @@ class TestAfBounds:
         f = af_path_cdf_closed(h1, h2, RS.gamma_th)
         ratio = f / b.lower
         assert 1.0 - 0.1 <= ratio <= 2.0**b.m_min * 1.1
+
+
+class TestPointPasses:
+    """The per-point passes keep every bit of the one-scheme calls, on
+    seeded networks: K 0-4, non-integer shapes, gamma_th on both sides of
+    delta and unequal powers."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(30)
+        for i in range(40):
+            def link():
+                return ChannelSpec(m=float(rng.uniform(0.5, 4.0)), omega=float(rng.uniform(0.2, 5.0)))
+
+            net = NetworkSpec(direct=link(), relays=tuple((link(), link()) for _ in range(i % 5)))
+            power = PowerSpec(*map(float, rng.uniform(0.5, 2.0, 3)), direct_power=1.3)
+            rs = RateSpec(rate=1.0, gamma_th=3.0 * float(rng.choice([1 / 3, 1.0, 2.0])))
+            yield net, power, rs, float(10.0 ** rng.uniform(0.0, 2.5))
+
+    def test_asymptotic_point_equals_each_scheme(self):
+        for net, power, rs, snr in self.cases():
+            point = asymptotic_outage_point(tuple(Scheme), network_link_snrs(net, power, snr), rs)
+            for scheme in Scheme:
+                assert point[scheme] == asymptotic_outage(scheme, net, power, rs, snr)
+
+    def test_exact_point_equals_each_scheme_and_scalar_factors(self):
+        for net, power, rs, snr in self.cases():
+            laws = network_link_snrs(net, power, snr)
+            point = outage_sc_point(tuple(Scheme), laws, rs)
+            for scheme in Scheme:
+                assert point[scheme] == outage_sc(scheme, net, power, rs, snr)
+            # the one array call keeps the bits of one scalar call per factor
+            direct, relays = laws
+            df = snr_cdf(direct, rs.gamma_th)
+            for first, second in relays:
+                decode = snr_cdf(first, rs.delta)
+                df *= decode + (1.0 - decode) * snr_cdf(second, rs.gamma_th)
+            assert point[Scheme.DF] == df

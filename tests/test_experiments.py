@@ -6,9 +6,10 @@ import io
 import math
 import re
 import types
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -105,9 +106,9 @@ class TestPresets:
         # delta AF's first-hop term sits at gamma_th, as DFAF's does, so
         # the two laws are one
         (s,) = preset("below_delta_rayleigh_K3")
-        snr = 10.0**8
-        law = {x: analytic.asymptotic_outage(x, s.network, s.power, s.rate, snr) for x in Scheme}
-        exact = analytic.outage_sc_point(s.schemes, s.network, s.power, s.rate, snr)
+        laws = network_link_snrs(s.network, s.power, 10.0**8)
+        law = analytic.asymptotic_outage_point(tuple(Scheme), laws, s.rate)
+        exact = analytic.outage_sc_point(s.schemes, laws, s.rate)
         assert exact[Scheme.DF] / law[Scheme.DFAF] == pytest.approx(8.0, rel=1e-5)
         assert exact[Scheme.DF] / law[Scheme.DF] == pytest.approx(1.0, rel=1e-5)
         assert exact[Scheme.DFAF] / law[Scheme.DFAF] == pytest.approx(1.0, rel=1e-5)
@@ -206,32 +207,51 @@ class TestRunScenario:
                     Scheme(r.scheme), s.network, s.power, s.rate, 10.0 ** (r.snr_db / 10.0)
                 )
 
+    @pytest.mark.parametrize("outputs", ["analytic", "analytic,asymptotic"])
     @pytest.mark.parametrize("schemes", ["dfaf", "af", "dfaf,df", "dfaf,df,af"])
-    def test_one_point_evaluates_each_cdf_once(self, schemes, monkeypatch):
-        # one pass per point: the link laws and the direct-link CDF once, and
-        # per relay the decode and second-hop CDFs once, whichever schemes
-        # share them (at gamma_th = delta the amplified head is the decode CDF)
-        cdfs, laws = [], []
+    def test_one_point_evaluates_each_cdf_once(self, schemes, outputs, monkeypatch):
+        # one pass per point: the link laws once, shared by the exact and
+        # the high-SNR pass, and every scalar CDF factor once, from one
+        # gammainc call: the direct link, then per relay the decode and
+        # second-hop CDFs, whichever schemes share them (at gamma_th =
+        # delta the amplified head is the decode CDF)
+        cdfs, point_calls, laws = [], [], []
+        special = analytic.scipy_special()
 
         def counted_cdf(link, y):
             cdfs.append((link, y))
             return snr_cdf(link, y)
+
+        def counted_gammainc(m, x):
+            if np.ndim(m):  # the trapezoid nodes share one scalar shape
+                point_calls.append(list(zip(m, x)))
+            return special.gammainc(m, x)
 
         def counted_laws(*args):
             laws.append(args)
             return network_link_snrs(*args)
 
         monkeypatch.setattr(analytic, "snr_cdf", counted_cdf)
+        monkeypatch.setattr(
+            analytic, "scipy_special", lambda: types.SimpleNamespace(gammainc=counted_gammainc)
+        )
         monkeypatch.setattr(analytic, "network_link_snrs", counted_laws)
+        monkeypatch.setattr(experiments, "network_link_snrs", counted_laws)
         (s,) = preset("fig3_nakagami_3relay")
         s = replace(
             s, schemes=tuple(map(Scheme, schemes.split(","))),
-            outputs=frozenset({"analytic"}), snr_grid_db=(10.0,),
+            outputs=frozenset(outputs.split(",")), snr_grid_db=(10.0,),
         )
         rows = run_scenario(s)
         assert len(rows) == len(s.schemes)
-        assert len(laws) == 1
-        assert len(cdfs) == 1 + 2 * len(s.network.relays)
+        assert laws == [(s.network, s.power, 10.0)]
+        assert cdfs == []
+        direct, relays = network_link_snrs(s.network, s.power, 10.0)
+        factors = [(direct, s.rate.gamma_th)]
+        for first, second in relays:
+            factors += (first, s.rate.delta), (second, s.rate.gamma_th)
+        assert point_calls == [[(link.m, link.rate * y) for link, y in factors]]
+        assert len(point_calls[0]) == 1 + 2 * len(s.network.relays)
 
     def test_coupled_equals_per_scheme_failure_ordering(self):
         (s,) = preset("fig7_mrc_compare")
@@ -262,6 +282,26 @@ class TestCsv:
         assert header == (
             "snr_db,scheme,combiner,outage_analytic,outage_asymptotic,"
             "outage_mc,mc_ci_low,mc_ci_high,trials,failures"
+        )
+
+    def test_cells_pinned(self):
+        # the writer's own None and float handling, frozen: None is an
+        # empty field, a float its shortest round-trip str()
+        @dataclass(frozen=True)
+        class Row:
+            a: object
+            b: object
+            c: object
+
+        rows = [
+            Row(None, -0.0, 5e-324),
+            Row(1e16, 1e-05, 0.1 + 0.2),
+            Row(math.inf, math.nan, 7),
+            Row('dfaf, "quoted"', "x", None),
+        ]
+        assert csv_text(rows) == (
+            "a,b,c\n,-0.0,5e-324\n1e+16,1e-05,0.30000000000000004\ninf,nan,7\n"
+            '"dfaf, ""quoted""",x,\n'
         )
 
     def test_byte_identical_rerun(self):
@@ -301,10 +341,17 @@ class TestFitDiversity:
         # rounds past hi
         calls = []
 
-        def power_law(schemes, net, power, rs, snr):
-            calls.append((schemes, net, snr))
+        def laws(net, power, snr):
+            calls.append((None, net, snr))
+            return snr  # stands in for the point's link laws
+
+        def power_law(schemes, snr, rs):
+            # each pass reads the laws built just before it, once
+            assert calls[-1] == (None, calls[-1][1], snr)
+            calls[-1] = (schemes, calls[-1][1], snr)
             return dict.fromkeys(schemes, 4.2 * snr**-2.0)
 
+        monkeypatch.setattr(experiments, "network_link_snrs", laws)
         monkeypatch.setattr(analytic, "outage_sc_point", power_law)
         ends = (10.0 ** (-5.1 / 10.0), 10.0 ** (-0.1 / 10.0))
         (s,) = preset("fig3_nakagami_3relay")
