@@ -2,11 +2,9 @@
 exact closed forms, high-SNR asymptotics, and protocol-level Monte Carlo."""
 
 from .analytic import (
-    AfBounds,
     QuadratureError,
     RateSpec,
     Scheme,
-    af_bounds,
     af_path_cdf_quadrature,
     asymptotic_outage,
     diversity_order_dfaf,

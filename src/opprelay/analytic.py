@@ -1,22 +1,23 @@
 """Exact and high-SNR closed-form outage probabilities for the three
 opportunistic relaying schemes under selection combining, plus diversity
-order and the AF path's asymptotic sandwich, whose low end is AF's law.
-outage_sc and asymptotic_outage (one rule for all three schemes) are keyed
-by scheme; the coding gain is the high-SNR law at snr = 1 and PowerSpec().
+order.  outage_sc and asymptotic_outage (one rule for all three schemes)
+are keyed by scheme; the coding gain is the high-SNR law at snr = 1 and
+PowerSpec().
 
 All outage expressions, exact and high-SNR, are driven by the per-link
 gamma rate parameters (shape / mean SNR), so they hold at any split of
 transmit power between source, relays and the direct link.
 
 The exact closed form is the direct-link CDF times one path-failure
-factor per relay, and only that factor differs between the schemes.
-outage_sc_point evaluates it for several schemes at one grid point in one
-pass over the point's link laws: one gammainc call gives the direct-link
-CDF and per relay the decode and second-hop CDFs, which every scheme's
-factor shares; it sums the amplified path only for the schemes that need
-it.  asymptotic_outage_point is the high-SNR law's pass over the same
-laws; outage_sc and asymptotic_outage are the one-scheme passes.  The
-Scheme enum is defined here; Monte Carlo and the experiments import it.
+factor per relay, and only that factor differs between the schemes; the
+high-SNR law is the product of the factors' leading terms.  For several
+schemes at one grid point, relay_factors returns the exact factors and
+relay_terms the leading terms (with each relay's smaller hop shape, and
+AF's term the low end of the AF path CDF's sandwich), each in one pass
+over the point's link laws.  outage_sc_point and asymptotic_outage_point
+multiply them out; outage_sc and asymptotic_outage are the one-scheme
+passes.  The Scheme enum is defined here; Monte Carlo and the
+experiments import it.
 
 One trapezoid rule integrates the amplified path for any shapes: the AF
 path CDF af_path_cdf_quadrature, and DFAF's factor below delta.  The
@@ -39,8 +40,7 @@ amplified path's first-hop head, which is the decode failure at
 gamma_th = delta) is the regularised gamma function of the link laws that
 channel.network_link_snrs builds for the grid point.  scipy.special comes
 from channel.scipy_special and loads on the first exact value: the
-high-SNR law and the AF bounds need only math, and Monte Carlo runs do
-not load it.
+high-SNR law needs only math, and Monte Carlo runs do not load it.
 """
 
 from __future__ import annotations
@@ -98,32 +98,12 @@ class RateSpec:
             raise ValueError(f"gamma_th must be positive and finite, got {self.gamma_th}")
 
 
-@dataclass(frozen=True)
-class AfBounds:
-    """Asymptotic sandwich for the AF path CDF at the outage threshold.
-
-    m_min is the smaller hop shape; upper / lower = 2**m_min exactly.
-    """
-
-    lower: float
-    upper: float
-    m_min: float
-
-
 def _power_law(m: float, x: float) -> float:
     # x**m / (m * Gamma(m)), the small-argument limit of P(m, x).
     try:
         return math.exp(m * math.log(x) - math.log(m) - math.lgamma(m))
     except OverflowError:
         raise OverflowError(f"high-SNR term overflows at shape m={m}, argument {x:.6g}") from None
-
-
-def _leading_term(hops: tuple[tuple[float, float], ...]) -> tuple[float, float]:
-    # Leading small-argument term of a relay path's failure probability
-    # from its hops' (shape, argument) pairs: the smallest shape sets the
-    # exponent, and every hop with that shape adds its own term.
-    m_min = min(m for m, _ in hops)
-    return m_min, sum(_power_law(m, x) for m, x in hops if m == m_min)
 
 
 def outage_sc(
@@ -141,10 +121,17 @@ def outage_sc(
 
 
 def outage_sc_point(schemes: Sequence[Scheme], laws: tuple, rs: RateSpec) -> dict[Scheme, float]:
-    """outage_sc of each scheme in schemes at one grid point, in one pass
-    over the point's link laws (network_link_snrs): the direct-link CDF
-    once, and per relay the decode and second-hop CDFs once, shared by
-    every scheme's path-failure factor.
+    """outage_sc of each scheme in schemes at one grid point: the product
+    of relay_factors' direct-link CDF and relay factors."""
+    return _products(schemes, *relay_factors(schemes, laws, rs))
+
+
+def relay_factors(schemes: Sequence[Scheme], laws: tuple, rs: RateSpec) -> tuple[float, list]:
+    """The exact outage's factors at one grid point, in one pass over the
+    point's link laws (network_link_snrs): the direct-link CDF, and per
+    relay the list of each scheme's path-failure factor, in the order of
+    schemes.  One gammainc call gives every scalar CDF; the decode and
+    second-hop CDFs are shared by every scheme.
 
     AF's factor is the amplified path's CDF.  DF's: the relay fails to
     decode, or decodes and its second hop misses gamma_th.  DFAF's is DF's
@@ -166,24 +153,35 @@ def outage_sc_point(schemes: Sequence[Scheme], laws: tuple, rs: RateSpec) -> dic
     ).tolist()
     n = 2 * len(relays) + 1
     decode, second_hop, heads = cdf[1:n:2], cdf[2:n:2], cdf[n:] or cdf[1:n:2]
-    outage = dict.fromkeys(schemes, cdf[0])
+    per_relay = []
     for (first, second), decode_fail, second_fail, head in zip(relays, decode, second_hop, heads):
         # The decode failure is the CDF P itself: 1 - Q would lose it deep
         # in outage, where it is the leading term.  1 - P is exact enough
         # for Q, which only ever adds to P.
         decoded_miss = (1.0 - decode_fail) * second_fail
-        for scheme in outage:
+        row = []
+        for scheme in schemes:
             if scheme is Scheme.AF:
-                outage[scheme] *= _amplified_miss(first, second, rs.gamma_th, math.inf, head)
+                row.append(_amplified_miss(first, second, rs.gamma_th, math.inf, head))
             elif scheme is Scheme.DFAF and dfaf_amplifies:
                 # The amplified miss needs g1 < delta; capping it at the
                 # decode failure absorbs rounding that would lift the factor
                 # above 1.
                 amplified = _amplified_miss(first, second, rs.gamma_th, rs.delta, head)
-                outage[scheme] *= min(decode_fail, amplified) + decoded_miss
+                row.append(min(decode_fail, amplified) + decoded_miss)
             else:
-                outage[scheme] *= decode_fail + decoded_miss
-    return outage
+                row.append(decode_fail + decoded_miss)
+        per_relay.append(row)
+    return cdf[0], per_relay
+
+
+def _products(schemes: Sequence[Scheme], direct: float, relays: list) -> dict[Scheme, float]:
+    # Each scheme's direct factor times its relay factors, folded in relay
+    # order, so a value keeps the bits of a running product.
+    return {
+        scheme: math.prod([direct, *(row[i] for row in relays)])
+        for i, scheme in enumerate(schemes)
+    }
 
 
 def af_path_cdf_closed(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
@@ -362,39 +360,39 @@ def asymptotic_outage(
 def asymptotic_outage_point(
     schemes: Sequence[Scheme], laws: tuple, rs: RateSpec
 ) -> dict[Scheme, float]:
-    """asymptotic_outage of each scheme in schemes at one grid point, in
-    one pass over the point's link laws: the direct-link term once, then
-    per relay each scheme's term."""
+    """asymptotic_outage of each scheme in schemes at one grid point: the
+    product of relay_terms' direct-link term and relay terms."""
+    direct, relays = relay_terms(schemes, laws, rs)
+    return _products(schemes, direct, [terms for _, terms in relays])
+
+
+def relay_terms(schemes: Sequence[Scheme], laws: tuple, rs: RateSpec) -> tuple[float, list]:
+    """The high-SNR law's factors at one grid point: the direct link's
+    leading term, and per relay a pair of its smaller hop shape m_min and
+    the list of each scheme's leading term, in the order of schemes.
+    Every hop with shape m_min, both when equal, adds its own term
+    (asymptotic_outage says at which SNR).
+
+    AF's term squeezes the AF path CDF at gamma_th: the amplified SNR lies
+    between min(g1, g2)/2 and min(g1, g2), so the CDF lies between the
+    leading terms of P(min(g1, g2) < gamma_th), which is the term, and
+    P(min(g1, g2) < 2 gamma_th), which is 2**m_min times it.
+    """
     below = {Scheme.DF: rs.delta, Scheme.AF: rs.gamma_th, Scheme.DFAF: min(rs.delta, rs.gamma_th)}
     direct, relays = laws
-    g_direct = _power_law(direct.m, direct.rate * rs.gamma_th)
-    law = {}
-    for scheme in schemes:
-        g = g_direct
-        for first, second in relays:
+    direct_term = _power_law(direct.m, direct.rate * rs.gamma_th)
+    per_relay = []
+    for first, second in relays:
+        m_min = min(first.m, second.m)
+        terms = []
+        for scheme in schemes:
             hops = ((first.m, first.rate * below[scheme]), (second.m, second.rate * rs.gamma_th))
-            g *= _leading_term(hops)[1]
-        law[scheme] = g
-    return law
+            terms.append(sum(_power_law(m, x) for m, x in hops if m == m_min))
+        per_relay.append((m_min, terms))
+    return direct_term, per_relay
 
 
 def diversity_order_dfaf(net: NetworkSpec) -> float:
     """Diversity order: direct shape plus the weaker shape of every relay
     path."""
     return net.direct.m + sum(min(a.m, b.m) for a, b in net.relays)
-
-
-def af_bounds(hop1: LinkSnr, hop2: LinkSnr, rs: RateSpec) -> AfBounds:
-    """Asymptotic lower/upper bounds on the AF path CDF at gamma_th.
-
-    The amplified SNR lies between min(g1, g2)/2 and min(g1, g2), so the
-    CDF is squeezed between the leading terms of P(min(g1, g2) < gamma_th)
-    and P(min(g1, g2) < 2 gamma_th): every hop with the smaller shape
-    m_min, both when the shapes are equal, adds its own term, and the
-    ratio is 2**m_min.  The low end is AF's per-relay term of
-    asymptotic_outage.  The hop SNR descriptors carry the evaluation SNR.
-    """
-    m, lower = _leading_term(
-        ((hop1.m, hop1.rate * rs.gamma_th), (hop2.m, hop2.rate * rs.gamma_th))
-    )
-    return AfBounds(lower=lower, upper=2.0**m * lower, m_min=m)

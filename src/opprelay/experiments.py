@@ -331,23 +331,19 @@ def run_scenario(s: Curve, workers: int = 1) -> list[CurveRow]:
 
 
 def af_bounds_rows(s: Curve) -> list[BoundsRow]:
-    """Companion table for the AF scheme: asymptotic sandwich of each relay
-    path's CDF at gamma_th, per grid point."""
+    """Companion table for the AF scheme, per grid point and relay: the
+    AF column of both engines.  analytic.relay_terms gives the low end of
+    the path CDF's asymptotic sandwich and m_min, the high end is 2**m_min
+    times it, and analytic.relay_factors gives the exact path CDF."""
     rows = []
     for snr_db, _, power, snr, _ in _grid(s.power, s.snr_grid_db):
-        _, relays = network_link_snrs(s.network, power, snr)
-        for i, (first, second) in enumerate(relays):
-            b = analytic.af_bounds(first, second, s.rate)
-            rows.append(
-                BoundsRow(
-                    snr_db=snr_db,
-                    relay_index=i,
-                    m_min=b.m_min,
-                    bound_low=b.lower,
-                    bound_high=b.upper,
-                    af_path_cdf=analytic.af_path_cdf_quadrature(first, second, s.rate.gamma_th),
-                )
-            )
+        laws = network_link_snrs(s.network, power, snr)
+        _, terms = analytic.relay_terms((Scheme.AF,), laws, s.rate)
+        _, factors = analytic.relay_factors((Scheme.AF,), laws, s.rate)
+        rows += (
+            BoundsRow(snr_db, i, m_min, low, 2.0**m_min * low, af_cdf)
+            for i, ((m_min, (low,)), (af_cdf,)) in enumerate(zip(terms, factors))
+        )
     return rows
 
 

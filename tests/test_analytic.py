@@ -30,7 +30,6 @@ from opprelay.analytic import (
     _amplified_sum,
     _gammainc_is_one_above,
     _power_law,
-    af_bounds,
     af_path_cdf_closed,
     af_path_cdf_quadrature,
     asymptotic_outage,
@@ -38,6 +37,7 @@ from opprelay.analytic import (
     diversity_order_dfaf,
     outage_sc,
     outage_sc_point,
+    relay_terms,
 )
 from opprelay.channel import (
     ChannelSpec,
@@ -49,12 +49,35 @@ from opprelay.channel import (
     sample_snr,
     snr_cdf,
 )
+from opprelay.experiments import Curve, af_bounds_rows
 from opprelay.montecarlo import estimate_outage_coupled
 
 from nets import from_shapes, rayleigh
 
 RS = RateSpec(rate=1.0)
 PW = PowerSpec()
+
+
+def af_term(h1: LinkSnr, h2: LinkSnr, rs: RateSpec = RS) -> tuple[float, float]:
+    """relay_terms' AF column for the one relay path (h1, h2): its smaller
+    shape m_min and its leading term, the AF path CDF's low bound."""
+    _, [(m_min, [term])] = relay_terms((Scheme.AF,), (h1, ((h1, h2),)), rs)
+    return m_min, term
+
+
+def bounds_row(h1: LinkSnr, h2: LinkSnr, rs: RateSpec = RS):
+    """The bounds table's one row for the relay path (h1, h2): at 0 dB and
+    unit powers each hop's mean SNR is its spread, exactly."""
+    net = NetworkSpec(
+        direct=ChannelSpec(m=1.0),
+        relays=((ChannelSpec(m=h1.m, omega=h1.mean_snr), ChannelSpec(m=h2.m, omega=h2.mean_snr)),),
+    )
+    curve = Curve(
+        name="one relay", network=net, rate=rs, schemes=(Scheme.AF,), snr_grid_db=(0.0,),
+        outputs=frozenset({"bounds"}),
+    )
+    (row,) = af_bounds_rows(curve)
+    return row
 
 
 def db(x: float) -> float:
@@ -608,8 +631,8 @@ class TestAsymptotics:
 
     @pytest.mark.parametrize("gamma_th", [1.0, 3.0, 6.0])
     def test_af_law_is_the_bounds_low_end(self, gamma_th):
-        # AF's law is the direct link's term times each relay's af_bounds
-        # lower end, bit for bit, on either side of delta = 3
+        # AF's law is the direct link's term times each relay's AF term,
+        # the bounds table's low end, bit for bit, on either side of delta = 3
         net = NetworkSpec(
             direct=ChannelSpec(m=0.8, omega=1.7),
             relays=(
@@ -624,7 +647,7 @@ class TestAsymptotics:
         direct, relays = network_link_snrs(net, pw, snr)
         law = _power_law(direct.m, direct.rate * rs.gamma_th)
         for first, second in relays:
-            law *= af_bounds(first, second, rs).lower
+            law *= af_term(first, second, rs)[1]
         assert asymptotic_outage(Scheme.AF, net, pw, rs, snr) == law
 
     def test_first_hop_limited_branch(self):
@@ -760,21 +783,25 @@ class TestSlopeLaw:
 
 
 class TestAfBounds:
+    # The sandwich is relay_terms' AF term and m_min, and the bounds table
+    # writes the term and 2**m_min times it.
     def test_ratio_exact(self):
         h1 = LinkSnr(mean_snr=1e4, m=2.0)
         h2 = LinkSnr(mean_snr=1e4, m=3.0)
-        b = af_bounds(h1, h2, RS)
-        assert b.upper / b.lower == pytest.approx(2.0**b.m_min, rel=1e-12)
-        assert b.m_min == 2.0
+        row = bounds_row(h1, h2)
+        assert row.bound_high / row.bound_low == pytest.approx(2.0**row.m_min, rel=1e-12)
+        assert (row.m_min, row.bound_low) == af_term(h1, h2)
+        assert row.m_min == 2.0
 
     def test_min_side_selection(self):
         h1 = LinkSnr(mean_snr=50.0, m=1.0)
         h2 = LinkSnr(mean_snr=80.0, m=2.0)
-        b = af_bounds(h1, h2, RS)
-        assert b.m_min == 1.0
+        row = bounds_row(h1, h2)
+        assert (row.m_min, row.bound_low) == af_term(h1, h2)
+        assert row.m_min == 1.0
         # the m=1 hop alone: (m gth / mean SNR)^1 / (1 * 1)
-        assert b.lower == pytest.approx(RS.gamma_th / 50.0, rel=1e-12)
-        assert b.upper == pytest.approx(2.0 * RS.gamma_th / 50.0, rel=1e-12)
+        assert row.bound_low == pytest.approx(RS.gamma_th / 50.0, rel=1e-12)
+        assert row.bound_high == pytest.approx(2.0 * RS.gamma_th / 50.0, rel=1e-12)
 
     @pytest.mark.parametrize(
         "m,ratio",
@@ -786,13 +813,13 @@ class TestAfBounds:
         # own leading term, and that sum is the CDF's leading term
         h1 = LinkSnr(mean_snr=ratio * db(60.0), m=m)
         h2 = LinkSnr(mean_snr=db(60.0), m=m)
-        b = af_bounds(h1, h2, RS)
-        assert b.m_min == m
-        assert b.lower == _power_law(m, h1.rate * RS.gamma_th) + _power_law(
+        m_min, lower = af_term(h1, h2)
+        assert m_min == m
+        assert lower == _power_law(m, h1.rate * RS.gamma_th) + _power_law(
             m, h2.rate * RS.gamma_th
         )
         f = af_path_cdf_quadrature(h1, h2, RS.gamma_th)
-        assert abs(f / b.lower - 1.0) < 1e-3
+        assert abs(f / lower - 1.0) < 1e-3
 
     def test_tied_shapes_on_random_networks(self):
         rng = np.random.default_rng(2003)
@@ -801,17 +828,17 @@ class TestAfBounds:
             h1 = LinkSnr(mean_snr=db(60.0) * 10.0 ** rng.uniform(-1.0, 1.0), m=m)
             h2 = LinkSnr(mean_snr=db(60.0) * 10.0 ** rng.uniform(-1.0, 1.0), m=m)
             f = af_path_cdf_quadrature(h1, h2, RS.gamma_th)
-            assert abs(f / af_bounds(h1, h2, RS).lower - 1.0) < 1e-3, (i, h1, h2)
+            assert abs(f / af_term(h1, h2)[1] - 1.0) < 1e-3, (i, h1, h2)
 
     @pytest.mark.parametrize("m1,m2", [(1, 1), (1, 2), (2, 3)])
     def test_squeeze_at_40db(self, m1, m2):
         snr = db(40.0)
         h1 = LinkSnr(mean_snr=snr, m=float(m1))
         h2 = LinkSnr(mean_snr=snr, m=float(m2))
-        b = af_bounds(h1, h2, RS)
+        m_min, lower = af_term(h1, h2)
         f = af_path_cdf_closed(h1, h2, RS.gamma_th)
-        ratio = f / b.lower
-        assert 1.0 - 0.1 <= ratio <= 2.0**b.m_min * 1.1
+        ratio = f / lower
+        assert 1.0 - 0.1 <= ratio <= 2.0**m_min * 1.1
 
 
 class TestPointPasses:
@@ -850,3 +877,24 @@ class TestPointPasses:
                 decode = snr_cdf(first, rs.delta)
                 df *= decode + (1.0 - decode) * snr_cdf(second, rs.gamma_th)
             assert point[Scheme.DF] == df
+
+    def test_bounds_table_reads_both_engines(self):
+        # every bounds row's exact column is the AF path CDF, and its low
+        # ends multiply with the direct term into AF's law, bit for bit,
+        # with gamma_th on both sides of delta
+        for net, power, rs, snr in self.cases():
+            if not net.relays:
+                continue
+            curve = Curve(
+                name="seeded", network=net, rate=rs, power=power, schemes=(Scheme.AF,),
+                snr_grid_db=(10.0 * math.log10(snr),), outputs=frozenset({"bounds"}),
+            )
+            snr = 10.0 ** (curve.snr_grid_db[0] / 10.0)  # the grid point's linear SNR
+            direct, relays = network_link_snrs(net, power, snr)
+            rows = af_bounds_rows(curve)
+            assert len(rows) == len(relays)
+            law = _power_law(direct.m, direct.rate * rs.gamma_th)
+            for row, (first, second) in zip(rows, relays):
+                assert row.af_path_cdf == af_path_cdf_quadrature(first, second, rs.gamma_th)
+                law *= row.bound_low
+            assert law == asymptotic_outage(Scheme.AF, net, power, rs, snr)

@@ -1,8 +1,9 @@
-"""scipy.special loads on the first closed-form call, nothing loads
-numpy.polynomial, and block threads come from threading, so Monte Carlo
-runs load neither scipy, numpy.polynomial nor concurrent.futures; PyYAML
-loads on the first scenario file read.  Each check runs in a fresh interpreter,
-because the test process has long since loaded scipy."""
+"""scipy.special loads on the first exact closed-form value, never for
+the high-SNR law; nothing loads numpy.polynomial, and block threads come
+from threading, so Monte Carlo runs load neither scipy, numpy.polynomial
+nor concurrent.futures; PyYAML loads on the first scenario file read.
+Each check runs in a fresh interpreter, because the test process has long
+since loaded scipy."""
 
 import os
 import subprocess
@@ -79,6 +80,20 @@ opprelay.preset("fig4_K1")
 print("yaml" in sys.modules)
 """
     assert run_fresh(code) == ["False", "True"]
+
+
+def test_high_snr_law_leaves_scipy_unloaded():
+    # the asymptotic column is math alone: relay_terms calls no gammainc
+    code = """
+import sys
+from dataclasses import replace
+from opprelay import preset, run_scenario
+(s,) = preset("fig3_nakagami_3relay")
+rows = run_scenario(replace(s, outputs=frozenset({"asymptotic"})))
+print(len(rows), all(r.outage_asymptotic > 0.0 for r in rows))
+print("scipy" in sys.modules)
+"""
+    assert run_fresh(code) == ["33", "True", "False"]
 
 
 def test_closed_form_loads_scipy_special_and_matches_it():
