@@ -19,15 +19,16 @@ multiply them out; outage_sc and asymptotic_outage are the one-scheme
 passes.  The Scheme enum is defined here; Monte Carlo and the
 experiments import it.
 
-One trapezoid rule integrates the amplified path for any shapes: the AF
-path CDF af_path_cdf_quadrature, and DFAF's factor below delta.  The
-leading nodes, where the second hop's gammainc is exactly 1.0, skip that
-call.  Each sum is memoised in a process-local cache of 512 entries, so
-the bounds table reuses its curve's AF integrals and identical relays
-share one; the AF_QUAD_TOL certificate is never skipped: it is checked on
-every call, cached or not.  The paper's Bessel sum for integer shapes,
-af_path_cdf_closed, is the AF path CDF's reference, not exported from
-the package root.
+One rule gives the amplified path's miss for any shapes: the AF path
+CDF af_path_cdf_quadrature, and DFAF's factor below delta.  It is the
+first-hop head P(g1 < y) plus a trapezoid sum over the tail; the leading
+nodes, where the second hop's gammainc is exactly 1.0, skip that call.
+Each miss, head and tail together, is memoised in a process-local cache
+of 512 entries, so the bounds table reuses its curve's AF integrals and
+identical relays share one; the AF_QUAD_TOL certificate is never
+skipped: it is checked on every call, cached or not.  The paper's Bessel
+sum for integer shapes, af_path_cdf_closed, is the AF path CDF's
+reference, not exported from the package root.
 
 Maximal ratio combining has no closed form here yet, so those curves come
 from the Monte Carlo engine.  Relay selection ignores the direct link, so
@@ -35,10 +36,10 @@ the selected path stays independent of it under MRC as well; the MRC
 outage is a one-dimensional integral over the direct-link SNR that is
 not implemented yet.
 
-Every scalar CDF factor (direct link, decode failure, second hop, the
-amplified path's first-hop head, which is the decode failure at
-gamma_th = delta) is the regularised gamma function of the link laws that
-channel.network_link_snrs builds for the grid point.  scipy.special comes
+The CDFs every scheme shares (direct link, decode failure, second hop)
+are the regularised gamma function of the link laws that
+channel.network_link_snrs builds for the grid point, in one call per
+point; the amplified miss forms its own head.  scipy.special comes
 from channel.scipy_special and loads on the first exact value: the
 high-SNR law needs only math, and Monte Carlo runs do not load it.
 """
@@ -69,7 +70,7 @@ class ClosedFormUnavailableError(ValueError):
     """The closed-form AF path CDF needs integer fading shapes."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """The AF path CDF quadrature could not certify AF_QUAD_TOL."""
 
 
@@ -130,31 +131,26 @@ def relay_factors(schemes: Sequence[Scheme], laws: tuple, rs: RateSpec) -> tuple
     """The exact outage's factors at one grid point, in one pass over the
     point's link laws (network_link_snrs): the direct-link CDF, and per
     relay the list of each scheme's path-failure factor, in the order of
-    schemes.  One gammainc call gives every scalar CDF; the decode and
-    second-hop CDFs are shared by every scheme.
+    schemes.  One gammainc call of fixed layout gives the CDFs every
+    scheme shares: the direct link, then each relay's decode failure and
+    second hop.
 
-    AF's factor is the amplified path's CDF.  DF's: the relay fails to
-    decode, or decodes and its second hop misses gamma_th.  DFAF's is DF's
-    at gamma_th >= delta, where the amplified path, capped by g1 < delta,
-    always misses; below delta a relay that cannot decode amplifies.
+    AF's factor is the amplified path's CDF, head included.  DF's: the
+    relay fails to decode, or decodes and its second hop misses gamma_th.
+    DFAF's is DF's at gamma_th >= delta, where the amplified path, capped
+    by g1 < delta, always misses; below delta a relay that cannot decode
+    amplifies.
     """
     direct, relays = laws
-    dfaf_amplifies = Scheme.DFAF in schemes and rs.gamma_th < rs.delta
     factors = [(direct, rs.gamma_th)]
     for first, second in relays:
         factors += (first, rs.delta), (second, rs.gamma_th)
-    if (Scheme.AF in schemes or dfaf_amplifies) and rs.gamma_th != rs.delta:
-        # P(g1 < gamma_th), the amplified path's first-hop head; at
-        # gamma_th = delta it is the decode failure
-        factors += [(first, rs.gamma_th) for first, _ in relays]
     # One array call, on the scalar call's inner loop: every factor keeps its bits
     cdf = scipy_special().gammainc(
         [link.m for link, _ in factors], [link.rate * y for link, y in factors]
     ).tolist()
-    n = 2 * len(relays) + 1
-    decode, second_hop, heads = cdf[1:n:2], cdf[2:n:2], cdf[n:] or cdf[1:n:2]
     per_relay = []
-    for (first, second), decode_fail, second_fail, head in zip(relays, decode, second_hop, heads):
+    for (first, second), decode_fail, second_fail in zip(relays, cdf[1::2], cdf[2::2]):
         # The decode failure is the CDF P itself: 1 - Q would lose it deep
         # in outage, where it is the leading term.  1 - P is exact enough
         # for Q, which only ever adds to P.
@@ -162,12 +158,12 @@ def relay_factors(schemes: Sequence[Scheme], laws: tuple, rs: RateSpec) -> tuple
         row = []
         for scheme in schemes:
             if scheme is Scheme.AF:
-                row.append(_amplified_miss(first, second, rs.gamma_th, math.inf, head))
-            elif scheme is Scheme.DFAF and dfaf_amplifies:
+                row.append(_amplified_miss(first, second, rs.gamma_th, math.inf))
+            elif scheme is Scheme.DFAF and rs.gamma_th < rs.delta:
                 # The amplified miss needs g1 < delta; capping it at the
                 # decode failure absorbs rounding that would lift the factor
                 # above 1.
-                amplified = _amplified_miss(first, second, rs.gamma_th, rs.delta, head)
+                amplified = _amplified_miss(first, second, rs.gamma_th, rs.delta)
                 row.append(min(decode_fail, amplified) + decoded_miss)
             else:
                 row.append(decode_fail + decoded_miss)
@@ -264,16 +260,16 @@ def _gammainc_is_one_above(m: float) -> float:
 def _amplified_sum(
     hop1: LinkSnr, hop2: LinkSnr, y: float, below: float
 ) -> tuple[float, float]:
-    # P(y < g1 < below and g1 g2 / (g1 + g2 + 1) < y) for
-    # 0 < y < below <= inf, and the sum's gap to the every-other-node sum.
-    # For g1 = y + t, t < c = below - y, the path misses when
-    # g2 < y (y + t + 1) / t.  That tail is one trapezoid sum in v on
-    # t = e^v / (1 + e^v / c), which maps the real line onto (0, c) and is
-    # e^v at below = inf.  All its terms are positive, so the value keeps
-    # its relative accuracy deep in outage.  Memoised on its exact
-    # arguments (LinkSnr is frozen): a table's repeated integrals, and
-    # identical relays, are summed once; the size holds a 50-point curve's
-    # integrals on 4 relays.
+    # P(g1 < below and g1 g2 / (g1 + g2 + 1) < y) for 0 < y < below <= inf,
+    # and its tail sum's gap to the every-other-node sum.  The head
+    # P(g1 < y) always misses; for g1 = y + t, t < c = below - y, the path
+    # misses when g2 < y (y + t + 1) / t.  That tail is one trapezoid sum
+    # in v on t = e^v / (1 + e^v / c), which maps the real line onto
+    # (0, c) and is e^v at below = inf.  All its terms are positive, so the value keeps
+    # its relative accuracy deep in outage.  Memoised, head and tail
+    # together, on its exact arguments (LinkSnr is frozen): a table's
+    # repeated integrals, and identical relays, are summed once; the size
+    # holds a 50-point curve's integrals on 4 relays.
     (m1, a1), (m2, a2), c = (hop1.m, hop1.rate), (hop2.m, hop2.rate), below - y
     # Far below t = min(a2 y (y + 1), c) the integrand falls like e^v, so
     # 36 e-folds under that point leave e^-36 ~ 2e-16 of its size there.
@@ -304,20 +300,17 @@ def _amplified_sum(
     k = np.count_nonzero(z > _gammainc_is_one_above(m2))
     f[k:] *= scipy_special().gammainc(m2, z[k:])
     tail = h * float(f.sum())
-    return tail, abs(tail - 2.0 * h * float(f[::2].sum()))
+    return min(1.0, snr_cdf(hop1, y) + tail), abs(tail - 2.0 * h * float(f[::2].sum()))
 
 
-def _amplified_miss(
-    hop1: LinkSnr, hop2: LinkSnr, y: float, below: float, head: float
-) -> float:
-    # P(g1 < below and g1 g2 / (g1 + g2 + 1) < y): the head P(g1 < y),
-    # which always misses, plus the memoised tail sum, certified on every
-    # call, cached or not.
-    tail, err = _amplified_sum(hop1, hop2, y, below)
-    value = min(1.0, head + tail)
+def _amplified_miss(hop1: LinkSnr, hop2: LinkSnr, y: float, below: float) -> float:
+    # The memoised amplified miss, certified on every call, cached or not.
+    value, err = _amplified_sum(hop1, hop2, y, below)
     if err > AF_QUAD_TOL * value:
         raise QuadratureError(
             f"AF path CDF error estimate {err:.3e} exceeds {AF_QUAD_TOL:.1e} of {value:.3e}"
+            f" at hop shapes {hop1.m:g} and {hop2.m:g}, mean SNRs {hop1.mean_snr:g}"
+            f" and {hop2.mean_snr:g}, y = {y:g}, g1 < {below:g}"
         )
     return value
 
@@ -329,15 +322,15 @@ def af_path_cdf_quadrature(hop1: LinkSnr, hop2: LinkSnr, y: float) -> float:
     when its gap to the sum over every other node exceeds AF_QUAD_TOL of
     the value.
 
-    The sum is memoised per process on (hop1, hop2, y), at most 512
-    entries, and the certificate is never skipped: it is checked on every
-    call, cached or not.
+    The value, head and sum together, is memoised per process on
+    (hop1, hop2, y), at most 512 entries, and the certificate is never
+    skipped: it is checked on every call, cached or not.
     """
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")
     if y == 0.0:
         return 0.0
-    return _amplified_miss(hop1, hop2, y, math.inf, snr_cdf(hop1, y))
+    return _amplified_miss(hop1, hop2, y, math.inf)
 
 
 def asymptotic_outage(

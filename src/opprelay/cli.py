@@ -1,7 +1,7 @@
 """Command-line front end: run preset or file-based scenarios and emit CSV.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical/convergence
-error.
+error (any ArithmeticError).
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analytic import QuadratureError
 from .experiments import (
     ScenarioError,
-    ZeroOutageError,
     af_bounds_rows,
     csv_text,
     fit_scenario_curves,
@@ -164,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _run_command(args)
-    except (QuadratureError, ZeroOutageError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ScenarioError, ValueError, OSError) as exc:

@@ -60,7 +60,7 @@ class ScenarioError(ValueError):
     an inconsistent scheme/combiner/output combination."""
 
 
-class ZeroOutageError(RuntimeError):
+class ZeroOutageError(ArithmeticError):
     """A slope fit met an outage of zero at its window's high end, where
     the closed form has underflowed, so the secant has no logarithm."""
 

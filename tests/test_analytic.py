@@ -277,6 +277,23 @@ class TestAfPathCdf:
             af_path_cdf_quadrature(h1, h2, 3.0)
         assert _amplified_sum.cache_info().hits == hits + 1
 
+    def test_cached_miss_holds_its_head(self, monkeypatch):
+        # the memo holds the head P(g1 < y) with the tail, so a repeat is
+        # one cache hit that evaluates no CDF at all
+        h1, h2 = LinkSnr(mean_snr=12.0, m=1.5), LinkSnr(mean_snr=8.0, m=2.5)
+        value = af_path_cdf_quadrature(h1, h2, 3.0)
+        hits = _amplified_sum.cache_info().hits
+        calls = []
+
+        def counted(link, y):
+            calls.append((link, y))
+            return snr_cdf(link, y)
+
+        monkeypatch.setattr("opprelay.analytic.snr_cdf", counted)
+        assert af_path_cdf_quadrature(h1, h2, 3.0) == value
+        assert _amplified_sum.cache_info().hits == hits + 1
+        assert calls == []
+
     @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.7, 2.0, 4.0, 10.0, 25.0, 60.0])
     def test_gammainc_is_exactly_one_past_the_skip(self, m):
         # the amplified sum skips gammainc(m2, z) at z > z*(m2), so it must

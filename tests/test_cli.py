@@ -615,6 +615,8 @@ class TestExitCodes:
         assert out == ""
         assert "numerical error" in err
         assert "AF path CDF error estimate" in err
+        # the message locates the refused integral: the first grid point
+        assert "at hop shapes 1 and 1, mean SNRs 1 and 1, y = 3, g1 < inf" in err
 
     @pytest.mark.parametrize("command", ["analytic", "asymptotic", "simulate"])
     @pytest.mark.parametrize("power", ["source_power", "relay_power"])
